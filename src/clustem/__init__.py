@@ -4,9 +4,6 @@ from .anonymize import (
     AnonymizationResult,
     LatticeNode,
     PrivacyParams,
-    anonymize_table,
-    apply_node,
-    check_privacy,
     generate_vghs,
     loss,
     search,
@@ -19,7 +16,6 @@ from .embed import (
     WordVectorProvider,
     create_provider,
     embed_all,
-    embed_value,
     preprocess,
 )
 from .errors import InputError, ProviderError
@@ -58,14 +54,10 @@ __all__ = [
     "WordVectorProvider",
     "achieved_privacy",
     "agglomerate",
-    "anonymize_table",
-    "apply_node",
     "build_vgh",
     "c_avg",
-    "check_privacy",
     "create_provider",
     "embed_all",
-    "embed_value",
     "encode",
     "evaluate",
     "generate_vghs",

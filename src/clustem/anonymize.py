@@ -9,21 +9,24 @@ along every lattice edge, which makes the first-passing nodes the only
 candidates for the optimum. Groups failing k-anonymity or l-diversity are
 suppressed whole, and a node passes when the suppressed fraction stays within
 the limit.
+
+Cells are mapped through the hierarchies once, into integer codes; the
+privacy check, the suppression mask and the generalized table at the chosen
+node are all computed from those codes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from . import embed
 from .errors import InputError
-from .tabular import NOMINAL, SUPPRESSED, Column, EquivalenceClass, QiSpec, Table
-from .vgh import Vgh, build_vgh, write_hierarchy
+from .tabular import NOMINAL, SUPPRESSED, Column, QiSpec, Table
+from .vgh import Vgh, build_vgh
 
 MAX_LATTICE_NODES = 10_000_000
 
@@ -74,38 +77,6 @@ def loss(node: LatticeNode, vghs: Sequence[Vgh]) -> float:
     return total / len(node)
 
 
-def apply_node(
-    table: Table, spec: QiSpec, vghs: Mapping[str, Vgh], node: LatticeNode
-) -> Table:
-    """Replace each QI cell by its label at the node's level for that attribute.
-
-    Non-QI columns and row order are untouched.
-    """
-    spec.validate_against(table)
-    if len(node) != len(spec.qi):
-        raise InputError("node length does not match the QI attribute count")
-    new_columns = []
-    for column in table.columns:
-        if column.name not in spec.qi:
-            new_columns.append(Column(column.name, column.kind, list(column.values)))
-            continue
-        vgh = _vgh_for(vghs, column.name)
-        level_index = node[spec.qi.index(column.name)]
-        if not 0 <= level_index < vgh.level_count:
-            raise InputError(f"level {level_index} out of range for {column.name!r}")
-        mapping = vgh.levels[level_index]
-        values = []
-        for cell in column.values:
-            try:
-                values.append(mapping[cell])
-            except KeyError:
-                raise InputError(
-                    f"value {cell!r} in column {column.name!r} is not a hierarchy leaf"
-                ) from None
-        new_columns.append(Column(column.name, NOMINAL, values))
-    return Table(new_columns)
-
-
 def _vgh_for(vghs: Mapping[str, Vgh], attribute: str) -> Vgh:
     try:
         return vghs[attribute]
@@ -114,11 +85,12 @@ def _vgh_for(vghs: Mapping[str, Vgh], attribute: str) -> Vgh:
 
 
 class _CodedLattice:
-    """Row data factorized for fast per-node privacy checks.
+    """Row data coded once through the hierarchies.
 
     Rows are collapsed to distinct leaf-value combinations with multiplicities;
     each (attribute, level) gets a lookup table from leaf index to a label
-    code, so grouping at a node is integer arithmetic plus one sort.
+    code, so grouping at a node is integer arithmetic plus one sort, and the
+    generalized table is one label lookup per cell.
     """
 
     def __init__(self, table: Table, spec: QiSpec, vghs: Mapping[str, Vgh]) -> None:
@@ -221,46 +193,28 @@ class _CodedLattice:
         suppressed = int(sizes[bad].sum())
         return suppressed / self.n_rows <= params.sup_limit
 
-    def materialize(
-        self, node: LatticeNode, params: PrivacyParams
-    ) -> tuple[bool, np.ndarray, list[EquivalenceClass]]:
-        """(satisfied, per-row suppression mask, retained classes sorted by key)."""
+    def suppressed(self, node: LatticeNode, params: PrivacyParams) -> np.ndarray:
+        """Per-row mask of the rows whose group at the node misses k or l."""
         if self.n_rows == 0:
-            return True, np.zeros(0, dtype=bool), []
-        inverse, sizes, bad = self._bad_groups(node, params)
-        mask = bad[inverse][self.row_combo]
-        satisfied = int(mask.sum()) / self.n_rows <= params.sup_limit
+            return np.zeros(0, dtype=bool)
+        inverse, _, bad = self._bad_groups(node, params)
+        return bad[inverse][self.row_combo]
 
-        group_rows: dict[int, list[int]] = {}
-        for row in range(self.n_rows):
-            if not mask[row]:
-                group_rows.setdefault(int(inverse[self.row_combo[row]]), []).append(row)
-        classes = []
-        for group, rows in group_rows.items():
-            combo = self.combos[self.row_combo[rows[0]]]
-            key = tuple(
-                self.labels[j][node[j]][self.luts[j][node[j]][combo[j]]]
-                for j in range(len(self.qi))
-            )
-            classes.append(EquivalenceClass(key, rows))
-        classes.sort(key=lambda c: c.key)
-        return satisfied, mask, classes
-
-
-def check_privacy(
-    table: Table,
-    spec: QiSpec,
-    vghs: Mapping[str, Vgh],
-    node: LatticeNode,
-    params: PrivacyParams,
-) -> tuple[bool, np.ndarray, list[EquivalenceClass]]:
-    """Group rows at the node's generalization and suppress every group that
-    misses k-anonymity or l-diversity.
-
-    Returns whether the suppressed fraction stays within the limit, the
-    per-row suppression mask, and the retained equivalence classes.
-    """
-    return _CodedLattice(table, spec, vghs).materialize(node, params)
+    def generalize(self, table: Table, node: LatticeNode, mask: np.ndarray) -> Table:
+        """The table with each QI cell replaced by its label at the node's
+        level, "*" in every QI cell of a masked row, other columns unchanged."""
+        columns = []
+        for column in table.columns:
+            if column.name not in self.qi:
+                columns.append(Column(column.name, column.kind, list(column.values)))
+                continue
+            j = self.qi.index(column.name)
+            level = node[j]
+            labels = np.array(self.labels[j][level] + [SUPPRESSED], dtype=object)
+            codes = self.luts[j][level][self.combos[self.row_combo, j]]
+            codes[mask] = len(labels) - 1
+            columns.append(Column(column.name, NOMINAL, labels[codes].tolist()))
+        return Table(columns)
 
 
 def _nodes_by_height(level_counts: Sequence[int]) -> Iterator[LatticeNode]:
@@ -315,13 +269,8 @@ def search(
         best = tuple(c - 1 for c in level_counts)
         satisfied = False
 
-    _, mask, _ = lattice.materialize(best, params)
-    out = apply_node(table, spec, vghs, best)
-    if mask.any():
-        for attr in spec.qi:
-            column = out.column(attr)
-            for row in np.flatnonzero(mask):
-                column.values[int(row)] = SUPPRESSED
+    mask = lattice.suppressed(best, params)
+    out = lattice.generalize(table, best, mask)
     return AnonymizationResult(out, best, mask, loss(best, ordered_vghs), satisfied)
 
 
@@ -343,24 +292,3 @@ def generate_vghs(
         vghs[attr] = build_vgh(values, embeddings, method, seed, attribute=attr)
     return vghs
 
-
-def anonymize_table(
-    table: Table,
-    spec: QiSpec,
-    provider,
-    method: str,
-    params: PrivacyParams,
-    seed: int = 0,
-    cache_path: str | None = None,
-    vgh_dir: str | None = None,
-) -> AnonymizationResult:
-    """End-to-end pipeline: embed QI values, build hierarchies, search the
-    lattice. With ``vgh_dir`` the generated hierarchies are also written there
-    as ``<attribute>.csv``."""
-    vghs = generate_vghs(table, spec.qi, provider, method, seed, cache_path)
-    if vgh_dir is not None:
-        out = Path(vgh_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        for attr, hierarchy in vghs.items():
-            write_hierarchy(hierarchy, str(out / f"{attr}.csv"))
-    return search(table, spec, vghs, params)

@@ -24,7 +24,7 @@ from .embed import (
     create_provider,
 )
 from .errors import InputError, ProviderError
-from .tabular import SUPPRESSED, QiSpec, Table, group_by_qi, load_csv, write_csv
+from .tabular import SUPPRESSED, QiSpec, Table, atomic_write, group_by_qi, load_csv, write_csv
 from .vgh import KMEANS, WARD, read_hierarchy, write_hierarchy
 
 EXIT_OK = 0
@@ -49,7 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
     build.add_argument("--input", required=True, help="input CSV with a header row")
     build.add_argument("--columns", required=True, help="comma-separated nominal columns")
     build.add_argument("--method", choices=[KMEANS, WARD], default=WARD)
-    build.add_argument("--seed", type=int, default=0)
+    build.add_argument("--seed", type=_seed, default=0)
     build.add_argument("--out-dir", required=True, help="directory for <column>.csv files")
     _add_provider_flags(build)
     build.set_defaults(func=_cmd_vgh_build)
@@ -64,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
     anon.add_argument("--l", type=int, help="required distinct sensitive values per group")
     anon.add_argument("--sup-limit", type=float, help="max fraction of suppressed records")
     anon.add_argument("--method", choices=[KMEANS, WARD])
-    anon.add_argument("--seed", type=int)
+    anon.add_argument("--seed", type=_seed)
     anon.add_argument(
         "--hierarchies-dir",
         help="directory with <column>.csv hierarchy files; found files override generation",
@@ -86,9 +86,16 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument(
         "--qi-only", action="store_true", help="use only the QI columns as features"
     )
-    ev.add_argument("--seed", type=int, default=0)
+    ev.add_argument("--seed", type=_seed, default=0)
     ev.set_defaults(func=_cmd_evaluate)
     return parser
+
+
+def _seed(raw: str) -> int:
+    value = int(raw)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"the seed must be non-negative, got {value}")
+    return value
 
 
 def _add_provider_flags(parser: argparse.ArgumentParser) -> None:
@@ -136,7 +143,8 @@ def _now() -> str:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    with atomic_write(path) as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _cmd_vgh_build(args) -> int:
@@ -151,6 +159,32 @@ def _cmd_vgh_build(args) -> int:
     return EXIT_OK
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# Config key -> (type check, what the key must hold).
+_CONFIG_SCHEMA = {
+    "qi": (
+        lambda v: isinstance(v, list) and all(isinstance(name, str) for name in v),
+        "a list of column names",
+    ),
+    "sa": (lambda v: v is None or isinstance(v, str), "a column name or null"),
+    "k": (
+        lambda v: _is_int(v) or isinstance(v, str),
+        'an integer or a string like "2,5" or "preset"',
+    ),
+    "l": (_is_int, "an integer"),
+    "sup_limit": (lambda v: _is_int(v) or isinstance(v, float), "a number"),
+    "method": (lambda v: isinstance(v, str), "a string"),
+    "seed": (lambda v: _is_int(v) and v >= 0, "a non-negative integer"),
+    "hierarchies": (
+        lambda v: isinstance(v, dict) and all(isinstance(p, str) for p in v.values()),
+        "an object mapping column names to hierarchy file paths",
+    ),
+}
+
+
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
@@ -160,6 +194,13 @@ def _load_config(path: str | None) -> dict:
         raise InputError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise InputError(f"config {path} must hold a JSON object")
+    unknown = sorted(set(raw) - set(_CONFIG_SCHEMA))
+    if unknown:
+        raise InputError(f"config {path}: unknown keys {unknown}")
+    for key, value in raw.items():
+        valid, expected = _CONFIG_SCHEMA[key]
+        if not valid(value):
+            raise InputError(f"config {path}: {key!r} must be {expected}, got {value!r}")
     return raw
 
 

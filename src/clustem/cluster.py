@@ -186,14 +186,12 @@ def ward_merge(centroids, sizes: Sequence[int]) -> MergeStep:
     return MergeStep(best[1], best[2], best[0])
 
 
-def agglomerate(points, seed: int = 0) -> list[MergeStep]:
+def agglomerate(points) -> list[MergeStep]:
     """Full Ward merge sequence down to a single cluster (length = #points - 1).
 
     Each step's indices refer to the partition before that step; the merged
     cluster takes the left index and clusters after the right one shift down.
-    Ward is deterministic, so ``seed`` is accepted only for interface symmetry.
     """
-    del seed
     pts = _as_points(points)
     members: list[list[int]] = [[i] for i in range(pts.shape[0])]
     steps: list[MergeStep] = []

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -20,6 +19,7 @@ import numpy as np
 import requests
 
 from .errors import InputError, ProviderError
+from .tabular import atomic_write
 
 DEFAULT_API_KEY_ENV = "CLUSTEM_API_KEY"
 API_BATCH_SIZE = 256
@@ -172,6 +172,16 @@ class HttpApiProvider:
             slots: list[np.ndarray | None] = [None] * len(batch)
             for item in items:
                 idx = item["index"]
+                if (
+                    isinstance(idx, bool)
+                    or not isinstance(idx, int)
+                    or not 0 <= idx < len(batch)
+                    or slots[idx] is not None
+                ):
+                    raise ProviderError(
+                        f"embeddings API returned index {idx!r} for a batch of "
+                        f"{len(batch)} values: not an integer, out of range or repeated"
+                    )
                 vec = np.asarray(item["embedding"], dtype=float)
                 if vec.ndim != 1 or vec.size == 0 or not np.all(np.isfinite(vec)):
                     raise ProviderError("embeddings API returned a malformed vector")
@@ -206,17 +216,9 @@ def _load_cache(cache_path: str) -> dict[str, np.ndarray]:
 
 
 def _store_cache(cache_path: str, entries: dict[str, np.ndarray]) -> None:
-    path = Path(cache_path)
     payload = {key: [float(x) for x in vec] for key, vec in sorted(entries.items())}
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with atomic_write(cache_path) as fh:
+        json.dump(payload, fh)
 
 
 def embed_all(
@@ -258,8 +260,3 @@ def embed_all(
         if not np.all(np.isfinite(vec)):
             raise ProviderError(f"non-finite embedding for value {value!r}")
     return result
-
-
-def embed_value(value: str, provider, cache_path: str | None = None) -> np.ndarray:
-    """Embed a single value (see ``embed_all``)."""
-    return embed_all([value], provider, cache_path)[value]

@@ -4,14 +4,19 @@ Cells are kept as strings so that a load/write cycle preserves files exactly;
 a column's kind only says how its cells may be interpreted. The missing-value
 marker is the literal "?" and is treated as an ordinary nominal value when
 grouping. Tables are never mutated: every operation returns a new Table.
+Every file clustem writes goes through ``atomic_write``, so no output is ever
+left partly written.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from pathlib import Path
+from typing import Iterable, Iterator, Sequence, TextIO
 
 from .errors import InputError
 
@@ -163,9 +168,25 @@ def load_csv(path: str, overrides: dict[str, str] | None = None) -> Table:
     return Table(columns)
 
 
+@contextmanager
+def atomic_write(path: str | Path, newline: str | None = None) -> Iterator[TextIO]:
+    """Open a UTF-8 temporary file next to ``path`` and move it onto ``path``
+    when the block completes; on any error the temporary file is removed and
+    ``path`` is left as it was."""
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline=newline, encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_csv(table: Table, path: str) -> None:
     """Write ``table`` so that ``load_csv`` reads back an identical Table."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(table.column_names)
         cols = [c.values for c in table.columns]

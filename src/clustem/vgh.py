@@ -18,6 +18,7 @@ import numpy as np
 
 from . import cluster
 from .errors import InputError
+from .tabular import atomic_write
 
 TOP = "*"
 KMEANS = "kmeans"
@@ -143,7 +144,7 @@ def build_vgh(
         if method == WARD:
             members: list[list[int]] = [[i] for i in range(len(values))]
             labels = list(range(len(values)))
-            for step in cluster.agglomerate(points, seed):
+            for step in cluster.agglomerate(points):
                 members[step.left].extend(members[step.right])
                 del members[step.right]
                 for cluster_id, idxs in enumerate(members):
@@ -182,7 +183,8 @@ def write_hierarchy(vgh: Vgh, path: str) -> None:
                     f"hierarchy label {value!r} contains the field separator or a newline"
                 )
         lines.append(FIELD_SEPARATOR.join(fields))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with atomic_write(path) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def read_hierarchy(path: str, attribute: str | None = None) -> Vgh:

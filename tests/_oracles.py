@@ -62,11 +62,9 @@ def random_instance(rng: np.random.Generator):
     return table, QiSpec(attrs, "sa"), vghs, params
 
 
-def naive_satisfied(table, spec, vghs, node, params) -> bool:
-    """Dict-based group check: suppress bad groups whole, test the fraction."""
+def naive_suppressed(table, spec, vghs, node, params) -> list[bool]:
+    """Dict-based grouping: True for every row of a group that misses k or l."""
     n = table.row_count
-    if n == 0:
-        return True
     qi_cols = [table.column(a).values for a in spec.qi]
     sa_col = table.column(spec.sa).values if spec.sa else None
     groups: dict[tuple, list[int]] = {}
@@ -75,14 +73,37 @@ def naive_satisfied(table, spec, vghs, node, params) -> bool:
             vghs[a].levels[node[j]][qi_cols[j][i]] for j, a in enumerate(spec.qi)
         )
         groups.setdefault(key, []).append(i)
-    suppressed = 0
+    mask = [False] * n
     for rows in groups.values():
         bad = len(rows) < params.k
         if not bad and params.l > 1:
             bad = len({sa_col[i] for i in rows}) < params.l
         if bad:
-            suppressed += len(rows)
-    return suppressed / n <= params.sup_limit
+            for i in rows:
+                mask[i] = True
+    return mask
+
+
+def naive_satisfied(table, spec, vghs, node, params) -> bool:
+    """Suppress bad groups whole, test the suppressed fraction."""
+    n = table.row_count
+    if n == 0:
+        return True
+    return sum(naive_suppressed(table, spec, vghs, node, params)) / n <= params.sup_limit
+
+
+def naive_generalize(table, spec, vghs, node, mask) -> Table:
+    """Each QI cell looked up in its hierarchy level, "*" on masked rows;
+    other columns are passed through."""
+    columns = []
+    for column in table.columns:
+        if column.name not in spec.qi:
+            columns.append(column)
+            continue
+        level = vghs[column.name].levels[node[spec.qi.index(column.name)]]
+        values = ["*" if mask[i] else level[cell] for i, cell in enumerate(column.values)]
+        columns.append(Column(column.name, "nominal", values))
+    return Table(columns)
 
 
 def exhaustive_satisfying(table, spec, vghs, params) -> list[tuple[float, tuple[int, ...]]]:

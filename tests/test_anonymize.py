@@ -6,15 +6,7 @@ import numpy as np
 import pytest
 
 import _oracles as oracles
-from clustem.anonymize import (
-    PrivacyParams,
-    anonymize_table,
-    apply_node,
-    check_privacy,
-    loss,
-    search,
-)
-from clustem.embed import WordVectorProvider, embed_all
+from clustem.anonymize import PrivacyParams, _CodedLattice, loss, search
 from clustem.errors import InputError
 from clustem.tabular import QiSpec, group_by_qi
 from clustem.vgh import Vgh, build_vgh
@@ -58,74 +50,84 @@ class TestLoss:
         assert loss((0, 1), [flat, Vgh("q", ["a"], [{"a": "a"}, {"a": "*"}])]) == 0.5
 
 
+@pytest.fixture
+def abc_vgh():
+    return build_vgh(
+        ["a", "b", "c"],
+        {v: np.array([float(i)]) for i, v in enumerate("abc")},
+        "ward",
+        attribute="q",
+    )
+
+
 class TestApplyNode:
+    """Generalizing the table at a node, from the coded lattice."""
+
+    def generalize(self, table, spec, vgh, node, mask=None):
+        mask = np.zeros(table.row_count, dtype=bool) if mask is None else np.asarray(mask)
+        return _CodedLattice(table, spec, {"q": vgh}).generalize(table, node, mask)
+
     def test_identity_node_is_a_no_op(self, abc_table_spec, ab_vgh):
         table, spec = abc_table_spec
-        out = apply_node(table, spec, {"q": ab_vgh}, (0,))
+        out = self.generalize(table, spec, ab_vgh, (0,))
         assert out.column("q").values == ["a", "a", "b"]
-        assert out.column("s").values == table.column("s").values
+        assert out.column("s") == table.column("s")
 
     def test_top_node_stars_everything(self, abc_table_spec, ab_vgh):
         table, spec = abc_table_spec
-        out = apply_node(table, spec, {"q": ab_vgh}, (2,))
+        out = self.generalize(table, spec, ab_vgh, (2,))
         assert out.column("q").values == ["*", "*", "*"]
 
     def test_middle_level_label(self, abc_table_spec, ab_vgh):
         table, spec = abc_table_spec
-        out = apply_node(table, spec, {"q": ab_vgh}, (1,))
+        out = self.generalize(table, spec, ab_vgh, (1,))
         assert out.column("q").values == ["{a,b}", "{a,b}", "{a,b}"]
         assert out.row_count == table.row_count
+
+    def test_masked_rows_are_starred(self, abc_table_spec, ab_vgh):
+        table, spec = abc_table_spec
+        out = self.generalize(table, spec, ab_vgh, (1,), [False, True, False])
+        assert out.column("q").values == ["{a,b}", "*", "{a,b}"]
+        assert out.column("s") == table.column("s")
 
     def test_unknown_leaf_names_column_and_value(self, ab_vgh):
         table = make_table(q=("nominal", ["zzz"]))
         with pytest.raises(InputError, match=r"'zzz' in column 'q'"):
-            apply_node(table, QiSpec(["q"]), {"q": ab_vgh}, (0,))
+            search(table, QiSpec(["q"]), {"q": ab_vgh}, PrivacyParams(k=1))
 
 
 class TestCheckPrivacy:
-    def test_vacuous_params_always_satisfied(self, toy_table, ab_vgh):
-        vgh = build_vgh(
-            ["a", "b", "c"],
-            {v: np.array([float(i)]) for i, v in enumerate("abc")},
-            "ward",
-            attribute="q",
-        )
-        ok, mask, groups = check_privacy(
-            toy_table, QiSpec(["q"], "s"), {"q": vgh}, (0,), PrivacyParams(k=1, l=1)
-        )
-        assert ok
-        assert not mask.any()
-        assert sum(g.size for g in groups) == 5
+    """The per-node check and suppression mask of the coded lattice."""
 
-    def test_group_suppression_within_limit(self, toy_table):
-        vgh = build_vgh(
-            ["a", "b", "c"],
-            {v: np.array([float(i)]) for i, v in enumerate("abc")},
-            "ward",
-            attribute="q",
-        )
+    def test_vacuous_params_always_satisfied(self, toy_table, abc_vgh):
+        lattice = _CodedLattice(toy_table, QiSpec(["q"], "s"), {"q": abc_vgh})
+        params = PrivacyParams(k=1, l=1)
+        assert lattice.check((0,), params)
+        assert not lattice.suppressed((0,), params).any()
+
+    def test_group_suppression_within_limit(self, toy_table, abc_vgh):
+        spec = QiSpec(["q"], "s")
+        lattice = _CodedLattice(toy_table, spec, {"q": abc_vgh})
         params = PrivacyParams(k=2, l=2, sup_limit=0.2)
-        ok, mask, groups = check_privacy(toy_table, QiSpec(["q"], "s"), {"q": vgh}, (0,), params)
-        assert ok
+        assert lattice.check((0,), params)
+        mask = lattice.suppressed((0,), params)
         assert mask.tolist() == [False, False, False, False, True]
+        groups = group_by_qi(lattice.generalize(toy_table, (0,), mask), spec, mask)
         assert [g.key for g in groups] == [("a",), ("b",)]
 
-    def test_same_suppression_over_tighter_limit_fails(self, toy_table):
-        vgh = build_vgh(
-            ["a", "b", "c"],
-            {v: np.array([float(i)]) for i, v in enumerate("abc")},
-            "ward",
-            attribute="q",
-        )
+    def test_same_suppression_over_tighter_limit_fails(self, toy_table, abc_vgh):
+        lattice = _CodedLattice(toy_table, QiSpec(["q"], "s"), {"q": abc_vgh})
         params = PrivacyParams(k=2, l=2, sup_limit=0.1)
-        ok, mask, _ = check_privacy(toy_table, QiSpec(["q"], "s"), {"q": vgh}, (0,), params)
-        assert not ok
-        assert mask.sum() == 1
+        assert not lattice.check((0,), params)
+        assert lattice.suppressed((0,), params).sum() == 1
 
     def test_l_above_one_requires_sa(self, abc_table_spec, ab_vgh):
         table, _ = abc_table_spec
+        lattice = _CodedLattice(table, QiSpec(["q"]), {"q": ab_vgh})
         with pytest.raises(InputError, match="sensitive"):
-            check_privacy(table, QiSpec(["q"]), {"q": ab_vgh}, (0,), PrivacyParams(k=1, l=2))
+            lattice.check((0,), PrivacyParams(k=1, l=2))
+        with pytest.raises(InputError, match="sensitive"):
+            search(table, QiSpec(["q"]), {"q": ab_vgh}, PrivacyParams(k=1, l=2))
 
 
 class TestSearch:
@@ -135,6 +137,7 @@ class TestSearch:
         assert result.node == (0,)
         assert result.loss == 0.0
         assert result.satisfied
+        assert result.table == table
 
     def test_prefers_suppression_when_loss_is_lower(self, abc_table_spec, ab_vgh):
         table, spec = abc_table_spec
@@ -205,6 +208,16 @@ class TestSearch:
             else:
                 assert not result.satisfied
 
+    def test_table_and_mask_match_dict_lookups(self):
+        rng = np.random.default_rng(77)
+        for _ in range(30):
+            table, spec, vghs, params = oracles.random_instance(rng)
+            result = search(table, spec, vghs, params)
+            mask = oracles.naive_suppressed(table, spec, vghs, result.node, params)
+            assert result.suppressed.tolist() == mask
+            assert result.table == oracles.naive_generalize(table, spec, vghs, result.node, mask)
+            assert result.table.column("sa") == table.column("sa")
+
     def test_privacy_is_monotone_on_the_lattice(self):
         rng = np.random.default_rng(515)
         for _ in range(10):
@@ -219,45 +232,3 @@ class TestSearch:
                 for other, other_ok in verdicts.items():
                     if all(o >= v for o, v in zip(other, node)):
                         assert other_ok
-
-
-class TestPipeline:
-    def test_composition_matches_manual_steps(self, tmp_path, abc_table_spec):
-        vectors = tmp_path / "vecs.txt"
-        vectors.write_text("2 1\na 0\nb 1\n", encoding="utf-8")
-        table, spec = abc_table_spec
-        provider = WordVectorProvider(str(vectors))
-        params = PrivacyParams(k=2, sup_limit=0.34)
-        piped = anonymize_table(table, spec, provider, "ward", params, seed=3)
-
-        values = sorted(set(table.column("q").values))
-        vgh = build_vgh(values, embed_all(values, provider), "ward", seed=3, attribute="q")
-        manual = search(table, spec, {"q": vgh}, params)
-        assert piped.node == manual.node
-        assert piped.loss == manual.loss
-        assert piped.suppressed.tolist() == manual.suppressed.tolist()
-        assert piped.table == manual.table
-
-    def test_vacuous_params_return_the_original_table(self, tmp_path, abc_table_spec):
-        vectors = tmp_path / "vecs.txt"
-        vectors.write_text("2 1\na 0\nb 1\n", encoding="utf-8")
-        table, spec = abc_table_spec
-        result = anonymize_table(
-            table, spec, WordVectorProvider(str(vectors)), "ward", PrivacyParams(k=1), seed=0
-        )
-        assert result.loss == 0.0
-        assert result.table.column("q").values == table.column("q").values
-
-    def test_writes_hierarchy_artifacts(self, tmp_path, abc_table_spec):
-        vectors = tmp_path / "vecs.txt"
-        vectors.write_text("2 1\na 0\nb 1\n", encoding="utf-8")
-        table, spec = abc_table_spec
-        anonymize_table(
-            table,
-            spec,
-            WordVectorProvider(str(vectors)),
-            "ward",
-            PrivacyParams(k=1),
-            vgh_dir=str(tmp_path / "h"),
-        )
-        assert (tmp_path / "h" / "q.csv").exists()

@@ -250,6 +250,50 @@ class TestAnonymize:
         assert (out / "report.json").exists()
 
 
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"l": "2"},
+            {"qi": "job"},
+            {"qi": ["job", 3]},
+            {"sa": 5},
+            {"k": True},
+            {"k": [2, 3]},
+            {"sup_limit": "0.5"},
+            {"sup_limit": False},
+            {"method": 1},
+            {"seed": "7"},
+            {"seed": -1},
+            {"hierarchies": ["job.csv"]},
+            {"hierarchies": {"job": 1}},
+            {"k_values": 2},
+        ],
+        ids=lambda override: "-".join(f"{k}={v!r}" for k, v in override.items()),
+    )
+    def test_config_of_the_wrong_type_is_a_config_error(self, small_inputs, capsys, override):
+        config = small_inputs["dir"] / "bad.json"
+        settings = {"qi": ["job", "grade"], "sa": "salary-class", "k": 2, "sup_limit": 0.5}
+        config.write_text(json.dumps({**settings, **override}), encoding="utf-8")
+        code = main(
+            [
+                "anonymize",
+                "--input", small_inputs["csv"],
+                "--out", str(small_inputs["dir"] / "bad"),
+                "--config", str(config),
+                "--vectors", small_inputs["vectors"],
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert next(iter(override)) in err
+
+    def test_negative_seed_flag_is_a_config_error(self, small_inputs, capsys):
+        code, _ = run_anonymize(small_inputs, "negseed", "--k", "2", "--seed", "-1")
+        assert code == 2
+        assert "seed" in capsys.readouterr().err
+
+
 class TestEvaluate:
     def test_unanonymized_against_itself(self, small_inputs):
         out = small_inputs["dir"] / "eval.json"

@@ -12,7 +12,6 @@ from clustem.embed import (
     WordVectorProvider,
     create_provider,
     embed_all,
-    embed_value,
     preprocess,
 )
 from clustem.errors import InputError, ProviderError
@@ -141,6 +140,20 @@ class TestHttpApiProvider:
         with pytest.raises(ProviderError, match="malformed"):
             HttpApiProvider("http://x", "m").fetch(["a"])
 
+    @pytest.mark.parametrize(
+        "indices",
+        [[0, 1, -1], [0, 1, 1], [1, 1], [0, True], [0, 2], [0, 1.0], [0, "1"], [0]],
+        ids=["extra-negative", "duplicate", "duplicate-only", "bool", "out-of-range",
+             "float", "string", "missing"],
+    )
+    def test_rejects_bad_indices(self, monkeypatch, indices):
+        data = [{"index": i, "embedding": [float(n), 1.0]} for n, i in enumerate(indices)]
+        monkeypatch.setattr(
+            "clustem.embed.requests.post", lambda *a, **k: _FakeResponse({"data": data})
+        )
+        with pytest.raises(ProviderError, match="index|missing"):
+            HttpApiProvider("http://x", "m").fetch(["a", "b"])
+
 
 class _CountingProvider:
     """Returns per-value vectors derived from the value text and counts fetches."""
@@ -222,10 +235,6 @@ class TestEmbedAll:
 
         with pytest.raises(ProviderError, match="dimension"):
             embed_all(["a", "b"], Mismatched())
-
-    def test_embed_value_single(self, vector_file):
-        vec = embed_value("a", WordVectorProvider(vector_file))
-        assert np.array_equal(vec, [1.0, 0.0])
 
 
 class TestProviderConfig:

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clustem import cli, embed
 from clustem.errors import InputError
 from clustem.tabular import (
     NOMINAL,
@@ -15,6 +20,7 @@ from clustem.tabular import (
     load_csv,
     write_csv,
 )
+from clustem.vgh import Vgh, write_hierarchy
 from conftest import make_table
 
 
@@ -141,3 +147,34 @@ class TestInvariants:
     def test_numeric_column_validates_cells(self):
         with pytest.raises(InputError):
             Column("x", NUMERIC, ["1", "foo"])
+
+
+def _failing_replace(src, dst):
+    raise OSError("replace failed")
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize(
+        "write",
+        [
+            lambda path: write_csv(make_table(c=("nominal", ["v"])), path),
+            lambda path: write_hierarchy(Vgh("c", ["v"], [{"v": "v"}, {"v": "*"}]), path),
+            lambda path: cli._write_json(Path(path), {"a": 1}),
+            lambda path: embed._store_cache(path, {"v": np.zeros(2)}),
+        ],
+        ids=["csv", "hierarchy", "report", "cache"],
+    )
+    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch, write):
+        monkeypatch.setattr(os, "replace", _failing_replace)
+        with pytest.raises(OSError, match="replace failed"):
+            write(str(tmp_path / "out"))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch):
+        target = tmp_path / "out.csv"
+        target.write_text("old\n", encoding="utf-8")
+        monkeypatch.setattr(os, "replace", _failing_replace)
+        with pytest.raises(OSError):
+            write_csv(make_table(c=("nominal", ["v"])), str(target))
+        assert target.read_text(encoding="utf-8") == "old\n"
+        assert list(tmp_path.glob("*.tmp")) == []
