@@ -1,14 +1,19 @@
 """Full-domain generalization with record suppression over the level lattice.
 
-A lattice node picks one hierarchy level per QI attribute. The search walks
-the lattice bottom-up, breadth-first by total level height: privacy is
-monotone (generalizing further only merges groups), so once a node passes,
-its entire upward cone is tagged as passing and skipped; the tagged cone is
-covered in the final minimization because the loss measure grows strictly
-along every lattice edge, which makes the first-passing nodes the only
-candidates for the optimum. Groups failing k-anonymity or l-diversity are
-suppressed whole, and a node passes when the suppressed fraction stays within
-the limit.
+A lattice node picks one hierarchy level per QI attribute. Groups failing
+k-anonymity or l-diversity are suppressed whole, and a node passes when the
+suppressed fraction stays within the limit. Passing is monotone (generalizing
+further only merges groups): the upward cone of a passing node passes, the
+downward cone of a failing node fails.
+
+The search visits nodes best-first from the bottom node, in ascending
+(loss, level sum, levels) order, and returns the first passing node it pops.
+That key grows strictly along every lattice edge, so every node popped before
+it fails and it is the optimum. A popped node without a verdict is checked;
+when it fails, a greedy upward chain from it is binary-searched for its first
+passing node. Every check tags a whole cone, upward on a pass and downward on
+a fail (the chain search of OLA and Flash), so most popped nodes are decided
+by a tag, not a check.
 
 Cells are mapped through the hierarchies once, into integer codes; the
 privacy check, the suppression mask and the generalized table at the chosen
@@ -17,9 +22,10 @@ node are all computed from those codes.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -29,6 +35,9 @@ from .tabular import NOMINAL, SUPPRESSED, Column, QiSpec, Table
 from .vgh import Vgh, build_vgh
 
 MAX_LATTICE_NODES = 10_000_000
+
+# Search state per lattice node.
+_UNKNOWN, _PASS, _FAIL = 0, 1, 2
 
 LatticeNode = tuple[int, ...]
 
@@ -217,23 +226,41 @@ class _CodedLattice:
         return Table(columns)
 
 
-def _nodes_by_height(level_counts: Sequence[int]) -> Iterator[LatticeNode]:
-    """All lattice nodes, ascending by component sum, lexicographic within a sum."""
-    maxes = [c - 1 for c in level_counts]
+def _chain(node: LatticeNode, tops: Sequence[int], state: np.ndarray) -> list[LatticeNode]:
+    """A greedy upward chain from an untagged node: each step raises the
+    attribute with the most levels left (lowest index on ties), and the chain
+    stops before the first tagged node or at the top."""
+    chain = [node]
+    current = list(node)
+    while True:
+        left = [t - v for t, v in zip(tops, current)]
+        j = left.index(max(left))
+        if left[j] == 0:
+            return chain
+        current[j] += 1
+        step = tuple(current)
+        if state[step] != _UNKNOWN:
+            return chain
+        chain.append(step)
 
-    def compositions(total: int, j: int, prefix: tuple[int, ...]) -> Iterator[LatticeNode]:
-        if j == len(maxes) - 1:
-            if total <= maxes[j]:
-                yield prefix + (total,)
-            return
-        remaining_max = sum(maxes[j + 1 :])
-        lo = max(0, total - remaining_max)
-        hi = min(maxes[j], total)
-        for v in range(lo, hi + 1):
-            yield from compositions(total - v, j + 1, prefix + (v,))
 
-    for s in range(sum(maxes) + 1):
-        yield from compositions(s, 0, ())
+def _classify(
+    lattice: _CodedLattice, params: PrivacyParams, chain: list[LatticeNode], state: np.ndarray
+) -> None:
+    """Tag every chain node. Privacy is monotone, so a pass tags the node's
+    upward cone and a fail its downward cone. The first node is checked first,
+    because it is the best candidate left; when it fails, the rest of the
+    chain is binary-searched for its first passing node."""
+    lo, hi, mid = 0, len(chain), 0
+    while lo < hi:
+        node = chain[mid]
+        if lattice.check(node, params):
+            state[tuple(slice(v, None) for v in node)] = _PASS
+            hi = mid
+        else:
+            state[tuple(slice(0, v + 1) for v in node)] = _FAIL
+            lo = mid + 1
+        mid = (lo + hi) // 2
 
 
 def search(
@@ -253,21 +280,30 @@ def search(
         )
 
     lattice = _CodedLattice(table, spec, vghs)
-    passing = np.zeros(tuple(level_counts), dtype=bool)
-    frontier: list[LatticeNode] = []
-    for node in _nodes_by_height(level_counts):
-        if passing[node]:
-            continue
-        if lattice.check(node, params):
-            passing[tuple(slice(v, None) for v in node)] = True
-            frontier.append(node)
+    tops = tuple(c - 1 for c in level_counts)
+    state = np.full(tuple(level_counts), _UNKNOWN, dtype=np.int8)
+    queued = np.zeros(tuple(level_counts), dtype=bool)
+    bottom = (0,) * len(level_counts)
+    queued[bottom] = True
+    heap = [(loss(bottom, ordered_vghs), 0, bottom)]
+    best, satisfied = tops, False
+    # The key rises strictly along every lattice edge, so nodes pop in key
+    # order and every node popped before the first passing one fails.
+    while heap and state[tops] != _FAIL:
+        _, height, node = heapq.heappop(heap)
+        if state[node] == _UNKNOWN:
+            _classify(lattice, params, _chain(node, tops, state), state)
+        if state[node] == _PASS:
+            best, satisfied = node, True
+            break
+        for j, top in enumerate(tops):
+            if node[j] < top:
+                successor = node[:j] + (node[j] + 1,) + node[j + 1 :]
+                if not queued[successor]:
+                    queued[successor] = True
+                    key = (loss(successor, ordered_vghs), height + 1, successor)
+                    heapq.heappush(heap, key)
 
-    if frontier:
-        best = min(frontier, key=lambda nd: (loss(nd, ordered_vghs), sum(nd), nd))
-        satisfied = True
-    else:
-        best = tuple(c - 1 for c in level_counts)
-        satisfied = False
 
     mask = lattice.suppressed(best, params)
     out = lattice.generalize(table, best, mask)

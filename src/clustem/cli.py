@@ -190,7 +190,7 @@ def _load_config(path: str | None) -> dict:
         return {}
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or not UTF-8
         raise InputError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise InputError(f"config {path} must hold a JSON object")

@@ -2,9 +2,10 @@
 
 Two sources are supported: a word-vector text file (a value embeds as the
 mean of its tokens' vectors) and a generic HTTP embeddings API (the whole
-value string is embedded at once). Results can be cached on disk as a flat
-JSON object mapping value -> array of numbers; the cache is written
-atomically and reproduces provider output bit for bit.
+value string is embedded at once). Results can be cached on disk as a JSON
+object stamped with the provider id and the vector dimension, plus a map of
+value -> array of numbers; the cache is written atomically, reproduces
+provider output bit for bit, and is refused when the stamp does not match.
 """
 
 from __future__ import annotations
@@ -95,7 +96,7 @@ class WordVectorProvider:
                     if not np.all(np.isfinite(vec)):
                         raise ProviderError(f"{path}: line {lineno}: non-finite component")
                     self.vectors[parts[0]] = vec
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ProviderError(f"cannot read word-vector file {path}: {exc}") from exc
         if len(self.vectors) != count:
             raise ProviderError(
@@ -202,21 +203,45 @@ def create_provider(config: ProviderConfig):
     return HttpApiProvider(config.endpoint, config.model, config.api_key_env)
 
 
-def _load_cache(cache_path: str) -> dict[str, np.ndarray]:
+def _load_cache(cache_path: str, provider_id: str) -> tuple[dict[str, np.ndarray], int | None]:
+    """The cached vectors and their stamped dimension (None without a file).
+
+    A cache written for another provider, or without a stamp, is an error:
+    serving its vectors would silently mix embedding sources.
+    """
     path = Path(cache_path)
     if not path.exists():
-        return {}
+        return {}, None
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or not UTF-8
         raise ProviderError(f"cannot read embedding cache {cache_path}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ProviderError(f"embedding cache {cache_path} is not a JSON object")
-    return {key: np.asarray(vec, dtype=float) for key, vec in raw.items()}
+    if not isinstance(raw, dict) or set(raw) != {"provider", "dim", "vectors"}:
+        raise ProviderError(
+            f"embedding cache {cache_path} has no provider stamp; delete it to rebuild"
+        )
+    if raw["provider"] != provider_id:
+        raise ProviderError(
+            f"embedding cache {cache_path} holds vectors of {raw['provider']!r}, "
+            f"not of {provider_id!r}"
+        )
+    dim = raw["dim"]
+    try:
+        vectors = {key: np.asarray(vec, dtype=float) for key, vec in raw["vectors"].items()}
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ProviderError(f"malformed embedding cache {cache_path}: {exc}") from exc
+    if any(vec.shape != (dim,) for vec in vectors.values()):
+        raise ProviderError(f"embedding cache {cache_path}: a vector is not of dimension {dim}")
+    return vectors, dim
 
 
-def _store_cache(cache_path: str, entries: dict[str, np.ndarray]) -> None:
-    payload = {key: [float(x) for x in vec] for key, vec in sorted(entries.items())}
+def _store_cache(cache_path: str, provider_id: str, entries: dict[str, np.ndarray]) -> None:
+    """Write the cache stamped with the provider and the (shared) dimension."""
+    payload = {
+        "provider": provider_id,
+        "dim": len(next(iter(entries.values()))),
+        "vectors": {key: [float(x) for x in vec] for key, vec in sorted(entries.items())},
+    }
     with atomic_write(cache_path) as fh:
         json.dump(payload, fh)
 
@@ -235,7 +260,10 @@ def embed_all(
     if not values:
         return {}
 
-    cached = _load_cache(cache_path) if cache_path else {}
+    cached: dict[str, np.ndarray] = {}
+    cached_dim = None
+    if cache_path:
+        cached, cached_dim = _load_cache(cache_path, provider.provider_id)
     result: dict[str, np.ndarray] = {}
     misses = []
     for value in values:
@@ -249,9 +277,6 @@ def embed_all(
             raise ProviderError("provider returned the wrong number of vectors")
         for value, vec in zip(misses, fetched):
             result[value] = np.asarray(vec, dtype=float)
-        if cache_path:
-            cached.update({v: result[v] for v in misses})
-            _store_cache(cache_path, cached)
 
     dims = {vec.shape for vec in result.values()}
     if len(dims) > 1 or any(len(shape) != 1 for shape in dims):
@@ -259,4 +284,12 @@ def embed_all(
     for value, vec in result.items():
         if not np.all(np.isfinite(vec)):
             raise ProviderError(f"non-finite embedding for value {value!r}")
+    if misses and cache_path:
+        if cached_dim is not None and dims != {(cached_dim,)}:
+            raise ProviderError(
+                f"embedding cache {cache_path} holds vectors of dimension {cached_dim}, "
+                f"the provider returned {sorted(dims)}"
+            )
+        cached.update({v: result[v] for v in misses})
+        _store_cache(cache_path, provider.provider_id, cached)
     return result

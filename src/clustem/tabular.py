@@ -136,22 +136,25 @@ def load_csv(path: str, overrides: dict[str, str] | None = None) -> Table:
     Column kinds are inferred (numeric iff every non-"?" cell parses as a finite
     real), then ``overrides`` (name -> kind) are applied last.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise InputError(f"{path}: missing header row")
-        if len(set(header)) != len(header):
-            raise InputError(f"{path}: duplicate column names in header")
-        if any(not name for name in header):
-            raise InputError(f"{path}: empty column name in header")
-        rows: list[list[str]] = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise InputError(
-                    f"{path}: line {lineno}: expected {len(header)} fields, got {len(row)}"
-                )
-            rows.append(row)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise InputError(f"{path}: missing header row")
+            if len(set(header)) != len(header):
+                raise InputError(f"{path}: duplicate column names in header")
+            if any(not name for name in header):
+                raise InputError(f"{path}: empty column name in header")
+            rows: list[list[str]] = []
+            for lineno, row in enumerate(reader, start=2):
+                if len(row) != len(header):
+                    raise InputError(
+                        f"{path}: line {lineno}: expected {len(header)} fields, got {len(row)}"
+                    )
+                rows.append(row)
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text: {exc}") from exc
 
     overrides = overrides or {}
     for name, kind in overrides.items():

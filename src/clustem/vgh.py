@@ -191,7 +191,7 @@ def read_hierarchy(path: str, attribute: str | None = None) -> Vgh:
     """Read a hierarchy file; the attribute name defaults to the file stem."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read hierarchy file {path}: {exc}") from exc
     lines = text.splitlines()
     if any(not line for line in lines) or not lines:

@@ -5,11 +5,13 @@ import itertools
 import numpy as np
 import pytest
 
+import _datagen as datagen
 import _oracles as oracles
-from clustem.anonymize import PrivacyParams, _CodedLattice, loss, search
+from clustem.anonymize import PrivacyParams, _CodedLattice, generate_vghs, loss, search
+from clustem.embed import WordVectorProvider
 from clustem.errors import InputError
-from clustem.tabular import QiSpec, group_by_qi
-from clustem.vgh import Vgh, build_vgh
+from clustem.tabular import Column, QiSpec, Table, group_by_qi, load_csv
+from clustem.vgh import WARD, Vgh, build_vgh
 from conftest import make_table
 
 
@@ -196,17 +198,70 @@ class TestSearch:
                     min(len({sa[i] for i in g.row_indices}) for g in groups) >= params.l
                 )
 
+    @staticmethod
+    def assert_matches_oracle(table, spec, vghs, params):
+        result = search(table, spec, vghs, params)
+        satisfying = oracles.exhaustive_satisfying(table, spec, vghs, params)
+        if satisfying:
+            assert result.satisfied
+            assert result.loss == min(l for l, _ in satisfying)
+            assert result.node == min(satisfying, key=lambda s: (s[0], sum(s[1]), s[1]))[1]
+        else:
+            assert not result.satisfied
+            assert result.node == tuple(vghs[a].level_count - 1 for a in spec.qi)
+        return result.satisfied
+
     def test_matches_exhaustive_enumeration(self):
         rng = np.random.default_rng(2024)
         for _ in range(25):
-            table, spec, vghs, params = oracles.random_instance(rng)
-            result = search(table, spec, vghs, params)
-            satisfying = oracles.exhaustive_satisfying(table, spec, vghs, params)
-            if satisfying:
-                assert result.satisfied
-                assert result.loss == min(l for l, _ in satisfying)
-            else:
-                assert not result.satisfied
+            self.assert_matches_oracle(*oracles.random_instance(rng))
+
+    def test_matches_exhaustive_enumeration_on_deep_lattices(self):
+        # Four attributes with up to seven levels: long chains, so the binary
+        # search and both tag directions decide most verdicts. k=64 exceeds
+        # the row count, so those draws are unsatisfiable.
+        rng = np.random.default_rng(31)
+        attrs = [f"q{j}" for j in range(4)]
+        outcomes = []
+        for k in [1, 2, 4, 8, 16, 64] * 4:
+            vghs = {
+                a: oracles.random_vgh(rng, a, int(rng.integers(5, 9)), max_levels=7)
+                for a in attrs
+            }
+            n_rows = int(rng.integers(10, 40))
+            columns = [
+                Column(a, "nominal", [str(rng.choice(vghs[a].leaves)) for _ in range(n_rows)])
+                for a in attrs
+            ]
+            columns.append(
+                Column("sa", "nominal", [str(rng.choice(["s0", "s1"])) for _ in range(n_rows)])
+            )
+            params = PrivacyParams(
+                k=k, l=int(rng.choice([1, 2])), sup_limit=float(rng.choice([0.0, 0.1, 0.3]))
+            )
+            outcomes.append(
+                self.assert_matches_oracle(Table(columns), QiSpec(attrs, "sa"), vghs, params)
+            )
+        assert any(outcomes) and not all(outcomes)
+
+    def test_checks_only_the_boundary_on_the_adult_fixture(self, adult_paths, monkeypatch):
+        train = load_csv(adult_paths["train"])
+        spec = QiSpec(list(datagen.QI), datagen.SA)
+        provider = WordVectorProvider(adult_paths["vectors"])
+        vghs = generate_vghs(train, spec.qi, provider, WARD, seed=42)
+        checks = []
+        check = _CodedLattice.check
+
+        def counting_check(lattice, node, params):
+            checks.append(node)
+            return check(lattice, node, params)
+
+        monkeypatch.setattr(_CodedLattice, "check", counting_check)
+        result = search(train, spec, vghs, PrivacyParams(k=200, l=2, sup_limit=0.5))
+        assert result.satisfied
+        # The boundary here is 69 minimal passing and 66 maximal failing nodes,
+        # while 72,191 of the lattice's 116,960 nodes fail.
+        assert len(checks) < 1000
 
     def test_table_and_mask_match_dict_lookups(self):
         rng = np.random.default_rng(77)

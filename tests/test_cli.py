@@ -293,6 +293,30 @@ class TestAnonymize:
         assert code == 2
         assert "seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag,file_name,expected",
+        [
+            ("--input", "data.csv", 2),
+            ("--hierarchies-dir", "job.csv", 2),
+            ("--config", "run.json", 2),
+            ("--vectors", "vecs.txt", 3),
+            ("--cache", "cache.json", 3),
+        ],
+    )
+    def test_non_utf8_file_is_an_error_naming_it(
+        self, small_inputs, capsys, flag, file_name, expected
+    ):
+        bad_dir = small_inputs["dir"] / "latin1"
+        bad_dir.mkdir()
+        bad = bad_dir / file_name
+        bad.write_bytes("caf\u00e9,low\n".encode("latin-1"))
+        argument = bad_dir if flag == "--hierarchies-dir" else bad
+        code, _ = run_anonymize(
+            small_inputs, "nonutf8", "--k", "2", "--sup-limit", "0.5", flag, str(argument)
+        )
+        assert code == expected
+        assert str(bad) in capsys.readouterr().err
+
 
 class TestEvaluate:
     def test_unanonymized_against_itself(self, small_inputs):

@@ -202,11 +202,47 @@ class TestEmbedAll:
         for key in uncached:
             assert cached[key].tobytes() == uncached[key].tobytes()
 
-    def test_cache_file_is_flat_json(self, tmp_path):
+    def test_cache_file_is_stamped_json(self, tmp_path):
         cache = tmp_path / "cache.json"
         embed_all(["a"], _CountingProvider(), cache_path=str(cache))
         raw = json.loads(cache.read_text())
-        assert raw == {"a": [1.0, 1.0]}
+        assert raw == {"provider": "counting", "dim": 2, "vectors": {"a": [1.0, 1.0]}}
+
+    def test_cache_of_another_provider_is_refused(self, tmp_path):
+        cache = str(tmp_path / "cache.json")
+        embed_all(["x", "y"], _CountingProvider(), cache_path=cache)
+        other = _CountingProvider()
+        other.provider_id = "other"
+        with pytest.raises(ProviderError, match="'counting'.*'other'"):
+            embed_all(["x", "y"], other, cache_path=cache)
+        assert other.fetches == 0
+
+    def test_cache_of_another_dimension_is_refused(self, tmp_path):
+        cache = tmp_path / "cache.json"
+        cache.write_text(
+            json.dumps({"provider": "counting", "dim": 3, "vectors": {"a": [1.0, 2.0, 3.0]}}),
+            encoding="utf-8",
+        )
+        with pytest.raises(ProviderError, match="dimension 3"):
+            embed_all(["b"], _CountingProvider(), cache_path=str(cache))
+        assert json.loads(cache.read_text())["vectors"] == {"a": [1.0, 2.0, 3.0]}
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            {"a": [1.0, 1.0]},
+            {"provider": "counting", "vectors": {"a": [1.0, 1.0]}},
+            {"provider": "counting", "dim": 3, "vectors": {"a": [1.0, 1.0]}},
+            {"provider": "counting", "dim": 2, "vectors": {"a": ["x", 1.0]}},
+            {"provider": "counting", "dim": 2, "vectors": ["a"]},
+        ],
+        ids=["unstamped", "no-dim", "wrong-dim", "non-numeric", "not-a-map"],
+    )
+    def test_malformed_cache_is_a_provider_error(self, tmp_path, content):
+        cache = tmp_path / "cache.json"
+        cache.write_text(json.dumps(content), encoding="utf-8")
+        with pytest.raises(ProviderError, match="cache"):
+            embed_all(["a"], _CountingProvider(), cache_path=str(cache))
 
     def test_partial_cache_fetches_only_misses(self, tmp_path):
         cache = str(tmp_path / "cache.json")
@@ -215,7 +251,7 @@ class TestEmbedAll:
         embed_all(["a", "bb"], provider, cache_path=cache)
         assert provider.fetches == 2
         raw = json.loads((tmp_path / "cache.json").read_text())
-        assert set(raw) == {"a", "bb"}
+        assert set(raw["vectors"]) == {"a", "bb"}
 
     def test_cache_suppresses_all_http_requests(self, monkeypatch, tmp_path):
         calls = []

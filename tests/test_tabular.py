@@ -160,7 +160,7 @@ class TestAtomicWrite:
             lambda path: write_csv(make_table(c=("nominal", ["v"])), path),
             lambda path: write_hierarchy(Vgh("c", ["v"], [{"v": "v"}, {"v": "*"}]), path),
             lambda path: cli._write_json(Path(path), {"a": 1}),
-            lambda path: embed._store_cache(path, {"v": np.zeros(2)}),
+            lambda path: embed._store_cache(path, "provider", {"v": np.zeros(2)}),
         ],
         ids=["csv", "hierarchy", "report", "cache"],
     )
