@@ -20,15 +20,7 @@ from .embed import (
 )
 from .errors import InputError, ProviderError
 from .metrics import MetricReport, achieved_privacy, c_avg, perc_recs, t_closeness
-from .tabular import (
-    Column,
-    EquivalenceClass,
-    QiSpec,
-    Table,
-    group_by_qi,
-    load_csv,
-    write_csv,
-)
+from .tabular import Column, QiSpec, Table, group_ids, load_csv, write_csv
 from .vgh import Vgh, build_vgh, get_categories, read_hierarchy, write_hierarchy
 
 __version__ = "0.1.0"
@@ -38,7 +30,6 @@ __all__ = [
     "ClusterAssignment",
     "Column",
     "EfficacyReport",
-    "EquivalenceClass",
     "FeatureMatrix",
     "HttpApiProvider",
     "InputError",
@@ -62,7 +53,7 @@ __all__ = [
     "evaluate",
     "generate_vghs",
     "get_categories",
-    "group_by_qi",
+    "group_ids",
     "kmeans",
     "load_csv",
     "loss",

@@ -16,8 +16,9 @@ a fail (the chain search of OLA and Flash), so most popped nodes are decided
 by a tag, not a check.
 
 Cells are mapped through the hierarchies once, into integer codes; the
-privacy check, the suppression mask and the generalized table at the chosen
-node are all computed from those codes.
+privacy check, each row's group id (-1 on suppressed rows) and the
+generalized table at the chosen node are all computed from those codes, and
+the reports in ``metrics`` count over the same group ids.
 """
 
 from __future__ import annotations
@@ -62,14 +63,18 @@ class PrivacyParams:
 @dataclass
 class AnonymizationResult:
     """The generalized table (suppressed rows' QI cells are "*"), the chosen
-    node, the suppression mask, the node's loss, and whether the privacy
-    requirements were met."""
+    node, each row's group id at the node (-1 on suppressed rows), the node's
+    loss, and whether the privacy requirements were met."""
 
     table: Table
     node: LatticeNode
-    suppressed: np.ndarray
+    groups: np.ndarray
     loss: float
     satisfied: bool
+
+    @property
+    def suppressed(self) -> np.ndarray:
+        return self.groups < 0
 
 
 def loss(node: LatticeNode, vghs: Sequence[Vgh]) -> float:
@@ -202,12 +207,13 @@ class _CodedLattice:
         suppressed = int(sizes[bad].sum())
         return suppressed / self.n_rows <= params.sup_limit
 
-    def suppressed(self, node: LatticeNode, params: PrivacyParams) -> np.ndarray:
-        """Per-row mask of the rows whose group at the node misses k or l."""
+    def groups(self, node: LatticeNode, params: PrivacyParams) -> np.ndarray:
+        """Per-row group index at the node, -1 on the rows whose group misses
+        k or l."""
         if self.n_rows == 0:
-            return np.zeros(0, dtype=bool)
+            return np.zeros(0, dtype=np.int64)
         inverse, _, bad = self._bad_groups(node, params)
-        return bad[inverse][self.row_combo]
+        return np.where(bad[inverse], -1, inverse)[self.row_combo]
 
     def generalize(self, table: Table, node: LatticeNode, mask: np.ndarray) -> Table:
         """The table with each QI cell replaced by its label at the node's
@@ -304,10 +310,9 @@ def search(
                     key = (loss(successor, ordered_vghs), height + 1, successor)
                     heapq.heappush(heap, key)
 
-
-    mask = lattice.suppressed(best, params)
-    out = lattice.generalize(table, best, mask)
-    return AnonymizationResult(out, best, mask, loss(best, ordered_vghs), satisfied)
+    groups = lattice.groups(best, params)
+    out = lattice.generalize(table, best, groups < 0)
+    return AnonymizationResult(out, best, groups, loss(best, ordered_vghs), satisfied)
 
 
 def generate_vghs(

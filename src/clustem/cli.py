@@ -24,7 +24,7 @@ from .embed import (
     create_provider,
 )
 from .errors import InputError, ProviderError
-from .tabular import SUPPRESSED, QiSpec, Table, atomic_write, group_by_qi, load_csv, write_csv
+from .tabular import QiSpec, atomic_write, group_ids, load_csv, write_csv
 from .vgh import KMEANS, WARD, read_hierarchy, write_hierarchy
 
 EXIT_OK = 0
@@ -275,8 +275,9 @@ def _cmd_anonymize(args) -> int:
         out_dir = out_root if len(ks) == 1 else out_root / f"k{k}"
         out_dir.mkdir(parents=True, exist_ok=True)
         write_csv(result.table, str(out_dir / "anonymized.csv"))
-        groups = group_by_qi(result.table, spec, result.suppressed)
-        report = metrics.compute_report(table, groups, sa_values, params, result.node)
+        report = metrics.compute_report(
+            table.row_count, result.groups, sa_values, params, result.node
+        )
         payload = report.to_dict()
         payload.update(
             {
@@ -297,11 +298,6 @@ def _cmd_anonymize(args) -> int:
     return EXIT_OK if all_satisfied else EXIT_UNSATISFIED
 
 
-def _suppressed_rows(table: Table, qi: list[str]) -> list[bool]:
-    columns = [table.column(attr).values for attr in qi]
-    return [all(col[i] == SUPPRESSED for col in columns) for i in range(table.row_count)]
-
-
 def _cmd_evaluate(args) -> int:
     started = _now()
     train = load_csv(args.train)
@@ -311,9 +307,9 @@ def _cmd_evaluate(args) -> int:
     spec.validate_against(test)
     params = PrivacyParams(k=args.k, l=args.l, sup_limit=args.sup_limit)
 
-    mask = _suppressed_rows(train, spec.qi)
-    groups = group_by_qi(train, spec, mask)
-    report = metrics.compute_report(train, groups, train.column(args.sa).values, params)
+    report = metrics.compute_report(
+        train.row_count, group_ids(train, spec.qi), train.column(args.sa).values, params
+    )
 
     if args.qi_only:
         numeric = []

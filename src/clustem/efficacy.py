@@ -169,7 +169,10 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 def train_classifier(train: FeatureMatrix, seed: int) -> LogisticModel:
     """Logistic regression by mini-batch gradient descent (fixed learning rate
     0.1, 500 epochs, L2 strength 1e-4, seeded shuffling). Single-class data
-    yields a degenerate model that predicts the sole class."""
+    yields a degenerate model that predicts the sole class; no rows at all is
+    an input error."""
+    if train.data.shape[0] == 0:
+        raise InputError("training needs a non-empty training set")
     labels = train.labels
     classes = np.unique(labels)
     if classes.size == 1:

@@ -1,4 +1,5 @@
-"""Columnar dataset model, CSV ingestion/serialization, and equivalence-class grouping.
+"""Columnar dataset model, CSV ingestion/serialization, and the group ids of a
+written table.
 
 Cells are kept as strings so that a load/write cycle preserves files exactly;
 a column's kind only says how its cells may be interpreted. The missing-value
@@ -17,6 +18,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO
+
+import numpy as np
 
 from .errors import InputError
 
@@ -110,18 +113,6 @@ class QiSpec:
             raise InputError(f"sensitive attribute {self.sa!r} not in table")
 
 
-@dataclass
-class EquivalenceClass:
-    """Rows sharing one combination of (generalized) quasi-identifier values."""
-
-    key: tuple[str, ...]
-    row_indices: list[int]
-
-    @property
-    def size(self) -> int:
-        return len(self.row_indices)
-
-
 def _infer_kind(cells: Iterable[str]) -> str:
     # Conservative: one unparsable cell makes the whole column nominal.
     for cell in cells:
@@ -197,23 +188,14 @@ def write_csv(table: Table, path: str) -> None:
             writer.writerow([col[i] for col in cols])
 
 
-def group_by_qi(
-    table: Table, spec: QiSpec, suppressed: Sequence[bool] | None = None
-) -> list[EquivalenceClass]:
-    """Partition retained rows into equivalence classes over the QI columns.
-
-    ``suppressed[i]`` marks row i as excluded. Keys compare by exact string
-    equality per column; the returned classes are sorted by key.
-    """
-    spec.validate_against(table)
-    n = table.row_count
-    if suppressed is not None and len(suppressed) != n:
-        raise InputError("suppression mask length does not match the row count")
-    cols = [table.column(name).values for name in spec.qi]
-    groups: dict[tuple[str, ...], list[int]] = {}
-    for i in range(n):
-        if suppressed is not None and suppressed[i]:
-            continue
-        key = tuple(col[i] for col in cols)
-        groups.setdefault(key, []).append(i)
-    return [EquivalenceClass(key, groups[key]) for key in sorted(groups)]
+def group_ids(table: Table, qi: Sequence[str]) -> np.ndarray:
+    """One int64 id per row, shared by the rows with equal QI cells (ids count
+    up from 0 in order of first appearance); -1 on rows whose QI cells are all
+    "*", the mark of a suppressed row in a written table."""
+    columns = [table.column(name).values for name in qi]
+    suppressed = (SUPPRESSED,) * len(columns)
+    ids: dict[tuple[str, ...], int] = {}
+    return np.fromiter(
+        (-1 if key == suppressed else ids.setdefault(key, len(ids)) for key in zip(*columns)),
+        dtype=np.int64,
+    )

@@ -1,16 +1,18 @@
-"""Independent brute-force references for the lattice search tests.
+"""Independent brute-force references for the lattice search and metrics tests.
 
 Everything here works on plain dicts and loops, deliberately sharing no code
-with the production search path.
+with the production search and metrics paths.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
 import numpy as np
 
 from clustem.anonymize import PrivacyParams
+from clustem.metrics import MetricReport
 from clustem.tabular import Column, QiSpec, Table
 from clustem.vgh import Vgh
 
@@ -117,3 +119,36 @@ def exhaustive_satisfying(table, spec, vghs, params) -> list[tuple[float, tuple[
                 total += level / (count - 1) if count > 1 else 0.0
             out.append((total / len(node), node))
     return out
+
+
+def naive_report(n_rows, groups, sa_values, params, node=None) -> MetricReport:
+    """The report from dict-of-row-lists groups and Counter loops; rows with
+    group id -1 are suppressed."""
+    members: dict[int, list[int]] = {}
+    for i, gid in enumerate(groups):
+        if gid >= 0:
+            members.setdefault(int(gid), []).append(i)
+    classes = [members[gid] for gid in sorted(members)]
+    retained = sum(len(rows) for rows in classes)
+    achieved_k = min((len(rows) for rows in classes), default=0)
+    achieved_l = t = 0
+    if sa_values is not None and classes:
+        achieved_l = min(len({sa_values[i] for i in rows}) for rows in classes)
+        global_counts = Counter(sa_values[i] for rows in classes for i in rows)
+        t = 0.0
+        for rows in classes:
+            counts = Counter(sa_values[i] for i in rows)
+            dist = 0.5 * sum(
+                abs(counts.get(v, 0) / len(rows) - global_counts[v] / retained)
+                for v in global_counts
+            )
+            t = max(t, dist)
+    return MetricReport(
+        achieved_k=achieved_k,
+        achieved_l=achieved_l,
+        t_closeness=float(t),
+        perc_recs=retained / n_rows if n_rows else 1.0,
+        c_avg=retained / (len(classes) * params.k) if retained else 0.0,
+        requested=params,
+        node=node,
+    )

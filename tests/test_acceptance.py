@@ -15,7 +15,7 @@ from clustem.anonymize import PrivacyParams, generate_vghs, search
 from clustem.cli import main
 from clustem.cluster import agglomerate, kmeans
 from clustem.embed import WordVectorProvider
-from clustem.tabular import QiSpec, group_by_qi, load_csv
+from clustem.tabular import QiSpec, group_ids, load_csv
 from clustem.vgh import KMEANS, WARD, build_vgh, read_hierarchy, write_hierarchy
 from test_cluster import brute_force_inertia, lance_williams_ward
 from test_vgh import assert_valid_structure
@@ -130,10 +130,11 @@ def test_criterion_4_adult_protocol_at_desk_scale(adult, adult_runs):
             result, elapsed = adult_runs[k]
             params = PrivacyParams(k=k, l=2, sup_limit=0.5)
             assert result.satisfied, f"k={k} not satisfied"
-            groups = group_by_qi(result.table, spec, result.suppressed)
-            report = metrics.compute_report(train, groups, sa_values, params, result.node)
+            report = metrics.compute_report(
+                train.row_count, result.groups, sa_values, params, result.node
+            )
             assert report.achieved_k >= k
-            assert min(g.size for g in groups) >= k
+            assert min(np.unique(result.groups[~result.suppressed], return_counts=True)[1]) >= k
             assert report.perc_recs >= 0.5
             assert report.c_avg >= 1.0
             assert report.achieved_l == 2
@@ -162,14 +163,12 @@ def test_criterion_5_efficacy_declines_gently_then_further(adult, adult_runs):
 
 def test_criterion_6_metric_unit_values():
     with criterion(6, "metric formulas hit their exact reference values"):
-        from conftest import make_table
-        from clustem.tabular import EquivalenceClass
-
         assert metrics.c_avg(12, 3, 4) == 1.0
-        assert metrics.t_closeness([EquivalenceClass(("g",), [0, 1])], ["x", "y"]) == 0.0
-        groups = [EquivalenceClass(("a",), [0]), EquivalenceClass(("b",), [1])]
-        assert metrics.t_closeness(groups, ["x", "y"]) == 0.5
-        assert metrics.perc_recs(make_table(c=("nominal", ["v"] * 5)), 4) == 0.8
+        one_group = metrics.count_matrix(np.array([0, 0]), ["x", "y"])
+        assert metrics.t_closeness(one_group) == 0.0
+        two_groups = metrics.count_matrix(np.array([0, 1]), ["x", "y"])
+        assert metrics.t_closeness(two_groups) == 0.5
+        assert metrics.perc_recs(5, 4) == 0.8
 
 
 def test_criterion_7_pipeline_is_byte_deterministic(adult_paths, tmp_path):
@@ -197,13 +196,8 @@ def test_criterion_7_pipeline_is_byte_deterministic(adult_paths, tmp_path):
 
             # The reported k must be recomputable from the written CSV alone.
             table = load_csv(str(out / "anonymized.csv"))
-            spec = QiSpec(list(datagen.QI), datagen.SA)
-            mask = [
-                all(table.column(a).values[i] == "*" for a in spec.qi)
-                for i in range(table.row_count)
-            ]
-            groups = group_by_qi(table, spec, mask)
-            assert min(g.size for g in groups) >= 5
+            ids = group_ids(table, datagen.QI)
+            assert min(np.unique(ids[ids >= 0], return_counts=True)[1]) >= 5
         a, b = outs
         assert (a / "anonymized.csv").read_bytes() == (b / "anonymized.csv").read_bytes()
         for attr in datagen.QI:

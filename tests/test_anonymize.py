@@ -10,7 +10,7 @@ import _oracles as oracles
 from clustem.anonymize import PrivacyParams, _CodedLattice, generate_vghs, loss, search
 from clustem.embed import WordVectorProvider
 from clustem.errors import InputError
-from clustem.tabular import Column, QiSpec, Table, group_by_qi, load_csv
+from clustem.tabular import Column, QiSpec, Table, group_ids, load_csv
 from clustem.vgh import WARD, Vgh, build_vgh
 from conftest import make_table
 
@@ -99,29 +99,29 @@ class TestApplyNode:
 
 
 class TestCheckPrivacy:
-    """The per-node check and suppression mask of the coded lattice."""
+    """The per-node check and per-row group ids of the coded lattice."""
 
     def test_vacuous_params_always_satisfied(self, toy_table, abc_vgh):
         lattice = _CodedLattice(toy_table, QiSpec(["q"], "s"), {"q": abc_vgh})
         params = PrivacyParams(k=1, l=1)
         assert lattice.check((0,), params)
-        assert not lattice.suppressed((0,), params).any()
+        assert (lattice.groups((0,), params) >= 0).all()
 
     def test_group_suppression_within_limit(self, toy_table, abc_vgh):
         spec = QiSpec(["q"], "s")
         lattice = _CodedLattice(toy_table, spec, {"q": abc_vgh})
         params = PrivacyParams(k=2, l=2, sup_limit=0.2)
         assert lattice.check((0,), params)
-        mask = lattice.suppressed((0,), params)
-        assert mask.tolist() == [False, False, False, False, True]
-        groups = group_by_qi(lattice.generalize(toy_table, (0,), mask), spec, mask)
-        assert [g.key for g in groups] == [("a",), ("b",)]
+        groups = lattice.groups((0,), params)
+        assert groups.tolist() == [0, 0, 1, 1, -1]
+        out = lattice.generalize(toy_table, (0,), groups < 0)
+        assert out.column("q").values == ["a", "a", "b", "b", "*"]
 
     def test_same_suppression_over_tighter_limit_fails(self, toy_table, abc_vgh):
         lattice = _CodedLattice(toy_table, QiSpec(["q"], "s"), {"q": abc_vgh})
         params = PrivacyParams(k=2, l=2, sup_limit=0.1)
         assert not lattice.check((0,), params)
-        assert lattice.suppressed((0,), params).sum() == 1
+        assert (lattice.groups((0,), params) < 0).sum() == 1
 
     def test_l_above_one_requires_sa(self, abc_table_spec, ab_vgh):
         table, _ = abc_table_spec
@@ -189,14 +189,15 @@ class TestSearch:
             result = search(table, spec, vghs, params)
             if not result.satisfied:
                 continue
-            groups = group_by_qi(result.table, spec, result.suppressed)
             assert result.suppressed.sum() / max(table.row_count, 1) <= params.sup_limit
-            if groups:
-                assert min(g.size for g in groups) >= params.k
-                sa = table.column(spec.sa).values
-                assert (
-                    min(len({sa[i] for i in g.row_indices}) for g in groups) >= params.l
-                )
+            members: dict[int, list[int]] = {}
+            for i, gid in enumerate(result.groups.tolist()):
+                if gid >= 0:
+                    members.setdefault(gid, []).append(i)
+            sa = table.column(spec.sa).values
+            for rows in members.values():
+                assert len(rows) >= params.k
+                assert len({sa[i] for i in rows}) >= params.l
 
     @staticmethod
     def assert_matches_oracle(table, spec, vghs, params):
@@ -272,6 +273,23 @@ class TestSearch:
             assert result.suppressed.tolist() == mask
             assert result.table == oracles.naive_generalize(table, spec, vghs, result.node, mask)
             assert result.table.column("sa") == table.column("sa")
+
+    def test_group_ids_match_those_of_the_written_table(self):
+        # A retained group at the all-"*" node reads as suppressed in a written
+        # table, so those draws are skipped.
+        rng = np.random.default_rng(88)
+        compared = 0
+        for _ in range(60):
+            table, spec, vghs, params = oracles.random_instance(rng)
+            result = search(table, spec, vghs, params)
+            if result.node == tuple(vghs[a].level_count - 1 for a in spec.qi):
+                continue
+            compared += 1
+            from_table = group_ids(result.table, spec.qi)
+            assert ((from_table < 0) == result.suppressed).all()
+            pairs = set(zip(result.groups.tolist(), from_table.tolist()))
+            assert len(pairs) == len({a for a, _ in pairs}) == len({b for _, b in pairs})
+        assert compared > 30
 
     def test_privacy_is_monotone_on_the_lattice(self):
         rng = np.random.default_rng(515)

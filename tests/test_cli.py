@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import pytest
 
 from clustem.cli import main
-from clustem.tabular import QiSpec, group_by_qi, load_csv
+from clustem.tabular import group_ids, load_csv
 from clustem.vgh import build_vgh, read_hierarchy, write_hierarchy
 
 
@@ -120,13 +121,8 @@ class TestAnonymize:
 
         # The report numbers must be recomputable from the written CSV.
         table = load_csv(str(out / "anonymized.csv"))
-        spec = QiSpec(["job", "grade"], "salary-class")
-        mask = [
-            all(table.column(a).values[i] == "*" for a in spec.qi)
-            for i in range(table.row_count)
-        ]
-        groups = group_by_qi(table, spec, mask)
-        assert min(g.size for g in groups) == report["achieved_k"]
+        ids = group_ids(table, ["job", "grade"])
+        assert min(Counter(ids[ids >= 0].tolist()).values()) == report["achieved_k"]
 
     def test_k_sweep_creates_one_directory_per_k(self, small_inputs):
         code, out = run_anonymize(
@@ -387,3 +383,21 @@ class TestEvaluate:
         report = json.loads(out.read_text())
         assert report["achieved_k"] >= 2
         assert report["requested"]["k"] == 2
+
+    def test_header_only_training_set_is_an_input_error(self, small_inputs, capsys):
+        train = small_inputs["dir"] / "header-only.csv"
+        train.write_text("job,grade,salary-class,hours\n", encoding="utf-8")
+        out = small_inputs["dir"] / "eval_empty.json"
+        code = main(
+            [
+                "evaluate",
+                "--train", str(train),
+                "--test", small_inputs["csv"],
+                "--qi", "job,grade",
+                "--sa", "salary-class",
+                "--out", str(out),
+            ]
+        )
+        assert code == 2
+        assert "non-empty training set" in capsys.readouterr().err
+        assert not out.exists()

@@ -16,7 +16,7 @@ from clustem.tabular import (
     Column,
     QiSpec,
     Table,
-    group_by_qi,
+    group_ids,
     load_csv,
     write_csv,
 )
@@ -91,44 +91,42 @@ class TestWriteCsv:
             write_csv(make_table(c=("nominal", ["v"])), str(tmp_path / "no" / "dir.csv"))
 
 
-class TestGroupByQi:
+class TestGroupIds:
     def test_direct_partition(self):
         table = make_table(q=("nominal", ["a", "a", "b"]))
-        groups = group_by_qi(table, QiSpec(["q"]))
-        assert [(g.key, g.row_indices) for g in groups] == [(("a",), [0, 1]), (("b",), [2])]
+        ids = group_ids(table, ["q"])
+        assert ids.dtype == np.int64
+        assert ids.tolist() == [0, 0, 1]
 
-    def test_suppressed_rows_are_excluded(self):
-        table = make_table(q=("nominal", ["a", "a", "b"]))
-        groups = group_by_qi(table, QiSpec(["q"]), suppressed=[False, False, True])
-        assert [(g.key, g.row_indices) for g in groups] == [(("a",), [0, 1])]
+    def test_all_star_rows_are_excluded(self):
+        table = make_table(
+            q=("nominal", ["a", "a", "*", "*"]),
+            r=("nominal", ["x", "x", "x", "*"]),
+        )
+        assert group_ids(table, ["q", "r"]).tolist() == [0, 0, 1, -1]
 
     def test_empty_table(self):
         table = make_table(q=("nominal", []))
-        assert group_by_qi(table, QiSpec(["q"])) == []
+        assert group_ids(table, ["q"]).tolist() == []
 
     def test_missing_column(self, toy_table):
         with pytest.raises(InputError, match="nope"):
-            group_by_qi(toy_table, QiSpec(["nope"]))
-
-    def test_mask_length_checked(self, toy_table):
-        with pytest.raises(InputError):
-            group_by_qi(toy_table, QiSpec(["q"]), suppressed=[True])
+            group_ids(toy_table, ["nope"])
 
     @settings(max_examples=50, deadline=None)
-    @given(
-        values=st.lists(st.sampled_from("abcd"), min_size=0, max_size=12),
-        mask_seed=st.integers(0, 2**16),
-    )
-    def test_partition_property(self, values, mask_seed):
-        import random
-
-        mask = [bool(random.Random(mask_seed + i).getrandbits(1)) for i in range(len(values))]
-        table = make_table(q=("nominal", list(values)))
-        groups = group_by_qi(table, QiSpec(["q"]), suppressed=mask)
-        seen = [i for g in groups for i in g.row_indices]
-        assert sorted(seen) == [i for i in range(len(values)) if not mask[i]]
-        assert len(set(seen)) == len(seen)
-        assert [g.key for g in groups] == sorted(g.key for g in groups)
+    @given(rows=st.lists(st.tuples(st.sampled_from("ab*"), st.sampled_from("xy*")), max_size=12))
+    def test_partition_property(self, rows):
+        table = make_table(
+            q=("nominal", [q for q, _ in rows]), r=("nominal", [r for _, r in rows])
+        )
+        ids = group_ids(table, ["q", "r"]).tolist()
+        for i, row in enumerate(rows):
+            assert (ids[i] == -1) == (row == ("*", "*"))
+            for j, other in enumerate(rows):
+                if ids[i] >= 0 and ids[j] >= 0:
+                    assert (ids[i] == ids[j]) == (row == other)
+        retained = sorted({gid for gid in ids if gid >= 0})
+        assert retained == list(range(len(retained)))
 
 
 class TestInvariants:
