@@ -8,7 +8,7 @@ from .anonymize import (
     loss,
     search,
 )
-from .cluster import ClusterAssignment, MergeStep, agglomerate, kmeans, ward_merge
+from .cluster import ClusterAssignment, agglomerate, kmeans
 from .efficacy import EfficacyReport, FeatureMatrix, encode, evaluate, train_classifier
 from .embed import (
     HttpApiProvider,
@@ -34,7 +34,6 @@ __all__ = [
     "HttpApiProvider",
     "InputError",
     "LatticeNode",
-    "MergeStep",
     "MetricReport",
     "PrivacyParams",
     "ProviderConfig",
@@ -63,7 +62,6 @@ __all__ = [
     "search",
     "t_closeness",
     "train_classifier",
-    "ward_merge",
     "write_csv",
     "write_hierarchy",
 ]

@@ -3,12 +3,14 @@
 Distances are squared Euclidean throughout. KMeans runs Lloyd iterations from
 k-means++ seeding, keeps the best of a fixed number of seeded restarts, and
 repairs empty clusters so the requested cluster count is always met exactly.
+Ward keeps a matrix of pairwise merge costs, recomputing only the merged
+cluster's row and column after each merge, and returns the partition after
+every merge: one cluster id per point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -31,16 +33,6 @@ class ClusterAssignment:
     centers: np.ndarray
     inertia: float
     repairs: int = 0
-
-
-@dataclass(frozen=True)
-class MergeStep:
-    """One Ward merge: cluster indices (into the partition before the merge)
-    and the merge cost |A||B|/(|A|+|B|) * ||mean_A - mean_B||^2."""
-
-    left: int
-    right: int
-    delta: float
 
 
 def _as_points(points) -> np.ndarray:
@@ -72,7 +64,7 @@ def _plus_plus_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
         else:
             # All remaining mass sits on already-chosen positions (duplicate
             # points); fall back to the lowest unchosen index.
-            idx = next(i for i in range(n) if i not in chosen)
+            idx = int(np.setdiff1d(np.arange(n), chosen)[0])
         chosen.append(idx)
         d2 = np.minimum(d2, ((points - points[idx]) ** 2).sum(axis=1))
     return points[chosen].copy()
@@ -92,20 +84,18 @@ def _fill_empty_clusters(
         return labels, 0
     labels = labels.copy()
     dist_to_own = ((points - centers[labels]) ** 2).sum(axis=1)
-    repairs = 0
+    # One scan for all empties: a point passed over stays ineligible, since
+    # counts only fall, and a moved point is the sole member of its cluster.
+    candidates = iter(np.argsort(-dist_to_own, kind="stable").tolist())
     for e in empties:
-        order = np.argsort(-dist_to_own, kind="stable")
-        for p in order:
-            p = int(p)
+        for p in candidates:
             if counts[labels[p]] <= 1:
                 continue
             counts[labels[p]] -= 1
             labels[p] = e
             counts[e] = 1
-            dist_to_own[p] = -np.inf  # not a candidate again
-            repairs += 1
             break
-    return labels, repairs
+    return labels, int(empties.size)
 
 
 def _lloyd(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, int]:
@@ -160,45 +150,49 @@ def kmeans(points, n_clusters: int, seed: int) -> ClusterAssignment:
     return best
 
 
-def ward_merge(centroids, sizes: Sequence[int]) -> MergeStep:
-    """Return the cheapest Ward merge for the given partition.
-
-    ``centroids`` holds one row per cluster, ``sizes`` the member counts. Ties
-    break toward the smallest (left, right) index pair.
-    """
-    cents = _as_points(centroids)
-    counts = np.asarray(sizes, dtype=float)
-    c = cents.shape[0]
-    if c < 2:
-        raise InputError("a merge needs at least two clusters")
-    if counts.shape != (c,) or np.any(counts < 1):
-        raise InputError("sizes must list one positive count per cluster")
-    best: tuple[float, int, int] | None = None
-    for i in range(c - 1):
-        diff = cents[i + 1 :] - cents[i]
-        d2 = (diff**2).sum(axis=1)
-        deltas = counts[i] * counts[i + 1 :] / (counts[i] + counts[i + 1 :]) * d2
-        for off, delta in enumerate(deltas):
-            cand = (float(delta), i, i + 1 + off)
-            if best is None or cand < best:
-                best = cand
-    assert best is not None
-    return MergeStep(best[1], best[2], best[0])
+def _refresh_costs(cost: np.ndarray, centroids: np.ndarray, sizes: np.ndarray, a: int) -> None:
+    """Recompute the Ward cost between cluster ``a`` and every other live cluster."""
+    others = np.flatnonzero(sizes)
+    others = others[others != a]
+    d2 = ((centroids[others] - centroids[a]) ** 2).sum(axis=1)
+    w = sizes[a] * sizes[others] / (sizes[a] + sizes[others]) * d2
+    left = others < a
+    cost[others[left], a] = w[left]
+    cost[a, others[~left]] = w[~left]
 
 
-def agglomerate(points) -> list[MergeStep]:
-    """Full Ward merge sequence down to a single cluster (length = #points - 1).
+def agglomerate(points) -> list[np.ndarray]:
+    """Ward's greedy merge sequence down to one cluster, as partitions.
 
-    Each step's indices refer to the partition before that step; the merged
-    cluster takes the left index and clusters after the right one shift down.
+    Returns one int array per merge (#points - 1 of them): entry i is point
+    i's cluster after that merge, named by the cluster's smallest point
+    index. Each merge joins the pair with the lowest cost
+    |A||B|/(|A|+|B|) * ||mean_A - mean_B||^2; ties go to the smallest
+    (left, right) pair, clusters ordered by their smallest point.
     """
     pts = _as_points(points)
-    members: list[list[int]] = [[i] for i in range(pts.shape[0])]
-    steps: list[MergeStep] = []
-    while len(members) > 1:
-        centroids = np.stack([pts[m].mean(axis=0) for m in members])
-        step = ward_merge(centroids, [len(m) for m in members])
-        members[step.left].extend(members[step.right])
-        del members[step.right]
-        steps.append(step)
-    return steps
+    n = pts.shape[0]
+    members: list[list[int]] = [[i] for i in range(n)]
+    centroids = pts.copy()
+    sizes = np.ones(n)  # 0 once a cluster has been merged away
+    # cost[a, b] for live a < b, inf elsewhere; argmin takes the first minimum
+    # in row-major order, which is the smallest-(left, right) tie-break.
+    cost = np.full((n, n), np.inf)
+    for a in range(n):
+        _refresh_costs(cost, centroids, sizes, a)
+    labels = np.arange(n)
+    partitions: list[np.ndarray] = []
+    for _ in range(n - 1):
+        a, b = divmod(int(cost.argmin()), n)
+        if a >= b:  # every live pair costs inf, so argmin hit cell 0: take the first live pair
+            a, b = np.flatnonzero(sizes)[:2].tolist()
+        members[a].extend(members[b])
+        labels[members[b]] = a
+        members[b] = []
+        sizes[a] += sizes[b]
+        sizes[b] = 0
+        cost[b] = cost[:, b] = np.inf
+        centroids[a] = pts[members[a]].mean(axis=0)
+        _refresh_costs(cost, centroids, sizes, a)
+        partitions.append(labels.copy())
+    return partitions

@@ -142,15 +142,7 @@ def build_vgh(
     if len(values) > 1:
         points = np.stack([np.asarray(embeddings[v], dtype=float) for v in values])
         if method == WARD:
-            members: list[list[int]] = [[i] for i in range(len(values))]
-            labels = list(range(len(values)))
-            for step in cluster.agglomerate(points):
-                members[step.left].extend(members[step.right])
-                del members[step.right]
-                for cluster_id, idxs in enumerate(members):
-                    for i in idxs:
-                        labels[i] = cluster_id
-                levels.append(get_categories(values, labels))
+            levels += [get_categories(values, labels) for labels in cluster.agglomerate(points)]
         else:
             centers = points.copy()
             assign = list(range(len(values)))
@@ -191,7 +183,7 @@ def read_hierarchy(path: str, attribute: str | None = None) -> Vgh:
     """Read a hierarchy file; the attribute name defaults to the file stem."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
         raise InputError(f"cannot read hierarchy file {path}: {exc}") from exc
     lines = text.splitlines()
     if any(not line for line in lines) or not lines:

@@ -17,7 +17,7 @@ from clustem.cluster import agglomerate, kmeans
 from clustem.embed import WordVectorProvider
 from clustem.tabular import QiSpec, group_ids, load_csv
 from clustem.vgh import KMEANS, WARD, build_vgh, read_hierarchy, write_hierarchy
-from test_cluster import brute_force_inertia, lance_williams_ward
+from test_cluster import brute_force_inertia, replayed_partitions
 from test_vgh import assert_valid_structure
 
 
@@ -99,8 +99,8 @@ def test_criterion_2_clustering_matches_brute_force():
             result = kmeans(points, k, seed=1234)
             assert abs(result.inertia - brute_force_inertia(points, k)) < 1e-9
         for points in WARD_FIXTURES:
-            steps = agglomerate(points)
-            assert [(s.left, s.right) for s in steps] == lance_williams_ward(points)
+            steps = [labels.tolist() for labels in agglomerate(points)]
+            assert steps == replayed_partitions(points)
 
 
 def test_criterion_3_vgh_structure_and_round_trip(tmp_path):

@@ -4,10 +4,41 @@ import json
 from collections import Counter
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from clustem.cli import main
 from clustem.tabular import group_ids, load_csv
 from clustem.vgh import build_vgh, read_hierarchy, write_hierarchy
+
+CONFIG_KEYS = ["qi", "sa", "k", "l", "sup_limit", "method", "seed", "hierarchies"]
+VALID_CONFIG = {"qi": ["job", "grade"], "sa": "salary-class", "k": 2, "sup_limit": 0.5}
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**70), 2**70)
+    | st.floats()  # NaN and +-inf are written as NaN/Infinity, which json reads back
+    | st.text(max_size=6)
+    | st.sampled_from(["job", "grade", "salary-class", "ward", "kmeans", "preset", "2,5", "0"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4) | st.sampled_from(["job", "grade"]), inner, max_size=3),
+    max_leaves=6,
+)
+OVERRIDES = st.dictionaries(st.sampled_from(CONFIG_KEYS + ["k_values", ""]), JSON_VALUES, max_size=3)
+CONFIG_TEXTS = st.one_of(
+    OVERRIDES.map(lambda o: json.dumps({**VALID_CONFIG, **o})),  # mostly valid, some keys bad
+    OVERRIDES.map(json.dumps),
+    JSON_VALUES.map(json.dumps),  # often not an object
+    st.sampled_from(
+        [
+            '{"qi": ["job"], "k": 1e999}',
+            '{"qi": ["job"], "k": 2, "sup_limit": -1e999}',
+            '{"qi": ["job"], "k": 2, "l": 1e999}',
+            "[",
+            "",
+        ]
+    ),
+)
 
 
 @pytest.fixture
@@ -312,6 +343,29 @@ class TestAnonymize:
         )
         assert code == expected
         assert str(bad) in capsys.readouterr().err
+
+    @settings(
+        max_examples=120,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(text=CONFIG_TEXTS)
+    @example(text=json.dumps({**VALID_CONFIG, "hierarchies": {"job": "job\0.csv"}}))
+    @example(text='{"qi": ["job"], "k": 2, "sup_limit": 1e999}')
+    def test_any_config_exits_with_a_documented_code(self, small_inputs, capsys, text):
+        config = small_inputs["dir"] / "fuzz.json"
+        config.write_text(text, encoding="utf-8")
+        code = main(
+            [
+                "anonymize",
+                "--input", small_inputs["csv"],
+                "--out", str(small_inputs["dir"] / "fuzz"),
+                "--config", str(config),
+                "--vectors", small_inputs["vectors"],
+            ]
+        )
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestEvaluate:

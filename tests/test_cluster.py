@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from clustem.cluster import MergeStep, agglomerate, kmeans, ward_merge
+from clustem.cluster import agglomerate, kmeans
 from clustem.errors import InputError
 
 
@@ -71,6 +71,25 @@ def lance_williams_ward(points: np.ndarray) -> list[tuple[int, int]]:
         del sizes[j]
         dist = new_dist
     return merges
+
+
+def replayed_partitions(points: np.ndarray) -> list[list[int]]:
+    """``lance_williams_ward``'s merges as partitions: after each merge, point
+    i's cluster, named by the cluster's smallest point index."""
+    clusters = [[i] for i in range(len(points))]
+    partitions = []
+    for left, right in lance_williams_ward(points):
+        clusters[left] += clusters.pop(right)
+        labels = [0] * len(points)
+        for members in clusters:
+            for i in members:
+                labels[i] = min(members)
+        partitions.append(labels)
+    return partitions
+
+
+def partitions(points) -> list[list[int]]:
+    return [labels.tolist() for labels in agglomerate(points)]
 
 
 class TestKmeans:
@@ -140,55 +159,51 @@ class TestKmeans:
             kmeans([[0.0], [1.0, 2.0]], 1, seed=0)  # ragged input
 
 
-class TestWardMerge:
-    def test_singletons_cost_half_squared_distance(self):
-        step = ward_merge(np.array([[0.0], [3.0]]), [1, 1])
-        assert step == MergeStep(0, 1, 4.5)
-
-    def test_three_singletons(self):
-        step = ward_merge(np.array([[0.0], [1.0], [10.0]]), [1, 1, 1])
-        assert step == MergeStep(0, 1, 0.5)
-
-    def test_identical_points_cost_zero(self):
-        step = ward_merge(np.array([[2.0, 2.0], [2.0, 2.0]]), [3, 5])
-        assert step.delta == 0.0
-
-    def test_weights_enter_the_cost(self):
-        # |A||B|/(|A|+|B|) * d^2 with |A|=2, |B|=1, d=3.
-        step = ward_merge(np.array([[0.0], [3.0]]), [2, 1])
-        assert step.delta == pytest.approx(2 / 3 * 9.0)
-
-    def test_requires_two_clusters(self):
-        with pytest.raises(InputError):
-            ward_merge(np.array([[0.0]]), [1])
-
-
 class TestAgglomerate:
     def test_single_point(self):
         assert agglomerate(np.array([[1.0]])) == []
 
     def test_two_points(self):
-        steps = agglomerate(np.array([[0.0], [2.0]]))
-        assert steps == [MergeStep(0, 1, 2.0)]
+        assert partitions(np.array([[0.0], [2.0]])) == [[0, 0]]
 
     def test_collinear_pairs_merge_first(self):
-        steps = agglomerate(np.array([[0.0], [1.0], [10.0], [11.0]]))
-        assert [(s.left, s.right) for s in steps] == [(0, 1), (1, 2), (0, 1)]
-        assert steps[0].delta == 0.5
-        assert steps[1].delta == 0.5
-        assert steps[2].delta == pytest.approx(100.0)
+        assert partitions(np.array([[0.0], [1.0], [10.0], [11.0]])) == [
+            [0, 0, 2, 3],
+            [0, 0, 2, 2],
+            [0, 0, 0, 0],
+        ]
 
     @pytest.mark.parametrize("n", [3, 5, 8, 10])
     def test_matches_lance_williams_recursion(self, n):
         rng = np.random.default_rng(n)
         pts = rng.normal(size=(n, 3))
-        steps = agglomerate(pts)
-        assert [(s.left, s.right) for s in steps] == lance_williams_ward(pts)
+        assert partitions(pts) == replayed_partitions(pts)
 
-    def test_deltas_match_lance_williams_values(self):
-        rng = np.random.default_rng(123)
-        pts = rng.normal(size=(6, 2))
-        ours = agglomerate(pts)
-        pairs = lance_williams_ward(pts)
-        assert [(s.left, s.right) for s in ours] == pairs
-        assert all(s.delta >= 0 for s in ours)
+    def test_matches_lance_williams_on_a_planar_draw(self):
+        pts = np.random.default_rng(123).normal(size=(6, 2))
+        assert partitions(pts) == replayed_partitions(pts)
+
+    @pytest.mark.parametrize(
+        "pts",
+        [
+            np.arange(8.0)[:, None],  # equally spaced: every neighbour pair ties
+            np.array([[0.0, 0.0]] * 3 + [[4.0, 0.0]] * 2 + [[9.0, 1.0]] * 2),
+            np.array([[x, y] for x in range(3) for y in range(3)], dtype=float),
+        ],
+        ids=["equal-spacing", "duplicates", "grid"],
+    )
+    def test_exact_ties_break_like_lance_williams(self, pts):
+        assert partitions(pts) == replayed_partitions(pts)
+
+    def test_size_weights_decide_the_order(self):
+        # After the duplicates merge, {0, 1} is 6 from point 2 and point 3 is
+        # 6.5 from it, but 2*1/3 * 36 = 24 exceeds 1*1/2 * 42.25 = 21.125.
+        pts = np.array([[0.0], [0.0], [6.0], [12.5]])
+        steps = partitions(pts)
+        assert steps[1] == [0, 0, 2, 2]
+        assert steps == replayed_partitions(pts)
+
+    def test_overflowing_costs_still_merge_the_first_pair(self):
+        with np.errstate(over="ignore"):
+            steps = partitions(np.array([[1e200], [2e200], [-1e200]]))
+        assert steps == [[0, 0, 2], [0, 0, 0]]
