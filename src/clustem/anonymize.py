@@ -32,7 +32,7 @@ import numpy as np
 
 from . import embed
 from .errors import InputError
-from .tabular import NOMINAL, SUPPRESSED, Column, QiSpec, Table
+from .tabular import SUPPRESSED, Column, QiSpec, Table
 from .vgh import Vgh, build_vgh
 
 MAX_LATTICE_NODES = 10_000_000
@@ -221,14 +221,14 @@ class _CodedLattice:
         columns = []
         for column in table.columns:
             if column.name not in self.qi:
-                columns.append(Column(column.name, column.kind, list(column.values)))
+                columns.append(column)
                 continue
             j = self.qi.index(column.name)
             level = node[j]
             labels = np.array(self.labels[j][level] + [SUPPRESSED], dtype=object)
             codes = self.luts[j][level][self.combos[self.row_combo, j]]
             codes[mask] = len(labels) - 1
-            columns.append(Column(column.name, NOMINAL, labels[codes].tolist()))
+            columns.append(Column(column.name, labels[codes].tolist()))
         return Table(columns)
 
 

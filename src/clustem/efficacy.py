@@ -3,14 +3,17 @@
 Nominal QI cells are multi-hot encoded against the hierarchy leaves: a plain
 leaf sets its own bit, a "{a,b}" set label sets every member's bit, and "*"
 sets the whole attribute block. Numeric features are standardized with
-training statistics only. The classifier is a fixed logistic regression
-trained by seeded mini-batch gradient descent, so results are deterministic
-and comparable across runs.
+training statistics only. Their cells must be finite numbers or the missing
+marker "?"; any other cell (text, "nan", "inf", "1e999") is an input error
+(exit 2). The classifier is a fixed logistic regression trained by seeded
+mini-batch gradient descent, so results are deterministic and comparable
+across runs.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -108,11 +111,27 @@ def _multi_hot(
     return np.hstack(blocks) if blocks else np.zeros((table.row_count, 0))
 
 
-def _numeric_matrix(table: Table, names: Sequence[str]) -> np.ndarray:
+def _number(role: str, name: str, row: int, cell: str) -> float:
+    """A numeric feature cell as a float, NaN for the missing marker."""
+    if cell == MISSING:
+        return math.nan
+    try:
+        value = float(cell)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise InputError(
+            f"{role} set, numeric feature {name!r}, data row {row}: {cell!r} is "
+            f"neither a finite number nor the missing marker {MISSING!r}"
+        )
+    return value
+
+
+def _numeric_matrix(table: Table, names: Sequence[str], role: str) -> np.ndarray:
     cols = []
     for name in names:
         cells = table.column(name).values
-        cols.append(np.array([float(c) if c != MISSING else np.nan for c in cells]))
+        cols.append(np.array([_number(role, name, i, c) for i, c in enumerate(cells, start=1)]))
     return np.stack(cols, axis=1) if names else np.zeros((table.row_count, 0))
 
 
@@ -138,8 +157,8 @@ def encode(
     )
 
     sorted_leaves = {attr: sorted(leaves[attr]) for attr in qi}
-    train_numeric = _numeric_matrix(train, numeric_features)
-    test_numeric = _numeric_matrix(test, numeric_features)
+    train_numeric = _numeric_matrix(train, numeric_features, "training")
+    test_numeric = _numeric_matrix(test, numeric_features, "test")
     if train_numeric.shape[1]:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # all-missing columns

@@ -24,6 +24,9 @@ from .tabular import atomic_write
 
 DEFAULT_API_KEY_ENV = "CLUSTEM_API_KEY"
 API_BATCH_SIZE = 256
+# Largest accepted vector component: squared distances and Ward costs of
+# vectors this large stay finite, so clustering never sees inf or NaN.
+MAX_COMPONENT = 1e100
 
 WORD_VECTOR_FILE = "wordvec"
 HTTP_API = "http"
@@ -282,8 +285,11 @@ def embed_all(
     if len(dims) > 1 or any(len(shape) != 1 for shape in dims):
         raise ProviderError(f"inconsistent embedding dimensions in one run: {sorted(dims)}")
     for value, vec in result.items():
-        if not np.all(np.isfinite(vec)):
-            raise ProviderError(f"non-finite embedding for value {value!r}")
+        if not np.all(np.abs(vec) <= MAX_COMPONENT):  # False on NaN too
+            raise ProviderError(
+                f"embedding for value {value!r} is not finite or has a component "
+                f"beyond {MAX_COMPONENT:g}"
+            )
     if misses and cache_path:
         if cached_dim is not None and dims != {(cached_dim,)}:
             raise ProviderError(

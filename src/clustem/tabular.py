@@ -1,23 +1,21 @@
 """Columnar dataset model, CSV ingestion/serialization, and the group ids of a
 written table.
 
-Cells are kept as strings so that a load/write cycle preserves files exactly;
-a column's kind only says how its cells may be interpreted. The missing-value
-marker is the literal "?" and is treated as an ordinary nominal value when
-grouping. Tables are never mutated: every operation returns a new Table.
-Every file clustem writes goes through ``atomic_write``, so no output is ever
-left partly written.
+Cells are kept as strings so that a load/write cycle preserves files exactly.
+The missing-value marker is the literal "?" and is treated as an ordinary
+value when grouping. Tables are never mutated: every operation returns a new
+Table. Every file clustem writes goes through ``atomic_write``, so no output
+is ever left partly written.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -26,36 +24,17 @@ from .errors import InputError
 MISSING = "?"
 SUPPRESSED = "*"
 
-NOMINAL = "nominal"
-NUMERIC = "numeric"
-
-
-def _parses_numeric(cell: str) -> bool:
-    try:
-        return math.isfinite(float(cell))
-    except ValueError:
-        return False
-
 
 @dataclass
 class Column:
-    """A named column; numeric columns may still hold the "?" missing marker."""
+    """A named column of string cells."""
 
     name: str
-    kind: str
     values: list[str]
 
     def __post_init__(self) -> None:
         if not self.name:
             raise InputError("column names must be non-empty")
-        if self.kind not in (NOMINAL, NUMERIC):
-            raise InputError(f"unknown column kind {self.kind!r}")
-        if self.kind == NUMERIC:
-            for cell in self.values:
-                if cell != MISSING and not _parses_numeric(cell):
-                    raise InputError(
-                        f"column {self.name!r} is numeric but cell {cell!r} does not parse"
-                    )
 
 
 @dataclass
@@ -113,20 +92,8 @@ class QiSpec:
             raise InputError(f"sensitive attribute {self.sa!r} not in table")
 
 
-def _infer_kind(cells: Iterable[str]) -> str:
-    # Conservative: one unparsable cell makes the whole column nominal.
-    for cell in cells:
-        if cell != MISSING and not _parses_numeric(cell):
-            return NOMINAL
-    return NUMERIC
-
-
-def load_csv(path: str, overrides: dict[str, str] | None = None) -> Table:
-    """Read a comma-separated, double-quote quoted, UTF-8 file with a header row.
-
-    Column kinds are inferred (numeric iff every non-"?" cell parses as a finite
-    real), then ``overrides`` (name -> kind) are applied last.
-    """
+def load_csv(path: str) -> Table:
+    """Read a comma-separated, double-quote quoted, UTF-8 file with a header row."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -147,19 +114,7 @@ def load_csv(path: str, overrides: dict[str, str] | None = None) -> Table:
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not UTF-8 text: {exc}") from exc
 
-    overrides = overrides or {}
-    for name, kind in overrides.items():
-        if name not in header:
-            raise InputError(f"kind override for unknown column {name!r}")
-        if kind not in (NOMINAL, NUMERIC):
-            raise InputError(f"unknown column kind {kind!r}")
-
-    columns = []
-    for j, name in enumerate(header):
-        cells = [row[j] for row in rows]
-        kind = overrides.get(name, _infer_kind(cells))
-        columns.append(Column(name, kind, cells))
-    return Table(columns)
+    return Table([Column(name, [row[j] for row in rows]) for j, name in enumerate(header)])
 
 
 @contextmanager
@@ -180,12 +135,16 @@ def atomic_write(path: str | Path, newline: str | None = None) -> Iterator[TextI
 
 def write_csv(table: Table, path: str) -> None:
     """Write ``table`` so that ``load_csv`` reads back an identical Table."""
+    columns = [c.values for c in table.columns]
+    # With "\n" as the line terminator the writer leaves a bare "\r" unquoted,
+    # and the reader would take it for a line break: quote everything then.
+    has_cr = any("\r" in "".join(col) for col in [table.column_names, *columns])
     with atomic_write(path, newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+        writer = csv.writer(
+            fh, lineterminator="\n", quoting=csv.QUOTE_ALL if has_cr else csv.QUOTE_MINIMAL
+        )
         writer.writerow(table.column_names)
-        cols = [c.values for c in table.columns]
-        for i in range(table.row_count):
-            writer.writerow([col[i] for col in cols])
+        writer.writerows(zip(*columns))
 
 
 def group_ids(table: Table, qi: Sequence[str]) -> np.ndarray:

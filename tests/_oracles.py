@@ -50,11 +50,11 @@ def random_instance(rng: np.random.Generator):
     vghs = {a: random_vgh(rng, a, int(rng.integers(2, 6))) for a in attrs}
     n_rows = int(rng.integers(1, 51))
     columns = [
-        Column(a, "nominal", [str(rng.choice(vghs[a].leaves)) for _ in range(n_rows)])
+        Column(a, [str(rng.choice(vghs[a].leaves)) for _ in range(n_rows)])
         for a in attrs
     ]
     sa_domain = ["s0", "s1", "s2"][: int(rng.integers(2, 4))]
-    columns.append(Column("sa", "nominal", [str(rng.choice(sa_domain)) for _ in range(n_rows)]))
+    columns.append(Column("sa", [str(rng.choice(sa_domain)) for _ in range(n_rows)]))
     table = Table(columns)
     params = PrivacyParams(
         k=int(rng.integers(1, 6)),
@@ -104,7 +104,7 @@ def naive_generalize(table, spec, vghs, node, mask) -> Table:
             continue
         level = vghs[column.name].levels[node[spec.qi.index(column.name)]]
         values = ["*" if mask[i] else level[cell] for i, cell in enumerate(column.values)]
-        columns.append(Column(column.name, "nominal", values))
+        columns.append(Column(column.name, values))
     return Table(columns)
 
 

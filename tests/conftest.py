@@ -20,14 +20,14 @@ def adult_paths(tmp_path_factory):
     return {"train": str(train), "test": str(test), "vectors": str(vectors)}
 
 
-def make_table(**columns: tuple[str, list[str]]) -> Table:
-    """Table from name=(kind, values) keyword pairs, preserving order."""
-    return Table([Column(name, kind, list(values)) for name, (kind, values) in columns.items()])
+def make_table(**columns: list[str]) -> Table:
+    """Table from name=values keyword pairs, preserving order."""
+    return Table([Column(name, list(values)) for name, values in columns.items()])
 
 
 @pytest.fixture
 def toy_table() -> Table:
     return make_table(
-        q=("nominal", ["a", "a", "b", "b", "c"]),
-        s=("nominal", ["x", "y", "x", "y", "x"]),
+        q=["a", "a", "b", "b", "c"],
+        s=["x", "y", "x", "y", "x"],
     )

@@ -24,7 +24,7 @@ def ab_vgh():
 
 @pytest.fixture
 def abc_table_spec():
-    table = make_table(q=("nominal", ["a", "a", "b"]), s=("nominal", ["x", "y", "x"]))
+    table = make_table(q=["a", "a", "b"], s=["x", "y", "x"])
     return table, QiSpec(["q"], "s")
 
 
@@ -93,7 +93,7 @@ class TestApplyNode:
         assert out.column("s") == table.column("s")
 
     def test_unknown_leaf_names_column_and_value(self, ab_vgh):
-        table = make_table(q=("nominal", ["zzz"]))
+        table = make_table(q=["zzz"])
         with pytest.raises(InputError, match=r"'zzz' in column 'q'"):
             search(table, QiSpec(["q"]), {"q": ab_vgh}, PrivacyParams(k=1))
 
@@ -158,7 +158,7 @@ class TestSearch:
         assert result.table.column("q").values == ["{a,b}"] * 3
 
     def test_unsatisfiable_returns_all_top(self, ab_vgh):
-        table = make_table(q=("nominal", ["a"]))
+        table = make_table(q=["a"])
         result = search(table, QiSpec(["q"]), {"q": ab_vgh}, PrivacyParams(k=2, sup_limit=0.0))
         assert not result.satisfied
         assert result.node == (2,)
@@ -166,7 +166,7 @@ class TestSearch:
         assert result.suppressed.tolist() == [True]
 
     def test_empty_table_is_trivially_satisfied(self, ab_vgh):
-        table = make_table(q=("nominal", []))
+        table = make_table(q=[])
         result = search(table, QiSpec(["q"]), {"q": ab_vgh}, PrivacyParams(k=3))
         assert result.satisfied
         assert result.node == (0,)
@@ -175,9 +175,7 @@ class TestSearch:
         values = [f"v{i}" for i in range(100)]
         rng = np.random.default_rng(0)
         big = build_vgh(values, {v: rng.normal(size=2) for v in values}, "ward", attribute="q")
-        table = make_table(
-            **{f"q{j}": ("nominal", ["v0"]) for j in range(4)}
-        )
+        table = make_table(**{f"q{j}": ["v0"] for j in range(4)})
         vghs = {f"q{j}": Vgh(f"q{j}", big.leaves, big.levels) for j in range(4)}
         with pytest.raises(InputError, match="lattice"):
             search(table, QiSpec([f"q{j}" for j in range(4)]), vghs, PrivacyParams(k=1))
@@ -231,12 +229,10 @@ class TestSearch:
             }
             n_rows = int(rng.integers(10, 40))
             columns = [
-                Column(a, "nominal", [str(rng.choice(vghs[a].leaves)) for _ in range(n_rows)])
+                Column(a, [str(rng.choice(vghs[a].leaves)) for _ in range(n_rows)])
                 for a in attrs
             ]
-            columns.append(
-                Column("sa", "nominal", [str(rng.choice(["s0", "s1"])) for _ in range(n_rows)])
-            )
+            columns.append(Column("sa", [str(rng.choice(["s0", "s1"])) for _ in range(n_rows)]))
             params = PrivacyParams(
                 k=k, l=int(rng.choice([1, 2])), sup_limit=float(rng.choice([0.0, 0.1, 0.3]))
             )

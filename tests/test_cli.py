@@ -120,6 +120,27 @@ class TestVghBuild:
         assert code == 3
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["ward", "kmeans"])
+    def test_overflowing_vectors_are_a_provider_error(self, small_inputs, capsys, method):
+        vectors = small_inputs["dir"] / "huge.txt"
+        vectors.write_text("3 2\ncook 1e200 0\nnurse 2e200 0\npilot -1e200 0\n", encoding="utf-8")
+        out = small_inputs["dir"] / "h"
+        code = main(
+            [
+                "vgh", "build",
+                "--input", small_inputs["csv"],
+                "--columns", "job",
+                "--vectors", str(vectors),
+                "--method", method,
+                "--out-dir", str(out),
+            ]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "beyond 1e+100" in err
+        assert "Traceback" not in err
+        assert not (out / "job.csv").exists()
+
 
 def run_anonymize(small_inputs, out_name, *extra):
     out = small_inputs["dir"] / out_name
@@ -454,4 +475,31 @@ class TestEvaluate:
         )
         assert code == 2
         assert "non-empty training set" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "feature, hours", [("job", "40"), ("hours", "inf"), ("hours", "nan")]
+    )
+    def test_non_numeric_feature_cell_is_an_input_error(
+        self, small_inputs, capsys, feature, hours
+    ):
+        train = small_inputs["dir"] / "bad-hours.csv"
+        text = (small_inputs["dir"] / "data.csv").read_text(encoding="utf-8")
+        train.write_text(text.replace("<=50K,40\n", f"<=50K,{hours}\n", 1), encoding="utf-8")
+        out = small_inputs["dir"] / "eval_bad.json"
+        code = main(
+            [
+                "evaluate",
+                "--train", str(train),
+                "--test", small_inputs["csv"],
+                "--qi", "job,grade",
+                "--sa", "salary-class",
+                "--numeric-features", feature,
+                "--out", str(out),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{feature!r}, data row 1" in err
+        assert "Traceback" not in err
         assert not out.exists()

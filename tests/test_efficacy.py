@@ -18,7 +18,7 @@ LEAVES = {"w": ["a", "b", "c"]}
 
 
 def tiny(cells, labels):
-    return make_table(w=("nominal", cells), y=("nominal", labels))
+    return make_table(w=cells, y=labels)
 
 
 class TestEncode:
@@ -55,25 +55,26 @@ class TestEncode:
         assert train_fm.feature_names == test_fm.feature_names
 
     def test_numeric_standardization_uses_train_stats_only(self):
-        train = make_table(
-            w=("nominal", ["a", "a"]), h=("numeric", ["0", "2"]), y=("nominal", ["p", "n"])
-        )
-        test = make_table(
-            w=("nominal", ["a"]), h=("numeric", ["1"]), y=("nominal", ["p"])
-        )
+        train = make_table(w=["a", "a"], h=["0", "2"], y=["p", "n"])
+        test = make_table(w=["a"], h=["1"], y=["p"])
         train_fm, test_fm = encode(train, test, ["w"], ["h"], LEAVES, "y", "p")
         assert train_fm.data[:, -1].tolist() == [-1.0, 1.0]
         # 1 is the train mean, so it must standardize to exactly 0.
         assert test_fm.data[0, -1] == 0.0
 
     def test_missing_numeric_lands_on_the_mean(self):
-        train = make_table(
-            w=("nominal", ["a", "a", "a"]),
-            h=("numeric", ["0", "2", "?"]),
-            y=("nominal", ["p", "n", "p"]),
-        )
+        train = make_table(w=["a", "a", "a"], h=["0", "2", "?"], y=["p", "n", "p"])
         fm, _ = encode(train, train, ["w"], ["h"], LEAVES, "y", "p")
         assert fm.data[2, -1] == 0.0
+
+    @pytest.mark.parametrize("cell", ["foo", "nan", "inf", "1e999"])
+    def test_numeric_cell_must_be_finite_or_missing(self, cell):
+        train = make_table(w=["a", "a", "a"], h=["0", cell, "2"], y=["p", "n", "p"])
+        good = make_table(w=["a"], h=["1"], y=["p"])
+        with pytest.raises(InputError, match=f"training set, .*'h', data row 2: '{cell}'"):
+            encode(train, good, ["w"], ["h"], LEAVES, "y", "p")
+        with pytest.raises(InputError, match=f"test set, .*'h', data row 2: '{cell}'"):
+            encode(good, train, ["w"], ["h"], LEAVES, "y", "p")
 
     def test_non_binary_label_rejected(self):
         train = tiny(["a", "b", "c"], ["p", "n", "maybe"])

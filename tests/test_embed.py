@@ -169,6 +169,17 @@ class _CountingProvider:
         return [np.array([float(len(v)), 1.0]) for v in values]
 
 
+class _FixedProvider(_CountingProvider):
+    """Returns one given vector for every value."""
+
+    def __init__(self, vec):
+        super().__init__()
+        self.vec = np.array(vec)
+
+    def fetch(self, values):
+        return [self.vec for _ in values]
+
+
 class TestEmbedAll:
     def test_empty_list(self):
         assert embed_all([], _CountingProvider()) == {}
@@ -263,6 +274,22 @@ class TestEmbedAll:
         assert len(calls) == 1
         embed_all(values, provider, cache_path=cache)
         assert len(calls) == 1  # second call never touches the network
+
+    def test_fetched_component_beyond_the_bound_is_refused(self):
+        with pytest.raises(ProviderError, match="'a'.*beyond 1e\\+100"):
+            embed_all(["a"], _FixedProvider([1e200, 0.0]))
+
+    def test_cached_component_beyond_the_bound_is_refused(self, tmp_path):
+        cache = tmp_path / "cache.json"
+        cache.write_text(
+            json.dumps({"provider": "counting", "dim": 2, "vectors": {"a": [0.0, -1e200]}}),
+            encoding="utf-8",
+        )
+        with pytest.raises(ProviderError, match="'a'.*beyond 1e\\+100"):
+            embed_all(["a"], _CountingProvider(), cache_path=str(cache))
+
+    def test_component_at_the_bound_is_accepted(self):
+        assert embed_all(["a"], _FixedProvider([1e100, -1e100]))["a"].tolist() == [1e100, -1e100]
 
     def test_dim_mismatch_rejected(self):
         class Mismatched:

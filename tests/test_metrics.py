@@ -140,8 +140,8 @@ class TestComputeReport:
 class TestReportRecompute:
     def test_report_reproducible_from_written_csv(self, tmp_path):
         table = make_table(
-            q=("nominal", ["a", "a", "b", "b", "c", "c", "d"]),
-            s=("nominal", ["x", "y", "x", "y", "x", "y", "x"]),
+            q=["a", "a", "b", "b", "c", "c", "d"],
+            s=["x", "y", "x", "y", "x", "y", "x"],
         )
         spec = QiSpec(["q"], "s")
         values = sorted(set(table.column("q").values))
