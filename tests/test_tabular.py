@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clustem import cli, embed
+from clustem.efficacy import encode
 from clustem.errors import InputError
 from clustem.tabular import Column, QiSpec, Table, group_ids, load_csv, write_csv
 from clustem.vgh import Vgh, write_hierarchy
@@ -33,10 +34,26 @@ def _tables(draw):
 
 
 class TestLoadCsv:
+    def test_cells_keep_their_text(self, tmp_path):
+        # Loading infers no types: number-like cells keep their exact text.
+        path = _write(tmp_path / "t.csv", "age,workclass\n039,State-gov\n3.90,1e2\n")
+        table = load_csv(path)
+        assert table.row_count == 2
+        assert table.column("age").values == ["039", "3.90"]
+        assert table.column("workclass").values == ["State-gov", "1e2"]
+
     def test_empty_body(self, tmp_path):
         table = load_csv(_write(tmp_path / "t.csv", "a,b\n"))
         assert table.row_count == 0
         assert table.column_names == ["a", "b"]
+
+    def test_missing_marker_keeps_numeric_kind(self, tmp_path):
+        # A '?' cell stays in place and does not stop the column from being
+        # encoded as a numeric feature; the missing row lands on the mean.
+        table = load_csv(_write(tmp_path / "t.csv", "x,w,y\n1,a,p\n?,a,n\n3,a,p\n"))
+        assert table.column("x").values == ["1", "?", "3"]
+        fm, _ = encode(table, table, ["w"], ["x"], {"w": ["a"]}, "y", "p")
+        assert fm.data[:, -1].tolist() == [-1.0, 0.0, 1.0]
 
     def test_ragged_row_reports_line(self, tmp_path):
         path = _write(tmp_path / "t.csv", "a,b\n1,2\n3\n")
@@ -119,6 +136,13 @@ class TestGroupIds:
 
 
 class TestInvariants:
+    def test_numeric_column_validates_cells(self, tmp_path):
+        # A loaded column used as a numeric feature rejects a non-number cell
+        # with an input error naming the column, the data row and the cell.
+        table = load_csv(_write(tmp_path / "t.csv", "x,w,y\n1,a,p\nfoo,a,n\n"))
+        with pytest.raises(InputError, match="'x', data row 2: 'foo'"):
+            encode(table, table, ["w"], ["x"], {"w": ["a"]}, "y", "p")
+
     def test_table_rejects_ragged_columns(self):
         with pytest.raises(InputError):
             Table([Column("a", ["x"]), Column("b", ["x", "y"])])
