@@ -86,7 +86,12 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument(
         "--qi-only", action="store_true", help="use only the QI columns as features"
     )
-    ev.add_argument("--seed", type=_seed, default=0)
+    ev.add_argument(
+        "--seed",
+        type=_seed,
+        default=0,
+        help="accepted for compatibility and recorded in meta; the classifier uses no seed",
+    )
     ev.set_defaults(func=_cmd_evaluate)
     return parser
 
@@ -316,6 +321,8 @@ def _cmd_evaluate(args) -> int:
     elif args.numeric_features is not None:
         numeric = _parse_names(args.numeric_features)
         for name in numeric:
+            if numeric.count(name) > 1:
+                raise InputError(f"numeric feature {name!r} is named more than once")
             train.column(name)
             test.column(name)
     else:
@@ -324,7 +331,7 @@ def _cmd_evaluate(args) -> int:
     train_fm, test_fm = efficacy.encode(
         train, test, spec.qi, numeric, leaves, args.sa, args.positive_class
     )
-    model = efficacy.train_classifier(train_fm, args.seed)
+    model = efficacy.train_classifier(train_fm)
     efficacy_report = efficacy.evaluate(model, test_fm, args.positive_class)
 
     payload = report.to_dict()

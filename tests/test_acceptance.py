@@ -151,7 +151,7 @@ def test_criterion_5_efficacy_declines_gently_then_further(adult, adult_runs):
             train_fm, test_fm = efficacy.encode(
                 train_table, test, spec.qi, numeric, leaves, spec.sa, datagen.POSITIVE
             )
-            model = efficacy.train_classifier(train_fm, seed=42)
+            model = efficacy.train_classifier(train_fm)
             return efficacy.evaluate(model, test_fm, datagen.POSITIVE).accuracy
 
         baseline = accuracy_of(adult["train"])

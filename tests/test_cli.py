@@ -435,6 +435,49 @@ class TestEvaluate:
             outs.append(json.dumps(payload, sort_keys=True))
         assert outs[0] == outs[1]
 
+    def test_seed_does_not_change_the_report(self, small_inputs):
+        outs = []
+        for seed in ("0", "7"):
+            out = small_inputs["dir"] / f"eval_seed{seed}.json"
+            code = main(
+                [
+                    "evaluate",
+                    "--train", small_inputs["csv"],
+                    "--test", small_inputs["csv"],
+                    "--qi", "job,grade",
+                    "--sa", "salary-class",
+                    "--numeric-features", "hours",
+                    "--out", str(out),
+                    "--seed", seed,
+                ]
+            )
+            assert code == 0
+            payload = json.loads(out.read_text())
+            assert payload["meta"].pop("seed") == int(seed)
+            payload["meta"].pop("started_at")
+            payload["meta"].pop("finished_at")
+            outs.append(json.dumps(payload, sort_keys=True))
+        assert outs[0] == outs[1]
+
+    def test_repeated_numeric_feature_is_an_input_error(self, small_inputs, capsys):
+        out = small_inputs["dir"] / "eval_repeated.json"
+        code = main(
+            [
+                "evaluate",
+                "--train", small_inputs["csv"],
+                "--test", small_inputs["csv"],
+                "--qi", "job,grade",
+                "--sa", "salary-class",
+                "--numeric-features", "hours,hours",
+                "--out", str(out),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "'hours'" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_evaluates_an_anonymized_output(self, small_inputs):
         code, run_dir = run_anonymize(
             small_inputs, "for_eval", "--k", "2", "--l", "2", "--sup-limit", "0.2"

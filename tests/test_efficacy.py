@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clustem.efficacy import (
+    L2_STRENGTH,
     FeatureMatrix,
     LogisticModel,
     encode,
@@ -89,30 +94,77 @@ class TestInferLeaves:
         assert infer_leaves([train, test], ["w"]) == {"w": ["a", "b", "c"]}
 
 
+def _sigmoid(z):
+    return np.exp(-np.logaddexp(0.0, -z))
+
+
+def _max_abs_gradient(x, y, model):
+    """Gradient of mean(log(1+e^z) - y*z) + L2_STRENGTH/2*|w|^2 at the model,
+    with the residual p - y written so that it does not cancel."""
+    z = x @ model.weights + model.bias
+    residual = np.where(y == 1, -_sigmoid(-z), _sigmoid(z))
+    grad_w = x.T @ residual / len(y) + L2_STRENGTH * model.weights
+    return max(np.abs(grad_w).max(initial=0.0), abs(residual.mean()))
+
+
+@st.composite
+def _designs(draw):
+    """Small designs with both labels present, cells on a half-unit grid,
+    repeated columns and all-ones (all-"*") columns. Designs separable by the
+    first column are also scaled by up to 1e6. Two rows and zero features are
+    in range."""
+    n = draw(st.integers(2, 10))
+    width = draw(st.integers(0, 3))
+    cell = st.integers(-6, 6).map(lambda v: v / 2)
+    x = np.array(draw(st.lists(cell, min_size=n * width, max_size=n * width)), dtype=float)
+    x = x.reshape(n, width)
+    y = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    y[0], y[-1] = 0, 1
+    scale = 1.0
+    if width and draw(st.booleans()):
+        x[:, 0] = np.where(y == 1, 1.0, -1.0) * (2.0 + np.abs(x[:, 0]))
+        scale = draw(st.sampled_from([1.0, 1e3, 1e6]))
+    repeats = draw(st.lists(st.integers(0, width - 1), max_size=3)) if width else []
+    ones = np.ones((n, draw(st.integers(0, 2))))
+    return np.hstack([x, x[:, repeats], ones]) * scale, y
+
+
 class TestTrainClassifier:
     def test_separable_data_reaches_training_accuracy_one(self):
         rng = np.random.default_rng(0)
         x = np.vstack([rng.normal(-2, 0.3, (40, 2)), rng.normal(2, 0.3, (40, 2))])
         y = np.array([0] * 40 + [1] * 40)
         fm = FeatureMatrix(["f0", "f1"], x, y)
-        model = train_classifier(fm, seed=1)
+        model = train_classifier(fm)
         assert (model.predict(x) == y).mean() == 1.0
 
     def test_constant_labels_warn_and_predict_the_constant(self):
         fm = FeatureMatrix(["f"], np.zeros((4, 1)), np.ones(4, dtype=int))
         with pytest.warns(UserWarning, match="single class"):
-            model = train_classifier(fm, seed=0)
+            model = train_classifier(fm)
         assert model.predict(np.zeros((2, 1))).tolist() == [1, 1]
 
-    def test_deterministic_given_seed(self):
+    def test_same_input_gives_the_same_model(self):
         rng = np.random.default_rng(5)
         x = rng.normal(size=(50, 3))
         y = (x[:, 0] > 0).astype(int)
         fm = FeatureMatrix(["a", "b", "c"], x, y)
-        m1 = train_classifier(fm, seed=9)
-        m2 = train_classifier(fm, seed=9)
+        m1 = train_classifier(fm)
+        m2 = train_classifier(fm)
         assert np.array_equal(m1.weights, m2.weights)
         assert m1.bias == m2.bias
+
+    @settings(max_examples=200, deadline=None)
+    @given(design=_designs())
+    def test_converges_on_degenerate_designs(self, design):
+        x, y = design
+        fm = FeatureMatrix([f"f{i}" for i in range(x.shape[1])], x, y)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = train_classifier(fm)
+        assert np.isfinite(model.weights).all()
+        assert np.isfinite(model.bias)
+        assert _max_abs_gradient(x, y, model) <= 1e-8
 
 
 class TestEvaluate:
