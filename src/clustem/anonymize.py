@@ -18,7 +18,10 @@ by a tag, not a check.
 Cells are mapped through the hierarchies once, into integer codes; the
 privacy check, each row's group id (-1 on suppressed rows) and the
 generalized table at the chosen node are all computed from those codes, and
-the reports in ``metrics`` count over the same group ids.
+the reports in ``metrics`` count over the same group ids. Every grouping of
+codes (rows into leaf combinations, combinations into a node's groups, and
+their pairs with the sensitive value) is one ``_fold``: the code columns
+packed into one mixed-radix int64 key per row, then numbered densely.
 """
 
 from __future__ import annotations
@@ -98,13 +101,36 @@ def _vgh_for(vghs: Mapping[str, Vgh], attribute: str) -> Vgh:
         raise InputError(f"no hierarchy provided for QI attribute {attribute!r}") from None
 
 
+def _fold(columns: Sequence[np.ndarray], radices: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Dense ids of the distinct rows of equal-length integer columns, plus the
+    first row of each id.
+
+    Column j holds values in [0, radices[j]). Ids follow the rows' lexicographic
+    order, first column most significant, as a row-wise ``np.unique`` numbers them.
+    The columns are packed into one int64 key; where the key could reach 2**62,
+    the part packed so far is first renumbered densely, which keeps its order.
+    Radices and row counts must stay below 2**31.
+    """
+    key = np.zeros(len(columns[0]), dtype=np.int64)
+    bound = 1
+    for column, radix in zip(columns, radices):
+        if bound * radix >= 2**62:
+            _, key = np.unique(key, return_inverse=True)
+            bound = len(key)
+        key = key * radix + column
+        bound *= radix
+    _, first_row, ids = np.unique(key, return_index=True, return_inverse=True)
+    return ids, first_row
+
+
 class _CodedLattice:
     """Row data coded once through the hierarchies.
 
     Rows are collapsed to distinct leaf-value combinations with multiplicities;
     each (attribute, level) gets a lookup table from leaf index to a label
-    code, so grouping at a node is integer arithmetic plus one sort, and the
-    generalized table is one label lookup per cell.
+    code, so grouping at a node is one ``_fold`` of the combinations' label
+    codes, and the generalized table is one label lookup per cell. An empty
+    table has no combinations and no groups, and passes every check.
     """
 
     def __init__(self, table: Table, spec: QiSpec, vghs: Mapping[str, Vgh]) -> None:
@@ -112,6 +138,12 @@ class _CodedLattice:
         self.n_rows = table.row_count
         self.qi = list(spec.qi)
         self.vghs = [_vgh_for(vghs, a) for a in self.qi]
+        total_nodes = math.prod(v.level_count for v in self.vghs)
+        if total_nodes > MAX_LATTICE_NODES:
+            raise InputError(
+                f"generalization lattice has {total_nodes} nodes, above the "
+                f"{MAX_LATTICE_NODES} limit"
+            )
 
         leaf_index_columns = []
         for attr, vgh in zip(self.qi, self.vghs):
@@ -124,22 +156,16 @@ class _CodedLattice:
                     f"value {exc.args[0]!r} in column {attr!r} is not a hierarchy leaf"
                 ) from None
 
-        if self.n_rows:
-            stacked = np.stack(leaf_index_columns, axis=1)
-            self.combos, self.row_combo = np.unique(stacked, axis=0, return_inverse=True)
-            self.row_combo = self.row_combo.reshape(-1)
-            self.combo_counts = np.bincount(self.row_combo, minlength=len(self.combos))
-        else:
-            self.combos = np.zeros((0, len(self.qi)), dtype=np.int64)
-            self.row_combo = np.zeros(0, dtype=np.int64)
-            self.combo_counts = np.zeros(0, dtype=np.int64)
+        self.row_combo, first = _fold(leaf_index_columns, [len(v.leaves) for v in self.vghs])
+        # combos[j][c]: leaf index of attribute j in combination c
+        self.combos = [column[first] for column in leaf_index_columns]
+        self.combo_counts = np.bincount(self.row_combo, minlength=len(first))
 
         # luts[j][v]: leaf index -> label code at level v; labels[j][v]: code -> string
         self.luts: list[list[np.ndarray]] = []
         self.labels: list[list[list[str]]] = []
-        self.code_counts: list[list[int]] = []
         for vgh in self.vghs:
-            attr_luts, attr_labels, attr_counts = [], [], []
+            attr_luts, attr_labels = [], []
             for level in vgh.levels:
                 codes: dict[str, int] = {}
                 lut = np.zeros(len(vgh.leaves), dtype=np.int64)
@@ -148,70 +174,51 @@ class _CodedLattice:
                     lut[i] = codes.setdefault(label, len(codes))
                 attr_luts.append(lut)
                 attr_labels.append(sorted(codes, key=codes.get))
-                attr_counts.append(len(codes))
             self.luts.append(attr_luts)
             self.labels.append(attr_labels)
-            self.code_counts.append(attr_counts)
 
-        # Packing label codes into one int64 key is safe as long as the
-        # product of per-attribute code counts fits; otherwise fall back to
-        # re-factorizing after every fold.
-        self._single_fold = math.prod(len(v.leaves) for v in self.vghs) < 2**62
-
-        self.sa_codes: np.ndarray | None = None
-        self.n_sa = 0
-        self.pair_combo: np.ndarray | None = None
+        # The distinct (combination, sensitive value) pairs.
         self.pair_sa: np.ndarray | None = None
-        if spec.sa is not None and self.n_rows:
-            sa_values = table.column(spec.sa).values
+        if spec.sa is not None:
             sa_index: dict[str, int] = {}
-            self.sa_codes = np.array(
-                [sa_index.setdefault(v, len(sa_index)) for v in sa_values], dtype=np.int64
+            sa_codes = np.array(
+                [sa_index.setdefault(v, len(sa_index)) for v in table.column(spec.sa).values],
+                dtype=np.int64,
             )
             self.n_sa = len(sa_index)
-            pairs = np.unique(self.row_combo * self.n_sa + self.sa_codes)
-            self.pair_combo = pairs // self.n_sa
-            self.pair_sa = pairs % self.n_sa
-
-    def _combo_group_codes(self, node: LatticeNode) -> tuple[np.ndarray, np.ndarray]:
-        """Group id per combo plus group sizes (in rows) at the given node."""
-        key = np.zeros(len(self.combos), dtype=np.int64)
-        for j, level in enumerate(node):
-            key = key * self.code_counts[j][level] + self.luts[j][level][self.combos[:, j]]
-            if not self._single_fold:
-                _, key = np.unique(key, return_inverse=True)
-        _, inverse = np.unique(key, return_inverse=True)
-        sizes = np.bincount(inverse, weights=self.combo_counts).astype(np.int64)
-        return inverse, sizes
+            _, first = _fold([self.row_combo, sa_codes], [len(self.combo_counts), self.n_sa])
+            self.pair_combo, self.pair_sa = self.row_combo[first], sa_codes[first]
 
     def _bad_groups(
         self, node: LatticeNode, params: PrivacyParams
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        inverse, sizes = self._combo_group_codes(node)
+        """Group id per combination, group sizes in rows, and which groups miss
+        k or l, at the node."""
+        inverse, _ = _fold(
+            [self.luts[j][level][self.combos[j]] for j, level in enumerate(node)],
+            [len(self.labels[j][level]) for j, level in enumerate(node)],
+        )
+        sizes = np.bincount(inverse, weights=self.combo_counts).astype(np.int64)
         bad = sizes < params.k
         if params.l > 1:
-            if self.sa_codes is None:
+            if self.pair_sa is None:
                 raise InputError("l-diversity above 1 requires a sensitive attribute")
             pair_group = inverse[self.pair_combo]
-            distinct_pairs = np.unique(pair_group * self.n_sa + self.pair_sa)
-            distinct = np.bincount(distinct_pairs // self.n_sa, minlength=len(sizes))
-            bad |= distinct < params.l
+            _, first = _fold([pair_group, self.pair_sa], [len(sizes), self.n_sa])
+            bad |= np.bincount(pair_group[first], minlength=len(sizes)) < params.l
         return inverse, sizes, bad
 
     def check(self, node: LatticeNode, params: PrivacyParams) -> bool:
         """True when whole-group suppression keeps the suppressed fraction
         within the limit."""
+        _, sizes, bad = self._bad_groups(node, params)
         if self.n_rows == 0:
             return True
-        _, sizes, bad = self._bad_groups(node, params)
-        suppressed = int(sizes[bad].sum())
-        return suppressed / self.n_rows <= params.sup_limit
+        return int(sizes[bad].sum()) / self.n_rows <= params.sup_limit
 
     def groups(self, node: LatticeNode, params: PrivacyParams) -> np.ndarray:
         """Per-row group index at the node, -1 on the rows whose group misses
         k or l."""
-        if self.n_rows == 0:
-            return np.zeros(0, dtype=np.int64)
         inverse, _, bad = self._bad_groups(node, params)
         return np.where(bad[inverse], -1, inverse)[self.row_combo]
 
@@ -226,7 +233,7 @@ class _CodedLattice:
             j = self.qi.index(column.name)
             level = node[j]
             labels = np.array(self.labels[j][level] + [SUPPRESSED], dtype=object)
-            codes = self.luts[j][level][self.combos[self.row_combo, j]]
+            codes = self.luts[j][level][self.combos[j][self.row_combo]]
             codes[mask] = len(labels) - 1
             columns.append(Column(column.name, labels[codes].tolist()))
         return Table(columns)
@@ -275,23 +282,14 @@ def search(
     """Find the satisfying node of minimal loss, ties broken by (level sum,
     lexicographic levels). When nothing satisfies, the all-top node is applied
     and the result is flagged unsatisfied."""
-    spec.validate_against(table)
-    ordered_vghs = [_vgh_for(vghs, a) for a in spec.qi]
-    level_counts = [v.level_count for v in ordered_vghs]
-    total_nodes = math.prod(level_counts)
-    if total_nodes > MAX_LATTICE_NODES:
-        raise InputError(
-            f"generalization lattice has {total_nodes} nodes, above the "
-            f"{MAX_LATTICE_NODES} limit"
-        )
-
     lattice = _CodedLattice(table, spec, vghs)
+    level_counts = [v.level_count for v in lattice.vghs]
     tops = tuple(c - 1 for c in level_counts)
     state = np.full(tuple(level_counts), _UNKNOWN, dtype=np.int8)
     queued = np.zeros(tuple(level_counts), dtype=bool)
     bottom = (0,) * len(level_counts)
     queued[bottom] = True
-    heap = [(loss(bottom, ordered_vghs), 0, bottom)]
+    heap = [(loss(bottom, lattice.vghs), 0, bottom)]
     best, satisfied = tops, False
     # The key rises strictly along every lattice edge, so nodes pop in key
     # order and every node popped before the first passing one fails.
@@ -307,12 +305,12 @@ def search(
                 successor = node[:j] + (node[j] + 1,) + node[j + 1 :]
                 if not queued[successor]:
                     queued[successor] = True
-                    key = (loss(successor, ordered_vghs), height + 1, successor)
+                    key = (loss(successor, lattice.vghs), height + 1, successor)
                     heapq.heappush(heap, key)
 
     groups = lattice.groups(best, params)
     out = lattice.generalize(table, best, groups < 0)
-    return AnonymizationResult(out, best, groups, loss(best, ordered_vghs), satisfied)
+    return AnonymizationResult(out, best, groups, loss(best, lattice.vghs), satisfied)
 
 
 def generate_vghs(

@@ -126,14 +126,13 @@ def _provider_from_args(args) -> tuple[object, str]:
     if args.vectors and args.api_endpoint:
         raise InputError("configure either --vectors or an API endpoint, not both")
     if args.vectors:
-        config = ProviderConfig(WORD_VECTOR_FILE, path=args.vectors, cache_path=args.cache)
+        config = ProviderConfig(WORD_VECTOR_FILE, path=args.vectors)
     elif args.api_endpoint or args.api_model:
         config = ProviderConfig(
             HTTP_API,
             endpoint=args.api_endpoint,
             model=args.api_model,
             api_key_env=args.api_key_env,
-            cache_path=args.cache,
         )
     else:
         raise InputError(

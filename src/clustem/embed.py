@@ -24,6 +24,7 @@ from .tabular import atomic_write
 
 DEFAULT_API_KEY_ENV = "CLUSTEM_API_KEY"
 API_BATCH_SIZE = 256
+API_TIMEOUT_S = 60.0
 # Largest accepted vector component: squared distances and Ward costs of
 # vectors this large stay finite, so clustering never sees inf or NaN.
 MAX_COMPONENT = 1e100
@@ -41,14 +42,13 @@ def preprocess(value: str) -> list[str]:
 
 @dataclass
 class ProviderConfig:
-    """Exactly one embedding source plus an optional on-disk cache."""
+    """Exactly one embedding source."""
 
     kind: str
     path: str | None = None
     endpoint: str | None = None
     model: str | None = None
     api_key_env: str = DEFAULT_API_KEY_ENV
-    cache_path: str | None = None
 
     def __post_init__(self) -> None:
         if self.kind == WORD_VECTOR_FILE:
@@ -126,21 +126,15 @@ class HttpApiProvider:
     {"data": [{"index": i, "embedding": [...]}]}, re-ordered by index.
 
     Values are embedded whole (no tokenization). Requests carry a bearer token
-    taken from the configured environment variable when it is set, and are
-    batched at API_BATCH_SIZE values apiece.
+    taken from the configured environment variable when it is set, are
+    batched at API_BATCH_SIZE values apiece, and time out after API_TIMEOUT_S
+    seconds.
     """
 
-    def __init__(
-        self,
-        endpoint: str,
-        model: str,
-        api_key_env: str = DEFAULT_API_KEY_ENV,
-        timeout: float = 60.0,
-    ) -> None:
+    def __init__(self, endpoint: str, model: str, api_key_env: str = DEFAULT_API_KEY_ENV) -> None:
         self.endpoint = endpoint
         self.model = model
         self.api_key_env = api_key_env
-        self.timeout = timeout
 
     @property
     def provider_id(self) -> str:
@@ -162,7 +156,7 @@ class HttpApiProvider:
                 self.endpoint,
                 json={"model": self.model, "input": batch},
                 headers=headers,
-                timeout=self.timeout,
+                timeout=API_TIMEOUT_S,
             )
         except requests.RequestException as exc:
             raise ProviderError(f"embeddings request failed: {exc}") from exc

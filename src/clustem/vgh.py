@@ -100,13 +100,6 @@ def get_categories(values: Sequence[str], labels: Sequence[int]) -> dict[str, st
     return out
 
 
-def _partition(level: Mapping[str, str], leaves: Sequence[str]) -> frozenset[frozenset[str]]:
-    blocks: dict[str, set[str]] = {}
-    for leaf in leaves:
-        blocks.setdefault(level[leaf], set()).add(leaf)
-    return frozenset(frozenset(b) for b in blocks.values())
-
-
 def _step_seed(seed: int, step: int) -> int:
     return int(np.random.SeedSequence([seed, step]).generate_state(1)[0])
 
@@ -121,16 +114,23 @@ def build_vgh(
     """Build a hierarchy for ``values`` from their embeddings.
 
     "ward": one level per agglomerative merge. "kmeans": re-cluster the current
-    cluster centers with a target of one fewer cluster per step, levelling
-    after each step; steps that do not change the induced partition are
-    dropped so levels strictly coarsen. A final all-"*" level is always
-    appended (and is the only non-identity level for a single value).
+    cluster centers into one fewer non-empty cluster per step, levelling after
+    each step, so each step also merges exactly two clusters. Either way n
+    values give n + 1 levels: a final all-"*" level is always appended (and is
+    the only non-identity level for a single value). Values may not contain
+    ",", "{" or "}", so that every set label names exactly one block.
     """
     values = list(values)
     if not values:
         raise InputError("cannot build a hierarchy for zero values")
     if len(set(values)) != len(values):
         raise InputError("hierarchy values must be distinct")
+    for value in values:
+        if any(c in value for c in ",{}"):
+            raise InputError(
+                f"value {value!r} of attribute {attribute!r} contains ',', '{{' or '}}', "
+                "which generalized set labels use"
+            )
     if method not in METHODS:
         raise InputError(f"unknown clustering method {method!r}")
     missing = [v for v in values if v not in embeddings]
@@ -146,16 +146,12 @@ def build_vgh(
         else:
             centers = points.copy()
             assign = list(range(len(values)))
-            step = 0
-            while centers.shape[0] > 1:
+            for step in range(len(values) - 1):
                 fit = cluster.kmeans(centers, centers.shape[0] - 1, _step_seed(seed, step))
                 repairs += fit.repairs
                 assign = [int(fit.labels[a]) for a in assign]
                 centers = fit.centers
-                level = get_categories(values, assign)
-                if _partition(level, values) != _partition(levels[-1], values):
-                    levels.append(level)
-                step += 1
+                levels.append(get_categories(values, assign))
     levels.append({v: TOP for v in values})
 
     vgh = Vgh(attribute=attribute, leaves=values, levels=levels, kmeans_repairs=repairs)

@@ -4,10 +4,12 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import _datagen as datagen
 import _oracles as oracles
-from clustem.anonymize import PrivacyParams, _CodedLattice, generate_vghs, loss, search
+from clustem.anonymize import PrivacyParams, _CodedLattice, _fold, generate_vghs, loss, search
 from clustem.embed import WordVectorProvider
 from clustem.errors import InputError
 from clustem.tabular import Column, QiSpec, Table, group_ids, load_csv
@@ -125,11 +127,47 @@ class TestCheckPrivacy:
 
     def test_l_above_one_requires_sa(self, abc_table_spec, ab_vgh):
         table, _ = abc_table_spec
-        lattice = _CodedLattice(table, QiSpec(["q"]), {"q": ab_vgh})
-        with pytest.raises(InputError, match="sensitive"):
-            lattice.check((0,), PrivacyParams(k=1, l=2))
-        with pytest.raises(InputError, match="sensitive"):
-            search(table, QiSpec(["q"]), {"q": ab_vgh}, PrivacyParams(k=1, l=2))
+        for rows in (table, make_table(q=[])):
+            lattice = _CodedLattice(rows, QiSpec(["q"]), {"q": ab_vgh})
+            with pytest.raises(InputError, match="sensitive"):
+                lattice.check((0,), PrivacyParams(k=1, l=2))
+            with pytest.raises(InputError, match="sensitive"):
+                lattice.groups((0,), PrivacyParams(k=1, l=2))
+            with pytest.raises(InputError, match="sensitive"):
+                search(rows, QiSpec(["q"]), {"q": ab_vgh}, PrivacyParams(k=1, l=2))
+
+
+RADICES = [1, 2, 3, 7, 2**20, 2**31]
+
+
+@st.composite
+def code_columns(draw):
+    """1-5 integer columns of 0-60 rows, each drawn from a few values below its
+    radix so that rows repeat; two radices of 2**31 force the renumbering."""
+    radices = draw(st.lists(st.sampled_from(RADICES), min_size=1, max_size=5))
+    n_rows = draw(st.integers(0, 60))
+    columns = []
+    for radix in radices:
+        pool = draw(st.lists(st.integers(0, radix - 1), min_size=1, max_size=4))
+        picks = draw(st.lists(st.sampled_from(pool), min_size=n_rows, max_size=n_rows))
+        columns.append(np.array(picks, dtype=np.int64))
+    return columns, radices
+
+
+class TestFold:
+    @settings(max_examples=300, deadline=None)
+    @given(drawn=code_columns())
+    @example(drawn=([np.array([2**31 - 1, 0, 2**31 - 1, 5])] * 3, [2**31] * 3))
+    @example(drawn=([np.zeros(0, dtype=np.int64)] * 2, [2**31, 2**31]))
+    def test_matches_unique_rows(self, drawn):
+        columns, radices = drawn
+        ids, first_row = _fold(columns, radices)
+        stacked = np.stack(columns, axis=1)
+        _, expected_first, expected_ids = np.unique(
+            stacked, axis=0, return_index=True, return_inverse=True
+        )
+        assert ids.tolist() == expected_ids.reshape(-1).tolist()
+        assert first_row.tolist() == expected_first.tolist()
 
 
 class TestSearch:

@@ -120,6 +120,33 @@ class TestVghBuild:
         assert code == 3
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "values, bad", [(["a,b", "c"], "a,b"), (["{a,b}", "a", "b"], "{a,b}")]
+    )
+    def test_value_with_set_label_characters_is_a_config_error(
+        self, tmp_path, capsys, values, bad
+    ):
+        data = tmp_path / "data.csv"
+        data.write_text("q\n" + "".join(f'"{v}"\n' for v in values), encoding="utf-8")
+        vectors = tmp_path / "vecs.txt"
+        vectors.write_text(
+            f"{len(values)} 1\n" + "".join(f"{v} {i}\n" for i, v in enumerate(values)),
+            encoding="utf-8",
+        )
+        code = main(
+            [
+                "vgh", "build",
+                "--input", str(data),
+                "--columns", "q",
+                "--vectors", str(vectors),
+                "--out-dir", str(tmp_path / "h"),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert repr(bad) in err and "'q'" in err
+        assert not (tmp_path / "h" / "q.csv").exists()
+
     @pytest.mark.parametrize("method", ["ward", "kmeans"])
     def test_overflowing_vectors_are_a_provider_error(self, small_inputs, capsys, method):
         vectors = small_inputs["dir"] / "huge.txt"
@@ -223,6 +250,30 @@ class TestAnonymize:
         assert code == 0  # no embedding provider needed
         report = json.loads((out / "report.json").read_text())
         assert report["meta"]["provider"] == "hierarchy-files"
+
+    @pytest.mark.parametrize("rows", [[], ["a", "b"]])
+    def test_l_above_one_without_sa_is_a_config_error(self, tmp_path, capsys, rows):
+        import numpy as np
+
+        data = tmp_path / "data.csv"
+        data.write_text("q\n" + "".join(f"{v}\n" for v in rows), encoding="utf-8")
+        hdir = tmp_path / "given"
+        hdir.mkdir()
+        emb = {"a": np.array([0.0]), "b": np.array([1.0])}
+        write_hierarchy(build_vgh(["a", "b"], emb, "ward", attribute="q"), str(hdir / "q.csv"))
+        code = main(
+            [
+                "anonymize",
+                "--input", str(data),
+                "--out", str(tmp_path / "out"),
+                "--qi", "q",
+                "--hierarchies-dir", str(hdir),
+                "--k", "1",
+                "--l", "2",
+            ]
+        )
+        assert code == 2
+        assert "requires a sensitive attribute" in capsys.readouterr().err
 
     def test_k_preset_expands_to_the_standard_sweep(self, small_inputs):
         code, out = run_anonymize(

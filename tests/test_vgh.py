@@ -81,6 +81,15 @@ class TestBuildVgh:
             assert 2 <= vgh.level_count <= n + 1
             assert_valid_structure(vgh)
 
+    @settings(max_examples=40, deadline=None)
+    @given(positions=st.lists(st.integers(0, 2), min_size=1, max_size=9), seed=st.integers(0, 999))
+    def test_kmeans_merges_two_clusters_per_level(self, positions, seed):
+        # Few distinct positions, so most draws embed several values at one point.
+        values = [f"v{i}" for i in range(len(positions))]
+        vgh = build_vgh(values, embeddings_1d(values, positions), KMEANS, seed=seed)
+        assert vgh.level_count == len(values) + 1
+        assert_valid_structure(vgh)
+
     def test_missing_embedding(self):
         with pytest.raises(InputError, match="missing"):
             build_vgh(["a", "b"], {"a": np.zeros(2)}, WARD)
