@@ -6,17 +6,17 @@ suppressed fraction stays within the limit. Passing is monotone (generalizing
 further only merges groups): the upward cone of a passing node passes, the
 downward cone of a failing node fails.
 
-The search visits nodes best-first from the bottom node, in ascending
-(loss, level sum, levels) order, and returns the first passing node it pops.
-That key grows strictly along every lattice edge, so every node popped before
-it fails and it is the optimum. A popped node without a verdict is checked;
-when it fails, a greedy upward chain from it is binary-searched for its first
-passing node. Every check tags a whole cone, upward on a pass and downward on
-a fail (the chain search of OLA and Flash), so most popped nodes are decided
-by a tag, not a check.
+For each entry of a sweep, a fresh walk visits nodes best-first from the
+bottom node, in ascending (loss, level sum, levels) order, and yields the
+first passing node it pops. That key grows strictly along every lattice edge,
+so every node popped before it fails and it is the optimum. A popped node
+without a verdict is checked; when it fails, a greedy upward chain from it is
+binary-searched for its first passing node. Every check tags a whole cone,
+upward on a pass and downward on a fail (the chain search of OLA and Flash),
+so most popped nodes are decided by a tag, not a check.
 
-Cells are mapped through the hierarchies once, into integer codes; the
-privacy check, each row's group id (-1 on suppressed rows) and the
+Cells are mapped through the hierarchies once per sweep, into integer codes;
+the privacy check, each row's group id (-1 on suppressed rows) and the
 generalized table at the chosen node are all computed from those codes, and
 the reports in ``metrics`` count over the same group ids. Every grouping of
 codes (rows into leaf combinations, combinations into a node's groups, and
@@ -29,14 +29,14 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from . import embed
 from .errors import InputError
 from .tabular import SUPPRESSED, Column, QiSpec, Table
-from .vgh import Vgh, build_vgh
+from .vgh import Vgh, build_vgh, check_values
 
 MAX_LATTICE_NODES = 10_000_000
 
@@ -277,40 +277,40 @@ def _classify(
 
 
 def search(
-    table: Table, spec: QiSpec, vghs: Mapping[str, Vgh], params: PrivacyParams
-) -> AnonymizationResult:
-    """Find the satisfying node of minimal loss, ties broken by (level sum,
-    lexicographic levels). When nothing satisfies, the all-top node is applied
-    and the result is flagged unsatisfied."""
+    table: Table, spec: QiSpec, vghs: Mapping[str, Vgh], sweep: Sequence[PrivacyParams]
+) -> Iterator[AnonymizationResult]:
+    """Yield, per sweep entry, the satisfying node of minimal loss (ties broken
+    by level sum, then levels), else the all-top node flagged unsatisfied."""
     lattice = _CodedLattice(table, spec, vghs)
-    level_counts = [v.level_count for v in lattice.vghs]
+    level_counts = tuple(v.level_count for v in lattice.vghs)
     tops = tuple(c - 1 for c in level_counts)
-    state = np.full(tuple(level_counts), _UNKNOWN, dtype=np.int8)
-    queued = np.zeros(tuple(level_counts), dtype=bool)
     bottom = (0,) * len(level_counts)
-    queued[bottom] = True
-    heap = [(loss(bottom, lattice.vghs), 0, bottom)]
-    best, satisfied = tops, False
-    # The key rises strictly along every lattice edge, so nodes pop in key
-    # order and every node popped before the first passing one fails.
-    while heap and state[tops] != _FAIL:
-        _, height, node = heapq.heappop(heap)
-        if state[node] == _UNKNOWN:
-            _classify(lattice, params, _chain(node, tops, state), state)
-        if state[node] == _PASS:
-            best, satisfied = node, True
-            break
-        for j, top in enumerate(tops):
-            if node[j] < top:
-                successor = node[:j] + (node[j] + 1,) + node[j + 1 :]
-                if not queued[successor]:
-                    queued[successor] = True
-                    key = (loss(successor, lattice.vghs), height + 1, successor)
-                    heapq.heappush(heap, key)
+    for params in sweep:
+        state = np.full(level_counts, _UNKNOWN, dtype=np.int8)
+        queued = np.zeros(level_counts, dtype=bool)
+        queued[bottom] = True
+        heap = [(loss(bottom, lattice.vghs), 0, bottom)]
+        best, satisfied = tops, False
+        # The key rises strictly along every lattice edge, so nodes pop in key
+        # order and every node popped before the first passing one fails.
+        while heap and state[tops] != _FAIL:
+            _, height, node = heapq.heappop(heap)
+            if state[node] == _UNKNOWN:
+                _classify(lattice, params, _chain(node, tops, state), state)
+            if state[node] == _PASS:
+                best, satisfied = node, True
+                break
+            for j, top in enumerate(tops):
+                if node[j] < top:
+                    successor = node[:j] + (node[j] + 1,) + node[j + 1 :]
+                    if not queued[successor]:
+                        queued[successor] = True
+                        key = (loss(successor, lattice.vghs), height + 1, successor)
+                        heapq.heappush(heap, key)
 
-    groups = lattice.groups(best, params)
-    out = lattice.generalize(table, best, groups < 0)
-    return AnonymizationResult(out, best, groups, loss(best, lattice.vghs), satisfied)
+        groups = lattice.groups(best, params)
+        out = lattice.generalize(table, best, groups < 0)
+        yield AnonymizationResult(out, best, groups, loss(best, lattice.vghs), satisfied)
 
 
 def generate_vghs(
@@ -321,12 +321,12 @@ def generate_vghs(
     seed: int = 0,
     cache_path: str | None = None,
 ) -> dict[str, Vgh]:
-    """Embed each QI column's distinct values and build one hierarchy per column."""
+    """Check every QI column's values, then embed them and build one hierarchy each."""
+    columns = {attr: sorted(set(table.column(attr).values)) for attr in qi_columns}
+    for attr, values in columns.items():
+        check_values(values, attr)
     vghs = {}
-    for attr in qi_columns:
-        values = sorted(set(table.column(attr).values))
-        if not values:
-            raise InputError(f"column {attr!r} has no values to generalize")
+    for attr, values in columns.items():
         embeddings = embed.embed_all(values, provider, cache_path)
         vghs[attr] = build_vgh(values, embeddings, method, seed, attribute=attr)
     return vghs

@@ -119,7 +119,14 @@ def _parse_names(raw: str) -> list[str]:
     names = [part.strip() for part in raw.split(",")]
     if any(not name for name in names):
         raise InputError(f"malformed column list {raw!r}")
-    return names
+    return _once(names, "column")
+
+
+def _once(entries: list, what: str) -> list:
+    for entry in entries:
+        if entries.count(entry) > 1:
+            raise InputError(f"{what} {entry!r} is named more than once")
+    return entries
 
 
 def _provider_from_args(args) -> tuple[object, str]:
@@ -155,9 +162,9 @@ def _cmd_vgh_build(args) -> int:
     table = load_csv(args.input)
     columns = _parse_names(args.columns)
     provider, _ = _provider_from_args(args)
+    vghs = generate_vghs(table, columns, provider, args.method, args.seed, args.cache)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    vghs = generate_vghs(table, columns, provider, args.method, args.seed, args.cache)
     for attr, hierarchy in vghs.items():
         write_hierarchy(hierarchy, str(out_dir / f"{attr}.csv"))
     return EXIT_OK
@@ -214,7 +221,7 @@ def _parse_k_list(raw) -> list[int]:
     if raw == "preset":
         return list(K_SWEEP_PRESET)
     try:
-        return [int(part) for part in str(raw).split(",")]
+        return _once([int(part) for part in str(raw).split(",")], "k")
     except ValueError:
         raise InputError(f"malformed k value {raw!r}") from None
 
@@ -236,8 +243,7 @@ def _cmd_anonymize(args) -> int:
     if method not in (KMEANS, WARD):
         raise InputError(f"unknown clustering method {method!r}")
     seed = args.seed if args.seed is not None else config.get("seed", 0)
-    for k in ks:
-        PrivacyParams(k=k, l=l_value, sup_limit=sup_limit)  # fail fast on bad parameters
+    sweep = [PrivacyParams(k=k, l=l_value, sup_limit=sup_limit) for k in ks]
 
     table = load_csv(args.input)
     spec = QiSpec(list(qi), sa)
@@ -255,7 +261,6 @@ def _cmd_anonymize(args) -> int:
             vghs[attr] = read_hierarchy(path, attribute=attr)
 
     out_root = Path(args.out)
-    out_root.mkdir(parents=True, exist_ok=True)
     provider_id = "hierarchy-files"
     kmeans_repairs = 0
     to_generate = [attr for attr in spec.qi if attr not in vghs]
@@ -271,12 +276,12 @@ def _cmd_anonymize(args) -> int:
 
     sa_values = table.column(sa).values if sa else None
     all_satisfied = True
-    for k in ks:
+    results = search(table, spec, vghs, sweep)
+    for params in sweep:
         started = _now()
-        params = PrivacyParams(k=k, l=l_value, sup_limit=sup_limit)
-        result = search(table, spec, vghs, params)
+        result = next(results)
         all_satisfied &= result.satisfied
-        out_dir = out_root if len(ks) == 1 else out_root / f"k{k}"
+        out_dir = out_root if len(sweep) == 1 else out_root / f"k{params.k}"
         out_dir.mkdir(parents=True, exist_ok=True)
         write_csv(result.table, str(out_dir / "anonymized.csv"))
         report = metrics.compute_report(
@@ -319,11 +324,6 @@ def _cmd_evaluate(args) -> int:
         numeric = []
     elif args.numeric_features is not None:
         numeric = _parse_names(args.numeric_features)
-        for name in numeric:
-            if numeric.count(name) > 1:
-                raise InputError(f"numeric feature {name!r} is named more than once")
-            train.column(name)
-            test.column(name)
     else:
         numeric = [n for n in efficacy.DEFAULT_NUMERIC_FEATURES if train.has_column(n)]
     leaves = efficacy.infer_leaves([train, test], spec.qi)

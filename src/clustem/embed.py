@@ -71,7 +71,6 @@ class WordVectorProvider:
     """
 
     def __init__(self, path: str) -> None:
-        self.path = str(path)
         self.vectors: dict[str, np.ndarray] = {}
         try:
             with open(path, encoding="utf-8") as fh:
@@ -106,6 +105,8 @@ class WordVectorProvider:
                 f"{path}: header promises {count} tokens, file holds {len(self.vectors)}"
             )
         self.dim = dim
+        # Resolved, so that every path to the same file stamps the same cache.
+        self.path = os.path.realpath(path)
 
     @property
     def provider_id(self) -> str:

@@ -104,6 +104,25 @@ def _step_seed(seed: int, step: int) -> int:
     return int(np.random.SeedSequence([seed, step]).generate_state(1)[0])
 
 
+def check_values(values: Sequence[str], attribute: str) -> None:
+    """Reject values no generated hierarchy can hold: none at all, a repeated
+    or empty one, or one holding ",", "{" or "}" (which set labels use) or
+    ";", "\\n" or "\\r" (which the hierarchy file uses)."""
+    if not values:
+        raise InputError(f"attribute {attribute!r} has no values to generalize")
+    if len(set(values)) != len(values):
+        raise InputError(f"the values of attribute {attribute!r} must be distinct")
+    for value in values:
+        if not value:
+            raise InputError(f"value '' of attribute {attribute!r} is empty")
+        for chars, user in ((",{}", "generalized set labels"), (";\n\r", "the hierarchy file")):
+            if any(c in value for c in chars):
+                raise InputError(
+                    f"value {value!r} of attribute {attribute!r} contains one of "
+                    f"{chars!r}, used by {user}"
+                )
+
+
 def build_vgh(
     values: Sequence[str],
     embeddings: Mapping[str, np.ndarray],
@@ -117,20 +136,11 @@ def build_vgh(
     cluster centers into one fewer non-empty cluster per step, levelling after
     each step, so each step also merges exactly two clusters. Either way n
     values give n + 1 levels: a final all-"*" level is always appended (and is
-    the only non-identity level for a single value). Values may not contain
-    ",", "{" or "}", so that every set label names exactly one block.
+    the only non-identity level for a single value). Values must pass
+    ``check_values``, so that every set label names exactly one block.
     """
     values = list(values)
-    if not values:
-        raise InputError("cannot build a hierarchy for zero values")
-    if len(set(values)) != len(values):
-        raise InputError("hierarchy values must be distinct")
-    for value in values:
-        if any(c in value for c in ",{}"):
-            raise InputError(
-                f"value {value!r} of attribute {attribute!r} contains ',', '{{' or '}}', "
-                "which generalized set labels use"
-            )
+    check_values(values, attribute)
     if method not in METHODS:
         raise InputError(f"unknown clustering method {method!r}")
     missing = [v for v in values if v not in embeddings]

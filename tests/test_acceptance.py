@@ -47,7 +47,7 @@ def adult_runs(adult):
     for k in (2, 5, 10, 30, 200):
         params = PrivacyParams(k=k, l=2, sup_limit=0.5)
         started = time.monotonic()
-        result = search(adult["train"], adult["spec"], adult["vghs"], params)
+        [result] = search(adult["train"], adult["spec"], adult["vghs"], [params])
         runs[k] = (result, time.monotonic() - started)
     return runs
 
@@ -59,7 +59,7 @@ def test_criterion_1_search_matches_exhaustive_enumeration():
         satisfied_count = 0
         for _ in range(100):
             table, spec, vghs, params = oracles.random_instance(rng)
-            result = search(table, spec, vghs, params)
+            [result] = search(table, spec, vghs, [params])
             satisfying = oracles.exhaustive_satisfying(table, spec, vghs, params)
             if satisfying:
                 assert result.satisfied

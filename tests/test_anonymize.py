@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -97,7 +98,7 @@ class TestApplyNode:
     def test_unknown_leaf_names_column_and_value(self, ab_vgh):
         table = make_table(q=["zzz"])
         with pytest.raises(InputError, match=r"'zzz' in column 'q'"):
-            search(table, QiSpec(["q"]), {"q": ab_vgh}, PrivacyParams(k=1))
+            list(search(table, QiSpec(["q"]), {"q": ab_vgh}, [PrivacyParams(k=1)]))
 
 
 class TestCheckPrivacy:
@@ -134,7 +135,7 @@ class TestCheckPrivacy:
             with pytest.raises(InputError, match="sensitive"):
                 lattice.groups((0,), PrivacyParams(k=1, l=2))
             with pytest.raises(InputError, match="sensitive"):
-                search(rows, QiSpec(["q"]), {"q": ab_vgh}, PrivacyParams(k=1, l=2))
+                list(search(rows, QiSpec(["q"]), {"q": ab_vgh}, [PrivacyParams(k=1, l=2)]))
 
 
 RADICES = [1, 2, 3, 7, 2**20, 2**31]
@@ -170,10 +171,24 @@ class TestFold:
         assert first_row.tolist() == expected_first.tolist()
 
 
+class TestGenerateVghs:
+    class NeverFetched:
+        provider_id = "never-fetched"
+
+        def fetch(self, values):
+            raise AssertionError(f"fetched {values!r}")
+
+    @pytest.mark.parametrize("bad", ["a,b", "{a}", "a;b", "a\nb", "a\rb", ""])
+    def test_every_column_is_checked_before_any_is_embedded(self, bad):
+        table = make_table(p=["x", "y"], q=["c", bad])
+        with pytest.raises(InputError, match=re.escape(repr(bad))):
+            generate_vghs(table, ["p", "q"], self.NeverFetched(), WARD)
+
+
 class TestSearch:
     def test_vacuous_params_pick_the_identity(self, abc_table_spec, ab_vgh):
         table, spec = abc_table_spec
-        result = search(table, spec, {"q": ab_vgh}, PrivacyParams(k=1, l=1))
+        [result] = search(table, spec, {"q": ab_vgh}, [PrivacyParams(k=1, l=1)])
         assert result.node == (0,)
         assert result.loss == 0.0
         assert result.satisfied
@@ -181,7 +196,7 @@ class TestSearch:
 
     def test_prefers_suppression_when_loss_is_lower(self, abc_table_spec, ab_vgh):
         table, spec = abc_table_spec
-        result = search(table, spec, {"q": ab_vgh}, PrivacyParams(k=2, sup_limit=0.34))
+        [result] = search(table, spec, {"q": ab_vgh}, [PrivacyParams(k=2, sup_limit=0.34)])
         assert result.node == (0,)
         assert result.loss == 0.0
         assert result.suppressed.tolist() == [False, False, True]
@@ -189,7 +204,7 @@ class TestSearch:
 
     def test_generalizes_when_suppression_budget_is_tight(self, abc_table_spec, ab_vgh):
         table, spec = abc_table_spec
-        result = search(table, spec, {"q": ab_vgh}, PrivacyParams(k=2, sup_limit=0.2))
+        [result] = search(table, spec, {"q": ab_vgh}, [PrivacyParams(k=2, sup_limit=0.2)])
         assert result.node == (1,)
         assert result.loss == 0.5
         assert not result.suppressed.any()
@@ -197,7 +212,7 @@ class TestSearch:
 
     def test_unsatisfiable_returns_all_top(self, ab_vgh):
         table = make_table(q=["a"])
-        result = search(table, QiSpec(["q"]), {"q": ab_vgh}, PrivacyParams(k=2, sup_limit=0.0))
+        [result] = search(table, QiSpec(["q"]), {"q": ab_vgh}, [PrivacyParams(k=2, sup_limit=0.0)])
         assert not result.satisfied
         assert result.node == (2,)
         assert result.loss == 1.0
@@ -205,7 +220,7 @@ class TestSearch:
 
     def test_empty_table_is_trivially_satisfied(self, ab_vgh):
         table = make_table(q=[])
-        result = search(table, QiSpec(["q"]), {"q": ab_vgh}, PrivacyParams(k=3))
+        [result] = search(table, QiSpec(["q"]), {"q": ab_vgh}, [PrivacyParams(k=3)])
         assert result.satisfied
         assert result.node == (0,)
 
@@ -216,13 +231,13 @@ class TestSearch:
         table = make_table(**{f"q{j}": ["v0"] for j in range(4)})
         vghs = {f"q{j}": Vgh(f"q{j}", big.leaves, big.levels) for j in range(4)}
         with pytest.raises(InputError, match="lattice"):
-            search(table, QiSpec([f"q{j}" for j in range(4)]), vghs, PrivacyParams(k=1))
+            list(search(table, QiSpec([f"q{j}" for j in range(4)]), vghs, [PrivacyParams(k=1)]))
 
     def test_post_hoc_guarantee_on_satisfied_results(self):
         rng = np.random.default_rng(404)
         for _ in range(15):
             table, spec, vghs, params = oracles.random_instance(rng)
-            result = search(table, spec, vghs, params)
+            [result] = search(table, spec, vghs, [params])
             if not result.satisfied:
                 continue
             assert result.suppressed.sum() / max(table.row_count, 1) <= params.sup_limit
@@ -236,8 +251,9 @@ class TestSearch:
                 assert len({sa[i] for i in rows}) >= params.l
 
     @staticmethod
-    def assert_matches_oracle(table, spec, vghs, params):
-        result = search(table, spec, vghs, params)
+    def assert_matches_oracle(table, spec, vghs, params, result=None):
+        if result is None:
+            [result] = search(table, spec, vghs, [params])
         satisfying = oracles.exhaustive_satisfying(table, spec, vghs, params)
         if satisfying:
             assert result.satisfied
@@ -279,6 +295,51 @@ class TestSearch:
             )
         assert any(outcomes) and not all(outcomes)
 
+    @staticmethod
+    def random_sweep(rng):
+        """A random instance with 3-5 privacy entries; k up to 60 exceeds the
+        row count, so sweeps mix satisfiable and unsatisfiable entries."""
+        table, spec, vghs, params = oracles.random_instance(rng)
+        sweep = [params] + [
+            PrivacyParams(
+                k=int(rng.integers(1, 61)),
+                l=int(rng.choice([1, 2])),
+                sup_limit=float(rng.choice([0.0, 0.2, 0.5])),
+            )
+            for _ in range(int(rng.integers(2, 5)))
+        ]
+        return table, spec, vghs, sweep
+
+    @staticmethod
+    def assert_same_result(result, other):
+        assert result.node == other.node
+        assert result.loss == other.loss
+        assert result.satisfied == other.satisfied
+        assert result.groups.tolist() == other.groups.tolist()
+        assert result.table == other.table
+
+    def test_sweep_matches_one_entry_sweeps_and_the_oracle(self):
+        rng = np.random.default_rng(1010)
+        outcomes = []
+        for _ in range(20):
+            table, spec, vghs, sweep = self.random_sweep(rng)
+            results = list(search(table, spec, vghs, sweep))
+            assert len(results) == len(sweep)
+            for params, result in zip(sweep, results):
+                [alone] = search(table, spec, vghs, [params])
+                self.assert_same_result(result, alone)
+                outcomes.append(self.assert_matches_oracle(table, spec, vghs, params, result))
+        assert any(outcomes) and not all(outcomes)
+
+    def test_reversed_sweep_gives_reversed_results(self):
+        rng = np.random.default_rng(2020)
+        for _ in range(20):
+            table, spec, vghs, sweep = self.random_sweep(rng)
+            forward = list(search(table, spec, vghs, sweep))
+            backward = list(search(table, spec, vghs, sweep[::-1]))
+            for result, other in zip(forward, backward[::-1]):
+                self.assert_same_result(result, other)
+
     def test_checks_only_the_boundary_on_the_adult_fixture(self, adult_paths, monkeypatch):
         train = load_csv(adult_paths["train"])
         spec = QiSpec(list(datagen.QI), datagen.SA)
@@ -292,7 +353,7 @@ class TestSearch:
             return check(lattice, node, params)
 
         monkeypatch.setattr(_CodedLattice, "check", counting_check)
-        result = search(train, spec, vghs, PrivacyParams(k=200, l=2, sup_limit=0.5))
+        [result] = search(train, spec, vghs, [PrivacyParams(k=200, l=2, sup_limit=0.5)])
         assert result.satisfied
         # The boundary here is 69 minimal passing and 66 maximal failing nodes,
         # while 72,191 of the lattice's 116,960 nodes fail.
@@ -302,7 +363,7 @@ class TestSearch:
         rng = np.random.default_rng(77)
         for _ in range(30):
             table, spec, vghs, params = oracles.random_instance(rng)
-            result = search(table, spec, vghs, params)
+            [result] = search(table, spec, vghs, [params])
             mask = oracles.naive_suppressed(table, spec, vghs, result.node, params)
             assert result.suppressed.tolist() == mask
             assert result.table == oracles.naive_generalize(table, spec, vghs, result.node, mask)
@@ -315,7 +376,7 @@ class TestSearch:
         compared = 0
         for _ in range(60):
             table, spec, vghs, params = oracles.random_instance(rng)
-            result = search(table, spec, vghs, params)
+            [result] = search(table, spec, vghs, [params])
             if result.node == tuple(vghs[a].level_count - 1 for a in spec.qi):
                 continue
             compared += 1

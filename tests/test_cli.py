@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from clustem.anonymize import _CodedLattice
 from clustem.cli import main
 from clustem.tabular import group_ids, load_csv
 from clustem.vgh import build_vgh, read_hierarchy, write_hierarchy
@@ -147,6 +148,48 @@ class TestVghBuild:
         assert repr(bad) in err and "'q'" in err
         assert not (tmp_path / "h" / "q.csv").exists()
 
+    @pytest.mark.parametrize(
+        "value, vectors, use",
+        [
+            # No vector for the value's token: rejected before any fetch.
+            ("a,b", "1 1\nc 0\n", "set labels"),
+            # A vector exists, but the value would break the hierarchy file.
+            ("a;b", "2 1\na;b 1\nc 0\n", "hierarchy file"),
+        ],
+    )
+    def test_bad_value_is_rejected_before_embedding(self, tmp_path, capsys, value, vectors, use):
+        data = tmp_path / "data.csv"
+        data.write_text(f'q\n"{value}"\nc\n', encoding="utf-8")
+        (tmp_path / "vecs.txt").write_text(vectors, encoding="utf-8")
+        code = main(
+            [
+                "vgh", "build",
+                "--input", str(data),
+                "--columns", "q",
+                "--vectors", str(tmp_path / "vecs.txt"),
+                "--out-dir", str(tmp_path / "h"),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert repr(value) in err and use in err
+        assert not (tmp_path / "h").exists()
+
+    def test_repeated_column_is_a_config_error(self, small_inputs, capsys):
+        out = small_inputs["dir"] / "h"
+        code = main(
+            [
+                "vgh", "build",
+                "--input", small_inputs["csv"],
+                "--columns", "job,job",
+                "--vectors", small_inputs["vectors"],
+                "--out-dir", str(out),
+            ]
+        )
+        assert code == 2
+        assert "column 'job' is named more than once" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("method", ["ward", "kmeans"])
     def test_overflowing_vectors_are_a_provider_error(self, small_inputs, capsys, method):
         vectors = small_inputs["dir"] / "huge.txt"
@@ -211,6 +254,65 @@ class TestAnonymize:
         for k in (2, 3, 4):
             assert (out / f"k{k}" / "anonymized.csv").exists()
             assert (out / f"k{k}" / "report.json").exists()
+
+    def test_sweep_codes_the_table_once(self, small_inputs, monkeypatch):
+        inits = []
+        init = _CodedLattice.__init__
+
+        def counting_init(lattice, *args):
+            inits.append(args)
+            init(lattice, *args)
+
+        monkeypatch.setattr(_CodedLattice, "__init__", counting_init)
+        code, out = run_anonymize(small_inputs, "once", "--k", "2,3", "--sup-limit", "0.5")
+        assert code == 0
+        assert len(inits) == 1
+        for k in (2, 3):
+            report = json.loads((out / f"k{k}" / "report.json").read_text())
+            assert report["requested"]["k"] == k
+            assert report["meta"]["started_at"] <= report["meta"]["finished_at"]
+
+    def test_repeated_k_flag_is_a_config_error(self, small_inputs, capsys):
+        code, out = run_anonymize(small_inputs, "twice", "--k", "2,2")
+        assert code == 2
+        assert "k 2 is named more than once" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_repeated_k_in_config_is_a_config_error(self, small_inputs, capsys):
+        config = small_inputs["dir"] / "twice.json"
+        config.write_text(json.dumps({**VALID_CONFIG, "k": "2,2"}), encoding="utf-8")
+        out = small_inputs["dir"] / "twice"
+        code = main(
+            [
+                "anonymize",
+                "--input", small_inputs["csv"],
+                "--out", str(out),
+                "--config", str(config),
+                "--vectors", small_inputs["vectors"],
+            ]
+        )
+        assert code == 2
+        assert "k 2 is named more than once" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bad_value_leaves_no_hierarchy_directory(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text("q,s\na;b,x\nc,y\n", encoding="utf-8")
+        (tmp_path / "vecs.txt").write_text("2 1\na;b 1\nc 0\n", encoding="utf-8")
+        out = tmp_path / "out"
+        code = main(
+            [
+                "anonymize",
+                "--input", str(data),
+                "--out", str(out),
+                "--qi", "q",
+                "--k", "1",
+                "--vectors", str(tmp_path / "vecs.txt"),
+            ]
+        )
+        assert code == 2
+        assert "'a;b'" in capsys.readouterr().err
+        assert not (out / "hierarchies").exists()
 
     def test_out_of_range_sup_limit(self, small_inputs, capsys):
         code, _ = run_anonymize(small_inputs, "bad", "--k", "2", "--sup-limit", "1.5")
@@ -527,6 +629,31 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert "'hours'" in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("missing_from", ["train", "test"])
+    def test_numeric_feature_missing_from_one_table_is_an_input_error(
+        self, small_inputs, capsys, missing_from
+    ):
+        lines = (small_inputs["dir"] / "data.csv").read_text(encoding="utf-8").splitlines()
+        no_hours = small_inputs["dir"] / "no-hours.csv"
+        no_hours.write_text("".join(line.rsplit(",", 1)[0] + "\n" for line in lines), "utf-8")
+        paths = {"train": small_inputs["csv"], "test": small_inputs["csv"]}
+        paths[missing_from] = str(no_hours)
+        out = small_inputs["dir"] / "eval_missing.json"
+        code = main(
+            [
+                "evaluate",
+                "--train", paths["train"],
+                "--test", paths["test"],
+                "--qi", "job,grade",
+                "--sa", "salary-class",
+                "--numeric-features", "hours",
+                "--out", str(out),
+            ]
+        )
+        assert code == 2
+        assert "unknown column 'hours'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_evaluates_an_anonymized_output(self, small_inputs):

@@ -255,6 +255,19 @@ class TestEmbedAll:
         with pytest.raises(ProviderError, match="cache"):
             embed_all(["a"], _CountingProvider(), cache_path=str(cache))
 
+    def test_every_path_to_a_vector_file_shares_its_cache(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "v.txt").write_text("2 2\na 1 0\nb 0 1\n", encoding="utf-8")
+        (tmp_path / "link.txt").symlink_to(tmp_path / "v.txt")
+        first = embed_all(["a", "b"], WordVectorProvider("v.txt"), cache_path="cache.json")
+        for path in ["v.txt", "./v.txt", str(tmp_path / "v.txt"), "link.txt"]:
+            provider = WordVectorProvider(path)
+            monkeypatch.setattr(provider, "fetch", lambda values: pytest.fail("fetched"))
+            served = embed_all(["a", "b"], provider, cache_path="cache.json")
+            assert {v: e.tolist() for v, e in served.items()} == {
+                v: e.tolist() for v, e in first.items()
+            }
+
     def test_partial_cache_fetches_only_misses(self, tmp_path):
         cache = str(tmp_path / "cache.json")
         provider = _CountingProvider()

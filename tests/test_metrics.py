@@ -149,7 +149,7 @@ class TestReportRecompute:
             values, {v: np.array([float(i)]) for i, v in enumerate(values)}, "ward", attribute="q"
         )
         params = PrivacyParams(k=2, l=2, sup_limit=0.2)
-        result = search(table, spec, {"q": vgh}, params)
+        [result] = search(table, spec, {"q": vgh}, [params])
         direct = compute_report(
             table.row_count, result.groups, table.column("s").values, params, result.node
         )
