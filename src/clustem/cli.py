@@ -25,7 +25,7 @@ from .embed import (
 )
 from .errors import InputError, ProviderError
 from .tabular import QiSpec, atomic_write, group_ids, load_csv, write_csv
-from .vgh import KMEANS, WARD, read_hierarchy, write_hierarchy
+from .vgh import METHODS, WARD, read_hierarchy, write_hierarchy
 
 EXIT_OK = 0
 EXIT_UNSATISFIED = 1
@@ -48,7 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
     build = vgh_sub.add_parser("build", help="build one hierarchy file per column")
     build.add_argument("--input", required=True, help="input CSV with a header row")
     build.add_argument("--columns", required=True, help="comma-separated nominal columns")
-    build.add_argument("--method", choices=[KMEANS, WARD], default=WARD)
+    build.add_argument("--method", choices=METHODS, default=WARD)
     build.add_argument("--seed", type=_seed, default=0)
     build.add_argument("--out-dir", required=True, help="directory for <column>.csv files")
     _add_provider_flags(build)
@@ -63,7 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
     anon.add_argument("--k", help="k value, comma-separated sweep, or 'preset'")
     anon.add_argument("--l", type=int, help="required distinct sensitive values per group")
     anon.add_argument("--sup-limit", type=float, help="max fraction of suppressed records")
-    anon.add_argument("--method", choices=[KMEANS, WARD])
+    anon.add_argument("--method", choices=METHODS)
     anon.add_argument("--seed", type=_seed)
     anon.add_argument(
         "--hierarchies-dir",
@@ -129,7 +129,7 @@ def _once(entries: list, what: str) -> list:
     return entries
 
 
-def _provider_from_args(args) -> tuple[object, str]:
+def _provider_from_args(args):
     if args.vectors and args.api_endpoint:
         raise InputError("configure either --vectors or an API endpoint, not both")
     if args.vectors:
@@ -145,8 +145,7 @@ def _provider_from_args(args) -> tuple[object, str]:
         raise InputError(
             "an embedding source is required: --vectors or --api-endpoint/--api-model"
         )
-    provider = create_provider(config)
-    return provider, provider.provider_id
+    return create_provider(config)
 
 
 def _now() -> str:
@@ -161,7 +160,7 @@ def _write_json(path: Path, payload: dict) -> None:
 def _cmd_vgh_build(args) -> int:
     table = load_csv(args.input)
     columns = _parse_names(args.columns)
-    provider, _ = _provider_from_args(args)
+    provider = _provider_from_args(args)
     vghs = generate_vghs(table, columns, provider, args.method, args.seed, args.cache)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -240,7 +239,7 @@ def _cmd_anonymize(args) -> int:
     l_value = args.l if args.l is not None else config.get("l", 1)
     sup_limit = args.sup_limit if args.sup_limit is not None else config.get("sup_limit", 0.0)
     method = args.method or config.get("method", WARD)
-    if method not in (KMEANS, WARD):
+    if method not in METHODS:
         raise InputError(f"unknown clustering method {method!r}")
     seed = args.seed if args.seed is not None else config.get("seed", 0)
     sweep = [PrivacyParams(k=k, l=l_value, sup_limit=sup_limit) for k in ks]
@@ -265,7 +264,8 @@ def _cmd_anonymize(args) -> int:
     kmeans_repairs = 0
     to_generate = [attr for attr in spec.qi if attr not in vghs]
     if to_generate:
-        provider, provider_id = _provider_from_args(args)
+        provider = _provider_from_args(args)
+        provider_id = provider.provider_id
         generated = generate_vghs(table, to_generate, provider, method, seed, args.cache)
         hierarchy_dir = out_root / "hierarchies"
         hierarchy_dir.mkdir(parents=True, exist_ok=True)

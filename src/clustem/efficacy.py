@@ -2,12 +2,13 @@
 
 Nominal QI cells are multi-hot encoded against the hierarchy leaves: a plain
 leaf sets its own bit, a "{a,b}" set label sets every member's bit, and "*"
-sets the whole attribute block. Numeric features are standardized with
-training statistics only. Their cells must be finite numbers or the missing
-marker "?"; any other cell (text, "nan", "inf", "1e999") is an input error
-(exit 2). The classifier is an L2-penalised logistic regression fitted by
-full-batch Newton steps to convergence. It has no shuffling and no seed, so
-the same tables always give the same model and the same scores.
+sets the whole attribute block; ``vgh.label_leaves`` reads which leaves a
+label names. Numeric features are standardized with training statistics only.
+Their cells must be finite numbers or the missing marker "?"; any other cell
+(text, "nan", "inf", "1e999") is an input error (exit 2). The classifier is an
+L2-penalised logistic regression fitted by full-batch Newton steps to
+convergence. It has no shuffling and no seed, so the same tables always give
+the same model and the same scores.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import numpy as np
 
 from .errors import InputError
 from .tabular import MISSING, SUPPRESSED, Table
+from .vgh import label_leaves
 
 logger = logging.getLogger(__name__)
 
@@ -72,18 +74,12 @@ class LogisticModel:
 
 def infer_leaves(tables: Sequence[Table], qi: Sequence[str]) -> dict[str, list[str]]:
     """Recover per-attribute leaf vocabularies from raw and generalized cells:
-    plain cells count as leaves, "{...}" labels contribute their members, "*"
-    contributes nothing."""
+    the leaves every cell's label names (``vgh.label_leaves``)."""
     leaves: dict[str, set[str]] = {attr: set() for attr in qi}
     for table in tables:
         for attr in qi:
-            for cell in table.column(attr).values:
-                if cell == SUPPRESSED:
-                    continue
-                if cell.startswith("{") and cell.endswith("}"):
-                    leaves[attr].update(m for m in cell[1:-1].split(",") if m)
-                else:
-                    leaves[attr].add(cell)
+            for cell in set(table.column(attr).values):
+                leaves[attr].update(label_leaves(cell))
     return {attr: sorted(vals) for attr, vals in leaves.items()}
 
 
@@ -96,26 +92,23 @@ def _multi_hot(
     table: Table, qi: Sequence[str], leaves: Mapping[str, Sequence[str]]
 ) -> np.ndarray:
     blocks = []
-    unseen: set[tuple[str, str]] = set()
     for attr in qi:
         leaf_index = {leaf: i for i, leaf in enumerate(leaves[attr])}
-        block = np.zeros((table.row_count, len(leaf_index)))
-        for row, cell in enumerate(table.column(attr).values):
+        distinct: dict[str, int] = {}
+        rows = [distinct.setdefault(cell, len(distinct)) for cell in table.column(attr).values]
+        encoded = np.zeros((len(distinct), len(leaf_index)))
+        unseen: set[str] = set()
+        for i, cell in enumerate(distinct):
             if cell == SUPPRESSED:
-                block[row, :] = 1.0
-            elif cell in leaf_index:
-                block[row, leaf_index[cell]] = 1.0
-            elif cell.startswith("{") and cell.endswith("}"):
-                for member in cell[1:-1].split(","):
-                    if member in leaf_index:
-                        block[row, leaf_index[member]] = 1.0
-                    elif (attr, member) not in unseen:
-                        unseen.add((attr, member))
-                        logger.warning("unknown leaf %r inside %r for %r", member, cell, attr)
-            elif (attr, cell) not in unseen:
-                unseen.add((attr, cell))
-                logger.warning("unseen value %r for %r encoded as all-zero", cell, attr)
-        blocks.append(block)
+                encoded[i] = 1.0
+                continue
+            for leaf in [cell] if cell in leaf_index else label_leaves(cell):
+                if leaf in leaf_index:
+                    encoded[i, leaf_index[leaf]] = 1.0
+                elif leaf not in unseen:
+                    unseen.add(leaf)
+                    logger.warning("unseen leaf %r in %r for %r encoded as zero", leaf, cell, attr)
+        blocks.append(encoded[np.array(rows, dtype=np.intp)])
     return np.hstack(blocks) if blocks else np.zeros((table.row_count, 0))
 
 
@@ -160,11 +153,9 @@ def encode(
         raise InputError(
             f"label column {label_column!r} must be binary, found {sorted(observed)[:4]}"
         )
-    names = [f"{attr}={leaf}" for attr in qi for leaf in sorted(leaves[attr])] + list(
-        numeric_features
-    )
-
     sorted_leaves = {attr: sorted(leaves[attr]) for attr in qi}
+    names = [f"{attr}={leaf}" for attr in qi for leaf in sorted_leaves[attr]]
+    names += numeric_features
     train_numeric = _numeric_matrix(train, numeric_features, "training")
     test_numeric = _numeric_matrix(test, numeric_features, "test")
     if train_numeric.shape[1]:

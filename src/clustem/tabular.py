@@ -150,7 +150,9 @@ def write_csv(table: Table, path: str) -> None:
 def group_ids(table: Table, qi: Sequence[str]) -> np.ndarray:
     """One int64 id per row, shared by the rows with equal QI cells (ids count
     up from 0 in order of first appearance); -1 on rows whose QI cells are all
-    "*", the mark of a suppressed row in a written table."""
+    "*", the mark of a suppressed row in a written table. "*" is also the top
+    label, so a row generalized to the top of every QI gets -1 too: a written
+    table cannot tell it from a suppressed row."""
     columns = [table.column(name).values for name in qi]
     suppressed = (SUPPRESSED,) * len(columns)
     ids: dict[tuple[str, ...], int] = {}

@@ -5,7 +5,8 @@ generalized label: level 0 is the identity, the top level maps everything to
 "*", and each level's partition coarsens the previous one. Hierarchy files
 use the ";"-separated one-row-per-leaf layout common to lattice anonymizers,
 so generalized set labels use "," inside braces (";" would break the file
-format).
+format). This module owns that label grammar: ``get_categories`` writes
+labels, ``Vgh.validate`` checks them and ``label_leaves`` reads them.
 """
 
 from __future__ import annotations
@@ -18,9 +19,11 @@ import numpy as np
 
 from . import cluster
 from .errors import InputError
-from .tabular import atomic_write
+from .tabular import SUPPRESSED, atomic_write
 
-TOP = "*"
+# The top label is the suppression mark: a written table marks a suppressed
+# row by it too, and readers of that table take both as "any value".
+TOP = SUPPRESSED
 KMEANS = "kmeans"
 WARD = "ward"
 METHODS = (KMEANS, WARD)
@@ -50,8 +53,8 @@ class Vgh:
             raise InputError(f"hierarchy for {self.attribute!r} has no leaves")
         if len(set(self.leaves)) != len(self.leaves):
             raise InputError(f"hierarchy for {self.attribute!r} has duplicate leaves")
-        if any(not leaf for leaf in self.leaves):
-            raise InputError(f"hierarchy for {self.attribute!r} has an empty leaf value")
+        if any(leaf in ("", TOP) for leaf in self.leaves):
+            raise InputError(f"hierarchy for {self.attribute!r} has an empty or {TOP!r} leaf")
         if not self.levels:
             raise InputError(f"hierarchy for {self.attribute!r} has no levels")
         leaf_set = set(self.leaves)
@@ -60,6 +63,14 @@ class Vgh:
                 raise InputError(
                     f"hierarchy for {self.attribute!r}: level {i} does not map every leaf"
                 )
+            labels = set(level.values())
+            if TOP in labels and i < len(self.levels) - 1:
+                raise InputError(
+                    f"hierarchy for {self.attribute!r}: level {i} has the suppression mark {TOP!r}"
+                )
+            for label in labels:
+                if FIELD_SEPARATOR in label or "\n" in label or "\r" in label:
+                    raise InputError(f"label {label!r} holds the field separator or a newline")
         for leaf in self.leaves:
             if self.levels[0][leaf] != leaf:
                 raise InputError(
@@ -67,7 +78,7 @@ class Vgh:
                 )
             if self.levels[-1][leaf] != TOP:
                 raise InputError(
-                    f"hierarchy for {self.attribute!r}: top level must map everything to '*'"
+                    f"hierarchy for {self.attribute!r}: top level must map everything to {TOP!r}"
                 )
         for i in range(len(self.levels) - 1):
             fine, coarse = self.levels[i], self.levels[i + 1]
@@ -100,21 +111,34 @@ def get_categories(values: Sequence[str], labels: Sequence[int]) -> dict[str, st
     return out
 
 
+def label_leaves(label: str) -> list[str]:
+    """The leaves a label names, as ``get_categories`` writes it: the members
+    of a "{a,b}" set label (empty members dropped), none for the top label
+    "*" (which stands for every leaf), and otherwise the label itself."""
+    if label == TOP:
+        return []
+    if label.startswith("{") and label.endswith("}"):
+        return [member for member in label[1:-1].split(",") if member]
+    return [label]
+
+
 def _step_seed(seed: int, step: int) -> int:
     return int(np.random.SeedSequence([seed, step]).generate_state(1)[0])
 
 
 def check_values(values: Sequence[str], attribute: str) -> None:
     """Reject values no generated hierarchy can hold: none at all, a repeated
-    or empty one, or one holding ",", "{" or "}" (which set labels use) or
-    ";", "\\n" or "\\r" (which the hierarchy file uses)."""
+    or empty one, "*" (the top label), or one holding ",", "{" or "}" (which
+    set labels use) or ";", "\\n" or "\\r" (which the hierarchy file uses)."""
     if not values:
         raise InputError(f"attribute {attribute!r} has no values to generalize")
     if len(set(values)) != len(values):
         raise InputError(f"the values of attribute {attribute!r} must be distinct")
     for value in values:
-        if not value:
-            raise InputError(f"value '' of attribute {attribute!r} is empty")
+        if value in ("", TOP):
+            raise InputError(
+                f"value {value!r} of attribute {attribute!r} is empty or the suppression mark"
+            )
         for chars, user in ((",{}", "generalized set labels"), (";\n\r", "the hierarchy file")):
             if any(c in value for c in chars):
                 raise InputError(
@@ -172,15 +196,7 @@ def build_vgh(
 def write_hierarchy(vgh: Vgh, path: str) -> None:
     """Write one ";"-separated row per leaf, levels as columns, no header."""
     vgh.validate()
-    lines = []
-    for leaf in vgh.leaves:
-        fields = [level[leaf] for level in vgh.levels]
-        for value in fields:
-            if FIELD_SEPARATOR in value or "\n" in value or "\r" in value:
-                raise InputError(
-                    f"hierarchy label {value!r} contains the field separator or a newline"
-                )
-        lines.append(FIELD_SEPARATOR.join(fields))
+    lines = [FIELD_SEPARATOR.join(level[leaf] for level in vgh.levels) for leaf in vgh.leaves]
     with atomic_write(path) as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -198,13 +214,10 @@ def read_hierarchy(path: str, attribute: str | None = None) -> Vgh:
     widths = {len(r) for r in rows}
     if len(widths) != 1:
         raise InputError(f"{path}: rows have unequal column counts {sorted(widths)}")
-    leaves = [r[0] for r in rows]
-    if len(set(leaves)) != len(leaves):
-        raise InputError(f"{path}: duplicate leaf rows")
     levels = [{row[0]: row[j] for row in rows} for j in range(widths.pop())]
     vgh = Vgh(
         attribute=attribute if attribute is not None else Path(path).stem,
-        leaves=leaves,
+        leaves=[row[0] for row in rows],
         levels=levels,
     )
     vgh.validate()

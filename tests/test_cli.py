@@ -724,3 +724,90 @@ class TestEvaluate:
         assert f"{feature!r}, data row 1" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+
+def run_with_hierarchy_files(tmp_path, rows, hierarchies, *flags):
+    """Anonymize ``rows`` (the first is the header; the last column is the SA)
+    with hand-written hierarchy files; returns the exit code and --out."""
+    data = tmp_path / "data.csv"
+    data.write_text("".join(",".join(row) + "\n" for row in rows), encoding="utf-8")
+    hdir = tmp_path / "given"
+    hdir.mkdir()
+    for attr, text in hierarchies.items():
+        (hdir / f"{attr}.csv").write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    code = main(
+        [
+            "anonymize",
+            "--input", str(data),
+            "--out", str(out),
+            "--qi", ",".join(hierarchies),
+            "--sa", rows[0][-1],
+            "--hierarchies-dir", str(hdir),
+            *flags,
+        ]
+    )
+    return code, out
+
+
+class TestSuppressionMark:
+    """A written table marks a suppressed row by "*" in every QI cell, so "*"
+    is no data value and no hierarchy label below the top."""
+
+    def test_value_star_is_a_config_error(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text("q,s\n*,x\na,y\n*,y\na,x\n", encoding="utf-8")
+        (tmp_path / "vecs.txt").write_text("2 1\n* 0\na 1\n", encoding="utf-8")
+        out = tmp_path / "out"
+        code = main(
+            [
+                "anonymize",
+                "--input", str(data),
+                "--out", str(out),
+                "--qi", "q",
+                "--k", "2",
+                "--vectors", str(tmp_path / "vecs.txt"),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "value '*' of attribute 'q'" in err
+        assert not (out / "hierarchies").exists()
+
+    def test_star_below_the_top_of_a_hierarchy_file_is_a_config_error(self, tmp_path, capsys):
+        rows = [("q", "s")] + list(zip("aaaabcde", "xyxyxyxy"))
+        code, out = run_with_hierarchy_files(
+            tmp_path, rows, {"q": "a;*;*\nb;*;*\nc;c;*\nd;d;*\ne;e;*\n"},
+            "--k", "2", "--sup-limit", "0.4",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "hierarchy for 'q': level 1 has the suppression mark '*'" in err
+        assert not out.exists()
+
+    def test_all_top_rows_read_as_suppressed_in_the_written_table(self, tmp_path):
+        # Only the all-top node gives k=4. The search counts those rows as
+        # retained; the written table cannot tell them from suppressed rows.
+        rows = [row.split(",") for row in ("q1,q2,s", "a,x,n", "a,y,p", "b,x,n", "b,y,p")]
+        code, out = run_with_hierarchy_files(
+            tmp_path, rows, {"q1": "a;*\nb;*\n", "q2": "x;*\ny;*\n"}, "--k", "4"
+        )
+        assert code == 0
+        report = json.loads((out / "report.json").read_text())
+        assert (report["node"], report["perc_recs"], report["achieved_k"]) == ([1, 1], 1.0, 4)
+        evaluation = out / "evaluation.json"
+        code = main(
+            [
+                "evaluate",
+                "--train", str(out / "anonymized.csv"),
+                "--test", str(tmp_path / "data.csv"),
+                "--qi", "q1,q2",
+                "--sa", "s",
+                "--k", "4",
+                "--positive-class", "p",
+                "--out", str(evaluation),
+            ]
+        )
+        assert code == 0
+        evaluated = json.loads(evaluation.read_text())
+        assert (evaluated["perc_recs"], evaluated["achieved_k"]) == (0.0, 0)

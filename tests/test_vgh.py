@@ -5,13 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _oracles as oracles
+from clustem.anonymize import _CodedLattice
+from clustem.efficacy import infer_leaves
 from clustem.errors import InputError
+from clustem.tabular import Column, QiSpec, Table
 from clustem.vgh import (
     KMEANS,
     WARD,
     Vgh,
     build_vgh,
     get_categories,
+    label_leaves,
     read_hierarchy,
     write_hierarchy,
 )
@@ -176,13 +181,70 @@ class TestHierarchyFiles:
         with pytest.raises(InputError, match=r"\*"):
             read_hierarchy(str(path))
 
-    def test_separator_inside_label_rejected_on_write(self):
+    def test_separator_inside_label_rejected_on_write(self, tmp_path):
         vgh = Vgh("x", ["a;b"], [{"a;b": "a;b"}, {"a;b": "*"}])
         with pytest.raises(InputError, match="separator"):
-            write_hierarchy(vgh, "/tmp/never-written.csv")
+            write_hierarchy(vgh, str(tmp_path / "never-written.csv"))
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "*\n",  # one level, whose only leaf is "*"
+            "*;*\na;*\n",  # "*" as a leaf
+            "a;*;*\nb;*;*\nc;c;*\n",  # "*" as the level-1 label of {a,b}
+        ],
+    )
+    def test_suppression_mark_is_only_the_top_label(self, tmp_path, text):
+        path = tmp_path / "q.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(InputError, match=r"'\*'"):
+            read_hierarchy(str(path))
 
     def test_duplicate_leaves_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a;*\na;*\n", encoding="utf-8")
         with pytest.raises(InputError, match="duplicate"):
             read_hierarchy(str(path))
+
+
+class TestLabelGrammar:
+    @pytest.mark.parametrize(
+        "label, leaves",
+        [("*", []), ("a", ["a"]), ("{a,b}", ["a", "b"]), ("{,a,}", ["a"]), ("{a", ["{a"])],
+    )
+    def test_label_leaves(self, label, leaves):
+        assert label_leaves(label) == leaves
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        source=st.sampled_from(["random", KMEANS, WARD]),
+        n=st.integers(1, 7),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_reader_names_the_blocks_the_writer_labelled(self, source, n, seed):
+        rng = np.random.default_rng(seed)
+        if source == "random":
+            vgh = oracles.random_vgh(rng, "q", n)
+        else:
+            values = [f"q{i}" for i in range(n)]
+            vgh = build_vgh(values, {v: rng.normal(size=2) for v in values}, source, seed)
+        for level in vgh.levels:
+            blocks: dict[str, list[str]] = {}
+            for leaf in vgh.leaves:
+                blocks.setdefault(level[leaf], []).append(leaf)
+            for label, block in blocks.items():
+                if label == "*":  # names no leaf itself: it stands for every leaf
+                    assert label_leaves(label) == [] and len(block) == len(vgh.leaves)
+                else:
+                    assert label_leaves(label) == sorted(block)
+
+        # A table generalized at a random node, some rows suppressed.
+        rows = [str(rng.choice(vgh.leaves)) for _ in range(int(rng.integers(1, 20)))]
+        table = Table([Column("q", rows)])
+        lattice = _CodedLattice(table, QiSpec(["q"]), {"q": vgh})
+        node = (int(rng.integers(vgh.level_count)),)
+        generalized = lattice.generalize(table, node, rng.random(len(rows)) < 0.3)
+        assert set(infer_leaves([generalized], ["q"])["q"]) <= set(vgh.leaves)
+        for leaf, cell in zip(rows, generalized.column("q").values):
+            assert cell == "*" or leaf in label_leaves(cell)
