@@ -251,6 +251,8 @@ def _cmd_anonymize(args) -> int:
     vghs = {}
     file_overrides = dict(config.get("hierarchies", {}))
     if args.hierarchies_dir:
+        if not Path(args.hierarchies_dir).is_dir():
+            raise InputError(f"--hierarchies-dir {args.hierarchies_dir} is not a directory")
         for attr in spec.qi:
             candidate = Path(args.hierarchies_dir) / f"{attr}.csv"
             if candidate.exists():

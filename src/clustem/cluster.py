@@ -3,6 +3,8 @@
 Distances are squared Euclidean throughout. KMeans runs Lloyd iterations from
 k-means++ seeding, keeps the best of a fixed number of seeded restarts, and
 repairs empty clusters so the requested cluster count is always met exactly.
+Within one call each point's distance row is computed once and shared by the
+restarts, and the seeding draw is numpy's ``Generator.choice`` steps inlined.
 Ward keeps a matrix of pairwise merge costs, recomputing only the merged
 cluster's row and column after each merge, and returns the partition after
 every merge: one cluster id per point.
@@ -10,6 +12,7 @@ every merge: one cluster id per point.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,21 +56,27 @@ def _sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
 
 
-def _plus_plus_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    n = points.shape[0]
+def _plus_plus_init(row, n: int, k: int, rng: np.random.Generator) -> list[int]:
+    """The indices of k k-means++ seeds; ``row(i)`` gives squared distances to point i."""
     chosen = [int(rng.integers(n))]
-    d2 = ((points - points[chosen[0]]) ** 2).sum(axis=1)
+    # The uniforms successive choice() calls would draw, in order. A fallback
+    # step uses none, and the rng is not used again, so unused ones are harmless.
+    uniforms = iter(rng.random(k - 1).tolist())
+    d2 = row(chosen[0])
     for _ in range(1, k):
         total = float(d2.sum())
         if total > 0.0:
-            idx = int(rng.choice(n, p=d2 / total))
+            # The steps of rng.choice(n, p=d2 / total), which draws one uniform.
+            cdf = (d2 / total).cumsum()
+            cdf /= cdf[-1]
+            idx = int(cdf.searchsorted(next(uniforms), side="right"))
         else:
             # All remaining mass sits on already-chosen positions (duplicate
             # points); fall back to the lowest unchosen index.
             idx = int(np.setdiff1d(np.arange(n), chosen)[0])
         chosen.append(idx)
-        d2 = np.minimum(d2, ((points - points[idx]) ** 2).sum(axis=1))
-    return points[chosen].copy()
+        d2 = np.minimum(d2, row(idx))
+    return chosen
 
 
 def _fill_empty_clusters(
@@ -98,7 +107,11 @@ def _fill_empty_clusters(
     return labels, int(empties.size)
 
 
-def _lloyd(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, int]:
+def _lloyd(
+    points: np.ndarray, centers: np.ndarray, dists: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, float, int]:
+    """Lloyd iterations from ``centers``; ``dists`` holds each point's squared
+    distance to each of them and is updated in place as the centers move."""
     k = centers.shape[0]
     prev_labels: np.ndarray | None = None
     prev_inertia = np.inf
@@ -106,7 +119,7 @@ def _lloyd(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndar
     inertia = 0.0
     repairs = 0
     for _ in range(KMEANS_MAX_ITER):
-        labels = _sq_dists(points, centers).argmin(axis=1)
+        labels = dists.argmin(axis=1)
         labels, nrep = _fill_empty_clusters(points, labels, centers, k)
         repairs += nrep
         sums = np.zeros_like(centers)
@@ -119,12 +132,14 @@ def _lloyd(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndar
         )
         prev_inertia = inertia
         shift = float(((new_centers - centers) ** 2).sum())
+        moved = (new_centers != centers).any(axis=1)
         centers = new_centers
         if prev_labels is not None and np.array_equal(labels, prev_labels):
             break
         prev_labels = labels
         if shift < KMEANS_TOL:
             break
+        dists[:, moved] = _sq_dists(points, centers[moved])
     return labels, centers, inertia, repairs
 
 
@@ -134,16 +149,27 @@ def kmeans(points, n_clusters: int, seed: int) -> ClusterAssignment:
     Runs Lloyd iterations from k-means++ seeding and returns the best of
     KMEANS_RESTARTS seeded restarts by inertia (ties favor the earlier
     restart). Identical inputs and seed give bit-identical output.
+
+    Each point's row of squared distances is computed at most once per call
+    and shared by the restarts' seeding and first Lloyd assignment (whose
+    centers are data points). The seeding draw is numpy's ``Generator.choice``
+    steps inlined, on the same uniforms, so it picks what ``choice`` would.
     """
     pts = _as_points(points)
     n = pts.shape[0]
     if not 1 <= n_clusters <= n:
         raise InputError(f"n_clusters must be in [1, {n}], got {n_clusters}")
+
+    @functools.cache
+    def row(i: int) -> np.ndarray:
+        return ((pts - pts[i]) ** 2).sum(axis=1)
+
     best: ClusterAssignment | None = None
     for child in np.random.SeedSequence(seed).spawn(KMEANS_RESTARTS):
         rng = np.random.default_rng(child)
-        centers0 = _plus_plus_init(pts, n_clusters, rng)
-        labels, centers, inertia, repairs = _lloyd(pts, centers0)
+        chosen = _plus_plus_init(row, n, n_clusters, rng)
+        dists = np.stack([row(i) for i in chosen], axis=1)
+        labels, centers, inertia, repairs = _lloyd(pts, pts[chosen], dists)
         if best is None or inertia < best.inertia:
             best = ClusterAssignment(labels, centers, inertia, repairs)
     assert best is not None

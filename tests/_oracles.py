@@ -1,4 +1,5 @@
-"""Independent brute-force references for the lattice search and metrics tests.
+"""Independent brute-force references for the lattice search and metrics tests,
+and a frozen copy of the former k-means for the bit-identity test.
 
 Everything here works on plain dicts and loops, deliberately sharing no code
 with the production search and metrics paths.
@@ -12,6 +13,8 @@ from collections import Counter
 import numpy as np
 
 from clustem.anonymize import PrivacyParams
+from clustem.cluster import KMEANS_MAX_ITER, KMEANS_RESTARTS, KMEANS_TOL, ClusterAssignment
+from clustem.errors import InputError
 from clustem.metrics import MetricReport
 from clustem.tabular import Column, QiSpec, Table
 from clustem.vgh import Vgh
@@ -152,3 +155,111 @@ def naive_report(n_rows, groups, sa_values, params, node=None) -> MetricReport:
         requested=params,
         node=node,
     )
+
+
+# k-means as it was before its distance rows were cached and its seeding draw
+# inlined, kept verbatim (helpers prefixed ``_ref``) so that ``cluster.kmeans``
+# can be checked bit for bit against it. It takes the points as a 2-D array.
+
+
+def _ref_sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    return ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+
+
+def _ref_plus_plus_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    n = points.shape[0]
+    chosen = [int(rng.integers(n))]
+    d2 = ((points - points[chosen[0]]) ** 2).sum(axis=1)
+    for _ in range(1, k):
+        total = float(d2.sum())
+        if total > 0.0:
+            idx = int(rng.choice(n, p=d2 / total))
+        else:
+            # All remaining mass sits on already-chosen positions (duplicate
+            # points); fall back to the lowest unchosen index.
+            idx = int(np.setdiff1d(np.arange(n), chosen)[0])
+        chosen.append(idx)
+        d2 = np.minimum(d2, ((points - points[idx]) ** 2).sum(axis=1))
+    return points[chosen].copy()
+
+
+def _ref_fill_empty_clusters(
+    points: np.ndarray, labels: np.ndarray, centers: np.ndarray, k: int
+) -> tuple[np.ndarray, int]:
+    """Move the point farthest from its assigned center into each empty cluster.
+
+    Points that are the sole member of their cluster stay put, so no repair can
+    empty another cluster. Ties break toward the lowest point index.
+    """
+    counts = np.bincount(labels, minlength=k)
+    empties = np.flatnonzero(counts == 0)
+    if empties.size == 0:
+        return labels, 0
+    labels = labels.copy()
+    dist_to_own = ((points - centers[labels]) ** 2).sum(axis=1)
+    # One scan for all empties: a point passed over stays ineligible, since
+    # counts only fall, and a moved point is the sole member of its cluster.
+    candidates = iter(np.argsort(-dist_to_own, kind="stable").tolist())
+    for e in empties:
+        for p in candidates:
+            if counts[labels[p]] <= 1:
+                continue
+            counts[labels[p]] -= 1
+            labels[p] = e
+            counts[e] = 1
+            break
+    return labels, int(empties.size)
+
+
+def _ref_lloyd(
+    points: np.ndarray, centers: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, float, int]:
+    k = centers.shape[0]
+    prev_labels: np.ndarray | None = None
+    prev_inertia = np.inf
+    labels = np.zeros(points.shape[0], dtype=int)
+    inertia = 0.0
+    repairs = 0
+    for _ in range(KMEANS_MAX_ITER):
+        labels = _ref_sq_dists(points, centers).argmin(axis=1)
+        labels, nrep = _ref_fill_empty_clusters(points, labels, centers, k)
+        repairs += nrep
+        sums = np.zeros_like(centers)
+        np.add.at(sums, labels, points)
+        counts = np.bincount(labels, minlength=k)
+        new_centers = sums / counts[:, None]
+        inertia = float(((points - new_centers[labels]) ** 2).sum())
+        assert inertia <= prev_inertia + 1e-9 * max(1.0, abs(prev_inertia)), (
+            "inertia increased across a Lloyd iteration"
+        )
+        prev_inertia = inertia
+        shift = float(((new_centers - centers) ** 2).sum())
+        centers = new_centers
+        if prev_labels is not None and np.array_equal(labels, prev_labels):
+            break
+        prev_labels = labels
+        if shift < KMEANS_TOL:
+            break
+    return labels, centers, inertia, repairs
+
+
+def reference_kmeans(points, n_clusters: int, seed: int) -> ClusterAssignment:
+    """Cluster ``points`` into exactly ``n_clusters`` non-empty clusters.
+
+    Runs Lloyd iterations from k-means++ seeding and returns the best of
+    KMEANS_RESTARTS seeded restarts by inertia (ties favor the earlier
+    restart). Identical inputs and seed give bit-identical output.
+    """
+    pts = np.asarray(points, dtype=float)
+    n = pts.shape[0]
+    if not 1 <= n_clusters <= n:
+        raise InputError(f"n_clusters must be in [1, {n}], got {n_clusters}")
+    best: ClusterAssignment | None = None
+    for child in np.random.SeedSequence(seed).spawn(KMEANS_RESTARTS):
+        rng = np.random.default_rng(child)
+        centers0 = _ref_plus_plus_init(pts, n_clusters, rng)
+        labels, centers, inertia, repairs = _ref_lloyd(pts, centers0)
+        if best is None or inertia < best.inertia:
+            best = ClusterAssignment(labels, centers, inertia, repairs)
+    assert best is not None
+    return best

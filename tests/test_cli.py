@@ -518,6 +518,20 @@ class TestAnonymize:
         assert code == expected
         assert str(bad) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["missing", "file"])
+    def test_hierarchies_dir_that_is_not_a_directory_is_an_error(
+        self, small_inputs, capsys, kind
+    ):
+        hdir = small_inputs["dir"] / "hierarchiez"
+        if kind == "file":
+            hdir.write_text("", encoding="utf-8")
+        code, out = run_anonymize(
+            small_inputs, "typo", "--k", "2", "--sup-limit", "0.5", "--hierarchies-dir", str(hdir)
+        )
+        assert code == 2
+        assert str(hdir) in capsys.readouterr().err
+        assert not out.exists()
+
     @settings(
         max_examples=120,
         deadline=None,

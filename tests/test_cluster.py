@@ -4,9 +4,14 @@ import itertools
 
 import numpy as np
 import pytest
+from _oracles import reference_kmeans
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from clustem import cluster
 from clustem.cluster import agglomerate, kmeans
 from clustem.errors import InputError
+from clustem.vgh import build_vgh
 
 
 def set_partitions(items, k):
@@ -88,6 +93,21 @@ def replayed_partitions(points: np.ndarray) -> list[list[int]]:
     return partitions
 
 
+@st.composite
+def kmeans_problems(draw):
+    """(points, k, seed): 1-14 points in 1-4 dims, often on a small integer
+    grid so that duplicates, zero-mass seeding and empty clusters are common."""
+    m = draw(st.integers(1, 14))
+    d = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        cells = st.integers(0, 2).map(float)
+    else:
+        cells = st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False)
+    rows = st.lists(cells, min_size=d, max_size=d)
+    points = np.array(draw(st.lists(rows, min_size=m, max_size=m)))
+    return points, draw(st.integers(1, m)), draw(st.integers(0, 2**32 - 1))
+
+
 def partitions(points) -> list[list[int]]:
     return [labels.tolist() for labels in agglomerate(points)]
 
@@ -157,6 +177,58 @@ class TestKmeans:
             kmeans(pts, 0, seed=0)
         with pytest.raises(InputError):
             kmeans([[0.0], [1.0, 2.0]], 1, seed=0)  # ragged input
+
+
+class TestKmeansMatchesReference:
+    """``kmeans`` shares distance rows across restarts and inlines the seeding
+    draw; every output must stay bit-equal to the former code's."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(problem=kmeans_problems())
+    # Identical points: the seeding finds no mass left (the lowest-unchosen
+    # fallback), and every point ties to center 0, so clusters 1 and 2 are
+    # repaired.
+    @example(problem=(np.zeros((3, 2)), 3, 0))
+    # After one seed on the triple and one on the far point no mass is left:
+    # the third seed (from the fallback) duplicates the first, and its empty
+    # cluster is repaired.
+    @example(problem=(np.array([[0.0, 0.0]] * 3 + [[10.0, 0.0]]), 3, 0))
+    def test_bit_equal_to_reference(self, problem):
+        points, k, seed = problem
+        got, want = kmeans(points, k, seed), reference_kmeans(points, k, seed)
+        assert np.array_equal(got.labels, want.labels)
+        assert np.array_equal(got.centers, want.centers)
+        assert got.inertia == want.inertia
+        assert got.repairs == want.repairs
+
+    def test_vgh_levels_equal_those_built_by_reference(self, monkeypatch):
+        rng = np.random.default_rng(30)
+        values = [f"v{i}" for i in range(30)]
+        embeddings = dict(zip(values, rng.normal(size=(30, 16))))
+        built = build_vgh(values, embeddings, "kmeans", seed=42)
+        monkeypatch.setattr(cluster, "kmeans", reference_kmeans)
+        assert built.levels == build_vgh(values, embeddings, "kmeans", seed=42).levels
+
+    def test_numpy_choice_is_one_uniform_and_a_cdf_search(self):
+        """The seeding relies on this: after ``integers(n)``, successive
+        ``choice(n, p=p_i)`` calls pick what one ``random(m)`` call and the cdf
+        steps pick, and consume as much of the stream."""
+        draws = np.random.default_rng(5)
+        for seed in range(40):
+            n, m = int(draws.integers(1, 12)), int(draws.integers(1, 8))
+            weights = draws.random((m, n)) * (draws.random((m, n)) < 0.6)
+            weights[:, int(draws.integers(n))] += 1.0
+            ps = [w / float(w.sum()) for w in weights]
+            with_choice, inlined = np.random.default_rng(seed), np.random.default_rng(seed)
+            picks = [int(with_choice.integers(n))]
+            picks += [int(with_choice.choice(n, p=p)) for p in ps]
+            steps = [int(inlined.integers(n))]
+            for p, u in zip(ps, inlined.random(m)):
+                cdf = p.cumsum()
+                cdf /= cdf[-1]
+                steps.append(int(cdf.searchsorted(u, side="right")))
+            assert picks == steps
+            assert with_choice.bit_generator.state == inlined.bit_generator.state
 
 
 class TestAgglomerate:
