@@ -1,10 +1,11 @@
 """Embedding vectors for nominal attribute values.
 
 Two sources are supported: a word-vector text file (a value embeds as the
-mean of its tokens' vectors) and a generic HTTP embeddings API (the whole
-value string is embedded at once). Results can be cached on disk as a JSON
-object stamped with the provider id and the vector dimension, plus a map of
-value -> array of numbers; the cache is written atomically, reproduces
+mean of its tokens' vectors; every line is checked once, and only the lines of
+tokens that values name are converted) and a generic HTTP embeddings API (the
+whole value string is embedded at once). Results can be cached on disk as a
+JSON object stamped with the provider id and the vector dimension, plus a map
+of value -> array of numbers; the cache is written atomically, reproduces
 provider output bit for bit, and is refused when the stamp does not match.
 """
 
@@ -12,6 +13,8 @@ from __future__ import annotations
 
 import json
 import os
+import re
+import stat
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -61,19 +64,56 @@ class ProviderConfig:
             raise InputError(f"unknown provider kind {self.kind!r}")
 
 
+# A component that float() reads as a finite number: ASCII digits, at most 100
+# before the point, and a negative exponent or one of at most 99 (below 1e200).
+_FINITE = r"[+-]?(?:[0-9]{1,100}(?:\.[0-9]*)?|\.[0-9]+)(?:[eE](?:-[0-9]+|\+?[0-9]{1,2}))?"
+# A token, then components one space apart; their count is checked by counting
+# spaces, as a pattern holding a huge header dimension would not compile.
+_FINITE_LINE = re.compile(rf"(\S+)(?: {_FINITE})+\n?")
+
+
+def _components(line: str, dim: int, path: str, lineno: int) -> tuple[str, np.ndarray] | None:
+    """The token and vector of one word-vector line (None for a blank line)."""
+    parts = line.split()
+    if not parts:
+        return None
+    if len(parts) != dim + 1:
+        raise ProviderError(
+            f"{path}: line {lineno}: expected {dim} components, got {len(parts) - 1}"
+        )
+    try:
+        vec = np.array([float(p) for p in parts[1:]], dtype=float)
+    except ValueError:
+        raise ProviderError(f"{path}: line {lineno}: non-numeric component") from None
+    if not np.all(np.isfinite(vec)):
+        raise ProviderError(f"{path}: line {lineno}: non-finite component")
+    return parts[0], vec
+
+
+def _stamp(fh) -> tuple[int, int, int, int]:
+    st = os.fstat(fh.fileno())
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
+
+
 class WordVectorProvider:
     """Token vectors from a text file: first line "<count> <dim>", then one
     "<token> <v1> ... <vdim>" line per token.
 
     A value's embedding is the arithmetic mean of its tokens' vectors; tokens
     absent from the file are skipped, and a value with no known token at all
-    is an error.
+    is an error. Every line is checked on creation, but only the tokens are
+    kept: each `fetch` reads the file again and converts just the lines of the
+    tokens its values name, so the file must be a regular file that does not
+    change while the provider is in use.
     """
 
     def __init__(self, path: str) -> None:
-        self.vectors: dict[str, np.ndarray] = {}
+        self.tokens: set[str] = set()
         try:
+            if not stat.S_ISREG(os.stat(path).st_mode):
+                raise ProviderError(f"{path}: not a regular file; it is read again per column")
             with open(path, encoding="utf-8") as fh:
+                self.stamp = _stamp(fh)
                 header = fh.readline().split()
                 if len(header) != 2:
                     raise ProviderError(f"{path}: expected '<count> <dim>' on the first line")
@@ -84,25 +124,16 @@ class WordVectorProvider:
                 if dim < 1:
                     raise ProviderError(f"{path}: dimension must be positive")
                 for lineno, line in enumerate(fh, start=2):
-                    parts = line.split()
-                    if not parts:
-                        continue
-                    if len(parts) != dim + 1:
-                        raise ProviderError(
-                            f"{path}: line {lineno}: expected {dim} components, got {len(parts) - 1}"
-                        )
-                    try:
-                        vec = np.array([float(p) for p in parts[1:]], dtype=float)
-                    except ValueError:
-                        raise ProviderError(f"{path}: line {lineno}: non-numeric component") from None
-                    if not np.all(np.isfinite(vec)):
-                        raise ProviderError(f"{path}: line {lineno}: non-finite component")
-                    self.vectors[parts[0]] = vec
+                    match = _FINITE_LINE.fullmatch(line)
+                    if match and line.count(" ") == dim:
+                        self.tokens.add(match[1])
+                    elif parsed := _components(line, dim, path, lineno):
+                        self.tokens.add(parsed[0])
         except (OSError, UnicodeDecodeError) as exc:
             raise ProviderError(f"cannot read word-vector file {path}: {exc}") from exc
-        if len(self.vectors) != count:
+        if len(self.tokens) != count:
             raise ProviderError(
-                f"{path}: header promises {count} tokens, file holds {len(self.vectors)}"
+                f"{path}: header promises {count} tokens, file holds {len(self.tokens)}"
             )
         self.dim = dim
         # Resolved, so that every path to the same file stamps the same cache.
@@ -113,13 +144,24 @@ class WordVectorProvider:
         return f"wordvec:{self.path}"
 
     def fetch(self, values: Sequence[str]) -> list[np.ndarray]:
-        out = []
-        for value in values:
-            token_vecs = [self.vectors[t] for t in preprocess(value) if t in self.vectors]
-            if not token_vecs:
+        named = [[t for t in preprocess(value) if t in self.tokens] for value in values]
+        for value, tokens in zip(values, named):
+            if not tokens:
                 raise ProviderError(f"no vector for any token of value {value!r}")
-            out.append(np.mean(token_vecs, axis=0))
-        return out
+        wanted = {t for tokens in named for t in tokens}
+        lines: dict[str, tuple[int, str]] = {}  # the last line of a repeated token wins
+        try:
+            with open(self.path, encoding="utf-8") as fh:
+                if _stamp(fh) != self.stamp:
+                    raise ProviderError(f"word-vector file {self.path} changed since it was read")
+                for lineno, line in enumerate(fh, start=1):
+                    token = line.split(maxsplit=1)[:1]
+                    if lineno > 1 and token and token[0] in wanted:
+                        lines[token[0]] = lineno, line
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ProviderError(f"cannot read word-vector file {self.path}: {exc}") from exc
+        vecs = {t: _components(ln, self.dim, self.path, n)[1] for t, (n, ln) in lines.items()}
+        return [np.mean([vecs[t] for t in tokens], axis=0) for tokens in named]
 
 
 class HttpApiProvider:
@@ -224,6 +266,8 @@ def _load_cache(cache_path: str, provider_id: str) -> tuple[dict[str, np.ndarray
             f"not of {provider_id!r}"
         )
     dim = raw["dim"]
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+        raise ProviderError(f"embedding cache {cache_path}: dim {dim!r} is not a positive integer")
     try:
         vectors = {key: np.asarray(vec, dtype=float) for key, vec in raw["vectors"].items()}
     except (AttributeError, TypeError, ValueError) as exc:

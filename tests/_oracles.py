@@ -1,5 +1,6 @@
 """Independent brute-force references for the lattice search and metrics tests,
-and a frozen copy of the former k-means for the bit-identity test.
+and frozen copies of the former k-means and word-vector parser for the
+bit-identity tests.
 
 Everything here works on plain dicts and loops, deliberately sharing no code
 with the production search and metrics paths.
@@ -9,12 +10,14 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
+from typing import Sequence
 
 import numpy as np
 
 from clustem.anonymize import PrivacyParams
 from clustem.cluster import KMEANS_MAX_ITER, KMEANS_RESTARTS, KMEANS_TOL, ClusterAssignment
-from clustem.errors import InputError
+from clustem.embed import preprocess
+from clustem.errors import InputError, ProviderError
 from clustem.metrics import MetricReport
 from clustem.tabular import Column, QiSpec, Table
 from clustem.vgh import Vgh
@@ -263,3 +266,63 @@ def reference_kmeans(points, n_clusters: int, seed: int) -> ClusterAssignment:
             best = ClusterAssignment(labels, centers, inertia, repairs)
     assert best is not None
     return best
+
+
+# The word-vector provider as it was when it converted every line to floats on
+# creation, kept verbatim so that ``embed.WordVectorProvider`` can be checked
+# against it: the same error text on creation, and bit-equal vectors.
+
+
+class ReferenceWordVectorProvider:
+    """Token vectors from a text file: first line "<count> <dim>", then one
+    "<token> <v1> ... <vdim>" line per token.
+
+    A value's embedding is the arithmetic mean of its tokens' vectors; tokens
+    absent from the file are skipped, and a value with no known token at all
+    is an error.
+    """
+
+    def __init__(self, path: str) -> None:
+        self.vectors: dict[str, np.ndarray] = {}
+        try:
+            with open(path, encoding="utf-8") as fh:
+                header = fh.readline().split()
+                if len(header) != 2:
+                    raise ProviderError(f"{path}: expected '<count> <dim>' on the first line")
+                try:
+                    count, dim = int(header[0]), int(header[1])
+                except ValueError:
+                    raise ProviderError(f"{path}: malformed '<count> <dim>' header") from None
+                if dim < 1:
+                    raise ProviderError(f"{path}: dimension must be positive")
+                for lineno, line in enumerate(fh, start=2):
+                    parts = line.split()
+                    if not parts:
+                        continue
+                    if len(parts) != dim + 1:
+                        raise ProviderError(
+                            f"{path}: line {lineno}: expected {dim} components, got {len(parts) - 1}"
+                        )
+                    try:
+                        vec = np.array([float(p) for p in parts[1:]], dtype=float)
+                    except ValueError:
+                        raise ProviderError(f"{path}: line {lineno}: non-numeric component") from None
+                    if not np.all(np.isfinite(vec)):
+                        raise ProviderError(f"{path}: line {lineno}: non-finite component")
+                    self.vectors[parts[0]] = vec
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ProviderError(f"cannot read word-vector file {path}: {exc}") from exc
+        if len(self.vectors) != count:
+            raise ProviderError(
+                f"{path}: header promises {count} tokens, file holds {len(self.vectors)}"
+            )
+        self.dim = dim
+
+    def fetch(self, values: Sequence[str]) -> list[np.ndarray]:
+        out = []
+        for value in values:
+            token_vecs = [self.vectors[t] for t in preprocess(value) if t in self.vectors]
+            if not token_vecs:
+                raise ProviderError(f"no vector for any token of value {value!r}")
+            out.append(np.mean(token_vecs, axis=0))
+        return out

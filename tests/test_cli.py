@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 from collections import Counter
 
 import pytest
@@ -209,6 +210,27 @@ class TestVghBuild:
         err = capsys.readouterr().err
         assert "beyond 1e+100" in err
         assert "Traceback" not in err
+        assert not (out / "job.csv").exists()
+
+    def test_zero_dimension_cache_is_a_provider_error(self, small_inputs, capsys):
+        cache = small_inputs["dir"] / "cache.json"
+        stamp = f"wordvec:{os.path.realpath(small_inputs['vectors'])}"
+        vectors = {v: [] for v in ("cook", "nurse", "pilot")}
+        cache.write_text(json.dumps({"provider": stamp, "dim": 0, "vectors": vectors}))
+        out = small_inputs["dir"] / "h"
+        code = main(
+            [
+                "vgh", "build",
+                "--input", small_inputs["csv"],
+                "--columns", "job",
+                "--vectors", small_inputs["vectors"],
+                "--cache", str(cache),
+                "--out-dir", str(out),
+            ]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"embedding cache {cache}: dim 0 is not a positive integer" in err
         assert not (out / "job.csv").exists()
 
 

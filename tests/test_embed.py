@@ -1,11 +1,19 @@
 from __future__ import annotations
 
 import json
+import math
+import os
+import re
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from _oracles import ReferenceWordVectorProvider
 from clustem.embed import (
+    _FINITE,
     API_BATCH_SIZE,
     HttpApiProvider,
     ProviderConfig,
@@ -68,6 +76,136 @@ class TestWordVectorProvider:
         path.write_text(text, encoding="utf-8")
         with pytest.raises(ProviderError):
             WordVectorProvider(str(path))
+
+    def test_fifo_is_rejected_before_it_is_opened(self, tmp_path):
+        fifo = tmp_path / "vectors.fifo"
+        os.mkfifo(fifo)
+        # Should the provider open the FIFO, this writer unblocks it and the match fails.
+        writer = threading.Timer(5.0, lambda: os.close(os.open(fifo, os.O_WRONLY)))
+        writer.start()
+        try:
+            with pytest.raises(ProviderError, match=re.escape(f"{fifo}: not a regular file")):
+                WordVectorProvider(str(fifo))
+        finally:
+            writer.cancel()
+
+    def test_file_changed_after_creation_is_refused(self, tmp_path):
+        path = tmp_path / "vecs.txt"
+        path.write_text("1 2\na 1 0\n", encoding="utf-8")
+        provider = WordVectorProvider(str(path))
+        path.write_text("1 2\na 10 0\n", encoding="utf-8")
+        with pytest.raises(ProviderError, match=re.escape(f"{path} changed since it was read")):
+            provider.fetch(["a"])
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1 10000000000\na 1\n", "line 2: expected 10000000000 components, got 1"),
+            ("2 2\na 1 0\nb 1 inf\n", "line 3: non-finite component"),
+            ("2 2\na 1 0\nb 1 -Infinity\n", "line 3: non-finite component"),
+            ("2 2\na 1 0\nb 1 nan\n", "line 3: non-finite component"),
+            ("2 2\na 1 0\nb 1 1e400\n", "line 3: non-finite component"),
+            ("2 2\na 1 0\n\nb 1 x\n", "line 4: non-numeric component"),  # blank lines count
+        ],
+    )
+    def test_error_names_its_line(self, tmp_path, text, message):
+        path = tmp_path / "vecs.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ProviderError) as info:
+            WordVectorProvider(str(path))
+        assert str(info.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_crlf_and_lone_cr_files_parse(self, tmp_path, newline):
+        path = tmp_path / "vecs.txt"
+        path.write_bytes(newline.join(["2 2", "a 1 0", "b 0.5 2", ""]).encode())
+        provider = WordVectorProvider(str(path))
+        assert provider.tokens == {"a", "b"}, path
+        assert [v.tolist() for v in provider.fetch(["a", "b"])] == [[1.0, 0.0], [0.5, 2.0]]
+
+    def test_repeated_token_keeps_its_last_line(self, tmp_path):
+        path = tmp_path / "vecs.txt"
+        path.write_text("2 2\na 1 0\nb 0 1\na 3 4\n", encoding="utf-8")
+        assert WordVectorProvider(str(path)).fetch(["a"])[0].tolist() == [3.0, 4.0], "line 4"
+
+
+# Components that the fast path must leave to float(), and numbers at its edges:
+# with an exponent of 99, 209 integer digits stay finite and 210 overflow.
+_ODD_COMPONENTS = [
+    "inf", "-inf", "nan", "NaN", "1_0", "\u0663", "--1", ".", "0x10", "x", "",
+]
+_EDGE_COMPONENTS = [
+    "+.5", "5.", "1E+05", "1e99", "1e100", "1e400", "1e-400", "9" * 101, "9" * 100 + "e99",
+    "9" * 209 + "e99", "9" * 210 + "e99", "1e-99999",
+]
+_COMPONENT = (
+    st.sampled_from(_ODD_COMPONENTS)
+    | st.sampled_from(_EDGE_COMPONENTS)
+    | st.integers(-(10**3), 10**3).map(str)
+    | st.floats(allow_nan=False, allow_infinity=False).map(repr)
+)
+# Weighted towards well-formed lines, which the fast path takes.
+_TOKEN = st.sampled_from(["a", "b", "ab", "\u0663"] * 3 + ["", " a", "a\tb"])
+_SEPARATOR = st.sampled_from([" "] * 12 + ["\t", "\x1c", "  ", "\xa0"])
+_NEWLINE = st.sampled_from(["\n"] * 4 + ["\r\n", "\r", ""])
+
+
+@st.composite
+def _word_vector_files(draw) -> str:
+    """Small adversarial word-vector files, mostly almost well-formed."""
+    dim = draw(st.integers(1, 3))
+    header = draw(
+        st.sampled_from([f"{n} {dim}" for n in range(5)] + ["2", "x 2", "1 0", "1 10000000000"])
+    )
+    text = header + draw(_NEWLINE)
+    for _ in range(draw(st.integers(0, 4))):
+        n = draw(st.sampled_from([dim, dim, dim, dim - 1, dim + 1]))
+        text += draw(_TOKEN)
+        text += "".join(draw(_SEPARATOR) + draw(_COMPONENT) for _ in range(n))
+        text += draw(_NEWLINE)
+    return text
+
+
+def _outcome(call):
+    """The call's vectors as bytes, or the text of the ProviderError it raised."""
+    try:
+        return [vec.tobytes() for vec in call()]
+    except ProviderError as exc:
+        return str(exc)
+
+
+class TestMatchesReferenceParser:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(text=_word_vector_files())
+    @example(text="1 1\na " + "9" * 100 + "e99\n")
+    @example(text="1 1\na " + "9" * 210 + "e99\n")  # the shortest that overflows
+    @example(text="2 1\na 1e99\nb 1e400\n")
+    @example(text="2 2\na 1 0\na 3 4\n\nb 1 2")
+    def test_same_errors_and_bit_equal_vectors(self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "oracle-vectors.txt"
+        path.write_bytes(text.encode("utf-8"))
+        try:
+            reference = ReferenceWordVectorProvider(str(path))
+        except ProviderError as exc:
+            with pytest.raises(ProviderError) as info:
+                WordVectorProvider(str(path))
+            assert str(info.value) == str(exc)
+            return
+        provider = WordVectorProvider(str(path))
+        assert provider.tokens == set(reference.vectors)
+        for value in sorted(reference.vectors) + ["a b", "zzz"]:
+            expected = _outcome(lambda: reference.fetch([value]))
+            assert _outcome(lambda: provider.fetch([value])) == expected, value
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(text=st.from_regex(_FINITE, fullmatch=True))
+    @example(text="9" * 100 + "e99")
+    @example(text="+.5")
+    @example(text="5.")
+    @example(text="1e-99999")
+    def test_finite_pattern_reads_as_a_finite_float(self, text):
+        assert re.fullmatch(_FINITE, text)
+        assert math.isfinite(float(text))
 
 
 class _FakeResponse:
@@ -246,8 +384,9 @@ class TestEmbedAll:
             {"provider": "counting", "dim": 3, "vectors": {"a": [1.0, 1.0]}},
             {"provider": "counting", "dim": 2, "vectors": {"a": ["x", 1.0]}},
             {"provider": "counting", "dim": 2, "vectors": ["a"]},
+            {"provider": "counting", "dim": True, "vectors": {"a": [1.0]}},
         ],
-        ids=["unstamped", "no-dim", "wrong-dim", "non-numeric", "not-a-map"],
+        ids=["unstamped", "no-dim", "wrong-dim", "non-numeric", "not-a-map", "bool-dim"],
     )
     def test_malformed_cache_is_a_provider_error(self, tmp_path, content):
         cache = tmp_path / "cache.json"
