@@ -6,6 +6,13 @@ The missing-value marker is the literal "?" and is treated as an ordinary
 value when grouping. Tables are never mutated: every operation returns a new
 Table. Every file clustem writes goes through ``atomic_write``, so no output
 is ever left partly written.
+
+A written CSV ends each row with "\n". A cell holding ",", '"' or "\n" is
+wrapped in double quotes, with every '"' doubled; the empty cell of a
+one-column row is written as '""'. When any cell or column name holds a
+"\r", every cell is quoted. These are the bytes of ``csv.writer`` with
+``QUOTE_MINIMAL`` (``QUOTE_ALL`` when there is a "\r") and
+``lineterminator="\n"``.
 """
 
 from __future__ import annotations
@@ -105,14 +112,17 @@ def load_csv(path: str) -> Table:
             if any(not name for name in header):
                 raise InputError(f"{path}: empty column name in header")
             rows: list[list[str]] = []
-            for lineno, row in enumerate(reader, start=2):
+            for row in reader:
                 if len(row) != len(header):
                     raise InputError(
-                        f"{path}: line {lineno}: expected {len(header)} fields, got {len(row)}"
+                        f"{path}: line {reader.line_num}: expected {len(header)} fields,"
+                        f" got {len(row)}"
                     )
                 rows.append(row)
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not UTF-8 text: {exc}") from exc
+    except csv.Error as exc:
+        raise InputError(f"{path}: line {reader.line_num}: {exc}") from exc
 
     return Table([Column(name, [row[j] for row in rows]) for j, name in enumerate(header)])
 
@@ -133,18 +143,50 @@ def atomic_write(path: str | Path, newline: str | None = None) -> Iterator[TextI
         raise
 
 
+# Rows are joined and written this many at a time, so the text held in memory
+# does not grow with the table.
+_BLOCK_ROWS = 4096
+
+
+def _needs_quotes(text: str) -> bool:
+    return "," in text or '"' in text or "\n" in text
+
+
+def _quote(cell: str) -> str:
+    return '"' + cell.replace('"', '""') + '"'
+
+
 def write_csv(table: Table, path: str) -> None:
-    """Write ``table`` so that ``load_csv`` reads back an identical Table."""
+    """Write ``table`` so that ``load_csv`` reads back an identical Table, by
+    the quoting rules in the module docstring."""
+    names = table.column_names
     columns = [c.values for c in table.columns]
-    # With "\n" as the line terminator the writer leaves a bare "\r" unquoted,
-    # and the reader would take it for a line break: quote everything then.
-    has_cr = any("\r" in "".join(col) for col in [table.column_names, *columns])
+    # One scan per column decides its quoting. A bare "\r" would read back as
+    # a line break, so any "\r" in the table quotes every cell; a one-column
+    # row of one empty cell would read back as a blank line, so it is quoted.
+    lone = len(columns) == 1
+    quote_all = False
+    minimal = []
+    for col in [names, *columns]:
+        text = "".join(col)
+        quote_all = quote_all or "\r" in text
+        minimal.append(_needs_quotes(text) or (lone and "" in col))
+
+    def cells(col: list[str], quote: bool) -> list[str]:
+        if quote_all:
+            return [_quote(c) for c in col]
+        if quote:
+            return [_quote(c) if _needs_quotes(c) or (lone and not c) else c for c in col]
+        return col
+
     with atomic_write(path, newline="") as fh:
-        writer = csv.writer(
-            fh, lineterminator="\n", quoting=csv.QUOTE_ALL if has_cr else csv.QUOTE_MINIMAL
-        )
-        writer.writerow(table.column_names)
-        writer.writerows(zip(*columns))
+        fh.write(",".join(cells(names, minimal[0])) + "\n")
+        for start in range(0, table.row_count, _BLOCK_ROWS):
+            block = [
+                cells(col[start : start + _BLOCK_ROWS], quote)
+                for col, quote in zip(columns, minimal[1:])
+            ]
+            fh.write("\n".join(map(",".join, zip(*block))) + "\n")
 
 
 def group_ids(table: Table, qi: Sequence[str]) -> np.ndarray:

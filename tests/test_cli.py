@@ -176,6 +176,25 @@ class TestVghBuild:
         assert repr(value) in err and use in err
         assert not (tmp_path / "h").exists()
 
+    def test_cell_over_the_csv_field_limit_is_an_input_error(self, small_inputs, capsys):
+        data = small_inputs["dir"] / "long.csv"
+        data.write_text("job\ncook\n" + "x" * 200_000 + "\n", encoding="utf-8")
+        out = small_inputs["dir"] / "h"
+        code = main(
+            [
+                "vgh", "build",
+                "--input", str(data),
+                "--columns", "job",
+                "--vectors", small_inputs["vectors"],
+                "--out-dir", str(out),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{data}: line 3: field larger than field limit" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_repeated_column_is_a_config_error(self, small_inputs, capsys):
         out = small_inputs["dir"] / "h"
         code = main(

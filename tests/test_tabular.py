@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import csv
+import io
 import os
 from pathlib import Path
 
@@ -22,15 +24,33 @@ def _write(path, text):
 
 
 TEXT = st.text(st.characters(blacklist_categories=("Cs",)))
+# Every character csv's quoting rules look at, and some that they pass over.
+CSV_TEXT = st.text(
+    st.sampled_from([",", '"', "\n", "\r", " ", "*", "?", "é", "日", "a"]), max_size=4
+)
 
 
 @st.composite
-def _tables(draw):
-    """1-3 uniquely named columns of equal length holding arbitrary text."""
-    names = draw(st.lists(TEXT.filter(bool), min_size=1, max_size=3, unique=True))
-    n_rows = draw(st.integers(0, 4))
-    cells = st.lists(TEXT, min_size=n_rows, max_size=n_rows)
+def _tables(draw, text=TEXT, min_columns=1, max_columns=3, max_rows=4):
+    """Uniquely named columns of equal length (0 to ``max_rows``) holding ``text``."""
+    names = draw(
+        st.lists(text.filter(bool), min_size=min_columns, max_size=max_columns, unique=True)
+    )
+    n_rows = draw(st.integers(0, max_rows))
+    cells = st.lists(text, min_size=n_rows, max_size=n_rows)
     return Table([Column(name, draw(cells)) for name in names])
+
+
+def _csv_module_bytes(table):
+    """The bytes csv.writer gives for ``table``: the reference for write_csv."""
+    has_cr = any("\r" in cell for col in table.columns for cell in [col.name, *col.values])
+    buf = io.StringIO(newline="")
+    writer = csv.writer(
+        buf, lineterminator="\n", quoting=csv.QUOTE_ALL if has_cr else csv.QUOTE_MINIMAL
+    )
+    writer.writerow(table.column_names)
+    writer.writerows(zip(*(col.values for col in table.columns)))
+    return buf.getvalue().encode("utf-8")
 
 
 class TestLoadCsv:
@@ -58,6 +78,11 @@ class TestLoadCsv:
     def test_ragged_row_reports_line(self, tmp_path):
         path = _write(tmp_path / "t.csv", "a,b\n1,2\n3\n")
         with pytest.raises(InputError, match="line 3"):
+            load_csv(path)
+
+    def test_ragged_row_after_a_multi_line_cell_reports_its_physical_line(self, tmp_path):
+        path = _write(tmp_path / "t.csv", 'a,b\n"x\ny",1\nz\n')
+        with pytest.raises(InputError, match="line 4: expected 2 fields, got 1"):
             load_csv(path)
 
     def test_duplicate_header(self, tmp_path):
@@ -93,6 +118,16 @@ class TestWriteCsv:
         out = str(tmp_path_factory.mktemp("round-trip") / "t.csv")
         write_csv(table, out)
         assert load_csv(out) == table
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(table=_tables(CSV_TEXT, min_columns=0, max_columns=4, max_rows=6))
+    @example(table=Table([Column("a", ["x", "", "y"])]))
+    @example(table=Table([Column("a\rb", ["x", ""]), Column("c", ["y", "z"])]))
+    @example(table=Table([Column("a", []), Column("b", [])]))
+    def test_bytes_match_the_csv_module(self, tmp_path_factory, table):
+        out = tmp_path_factory.mktemp("csv-bytes") / "t.csv"
+        write_csv(table, str(out))
+        assert out.read_bytes() == _csv_module_bytes(table)
 
     def test_unwritable_path(self, tmp_path):
         with pytest.raises(OSError):
