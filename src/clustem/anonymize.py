@@ -321,13 +321,14 @@ def generate_vghs(
     seed: int = 0,
     cache_path: str | None = None,
 ) -> dict[str, Vgh]:
-    """Check every QI column's values, then embed them and build one hierarchy each."""
+    """Check every QI column's values, embed all of them in one ``embed_all``
+    call (a value shared by columns once), then build one hierarchy per column."""
     columns = {attr: sorted(set(table.column(attr).values)) for attr in qi_columns}
     for attr, values in columns.items():
         check_values(values, attr)
-    vghs = {}
-    for attr, values in columns.items():
-        embeddings = embed.embed_all(values, provider, cache_path)
-        vghs[attr] = build_vgh(values, embeddings, method, seed, attribute=attr)
-    return vghs
+    embeddings = embed.embed_all(sorted(set().union(*columns.values())), provider, cache_path)
+    return {
+        attr: build_vgh(values, embeddings, method, seed, attribute=attr)
+        for attr, values in columns.items()
+    }
 

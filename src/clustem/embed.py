@@ -1,12 +1,13 @@
 """Embedding vectors for nominal attribute values.
 
 Two sources are supported: a word-vector text file (a value embeds as the
-mean of its tokens' vectors; every line is checked once, and only the lines of
-tokens that values name are converted) and a generic HTTP embeddings API (the
-whole value string is embedded at once). Results can be cached on disk as a
-JSON object stamped with the provider id and the vector dimension, plus a map
-of value -> array of numbers; the cache is written atomically, reproduces
-provider output bit for bit, and is refused when the stamp does not match.
+mean of its tokens' vectors; each fetch reads the file once, checks every line
+and converts only the lines of tokens that its values name) and a generic HTTP
+embeddings API (the whole value string is embedded at once). Results can be
+cached on disk as a JSON object stamped with the provider id and the vector
+dimension, plus a map of value -> array of numbers; the cache is written
+atomically, reproduces provider output bit for bit, and is refused when the
+stamp does not match.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 import json
 import os
 import re
-import stat
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -90,30 +90,29 @@ def _components(line: str, dim: int, path: str, lineno: int) -> tuple[str, np.nd
     return parts[0], vec
 
 
-def _stamp(fh) -> tuple[int, int, int, int]:
-    st = os.fstat(fh.fileno())
-    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
-
-
 class WordVectorProvider:
     """Token vectors from a text file: first line "<count> <dim>", then one
     "<token> <v1> ... <vdim>" line per token.
 
     A value's embedding is the arithmetic mean of its tokens' vectors; tokens
     absent from the file are skipped, and a value with no known token at all
-    is an error. Every line is checked on creation, but only the tokens are
-    kept: each `fetch` reads the file again and converts just the lines of the
-    tokens its values name, so the file must be a regular file that does not
-    change while the provider is in use.
+    is an error. Creation reads nothing. ``fetch`` reads the file once: it
+    checks every line, keeps the lines of the tokens its values name and
+    converts only those, so a pipe works as the file too.
     """
 
     def __init__(self, path: str) -> None:
-        self.tokens: set[str] = set()
+        self.path = path
+        # Resolved, so that every path to the same file stamps the same cache.
+        self.provider_id = f"wordvec:{os.path.realpath(path)}"
+
+    def fetch(self, values: Sequence[str]) -> list[np.ndarray]:
+        path = self.path
+        wanted = {t for value in values for t in preprocess(value)}
+        tokens: set[str] = set()
+        lines: dict[str, tuple[int, str]] = {}  # the last line of a repeated token wins
         try:
-            if not stat.S_ISREG(os.stat(path).st_mode):
-                raise ProviderError(f"{path}: not a regular file; it is read again per column")
             with open(path, encoding="utf-8") as fh:
-                self.stamp = _stamp(fh)
                 header = fh.readline().split()
                 if len(header) != 2:
                     raise ProviderError(f"{path}: expected '<count> <dim>' on the first line")
@@ -126,42 +125,26 @@ class WordVectorProvider:
                 for lineno, line in enumerate(fh, start=2):
                     match = _FINITE_LINE.fullmatch(line)
                     if match and line.count(" ") == dim:
-                        self.tokens.add(match[1])
+                        token = match[1]
                     elif parsed := _components(line, dim, path, lineno):
-                        self.tokens.add(parsed[0])
+                        token = parsed[0]
+                    else:
+                        continue
+                    tokens.add(token)
+                    if token in wanted:
+                        lines[token] = lineno, line
         except (OSError, UnicodeDecodeError) as exc:
             raise ProviderError(f"cannot read word-vector file {path}: {exc}") from exc
-        if len(self.tokens) != count:
-            raise ProviderError(
-                f"{path}: header promises {count} tokens, file holds {len(self.tokens)}"
-            )
-        self.dim = dim
-        # Resolved, so that every path to the same file stamps the same cache.
-        self.path = os.path.realpath(path)
-
-    @property
-    def provider_id(self) -> str:
-        return f"wordvec:{self.path}"
-
-    def fetch(self, values: Sequence[str]) -> list[np.ndarray]:
-        named = [[t for t in preprocess(value) if t in self.tokens] for value in values]
-        for value, tokens in zip(values, named):
-            if not tokens:
+        if len(tokens) != count:
+            raise ProviderError(f"{path}: header promises {count} tokens, file holds {len(tokens)}")
+        vecs = {t: _components(line, dim, path, n)[1] for t, (n, line) in lines.items()}
+        out = []
+        for value in values:
+            named = [vecs[t] for t in preprocess(value) if t in vecs]
+            if not named:
                 raise ProviderError(f"no vector for any token of value {value!r}")
-        wanted = {t for tokens in named for t in tokens}
-        lines: dict[str, tuple[int, str]] = {}  # the last line of a repeated token wins
-        try:
-            with open(self.path, encoding="utf-8") as fh:
-                if _stamp(fh) != self.stamp:
-                    raise ProviderError(f"word-vector file {self.path} changed since it was read")
-                for lineno, line in enumerate(fh, start=1):
-                    token = line.split(maxsplit=1)[:1]
-                    if lineno > 1 and token and token[0] in wanted:
-                        lines[token[0]] = lineno, line
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ProviderError(f"cannot read word-vector file {self.path}: {exc}") from exc
-        vecs = {t: _components(ln, self.dim, self.path, n)[1] for t, (n, ln) in lines.items()}
-        return [np.mean([vecs[t] for t in tokens], axis=0) for tokens in named]
+            out.append(np.mean(named, axis=0))
+        return out
 
 
 class HttpApiProvider:

@@ -103,7 +103,7 @@ def load_csv(path: str) -> Table:
     """Read a comma-separated, double-quote quoted, UTF-8 file with a header row."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
+            reader = csv.reader(fh, strict=True)
             header = next(reader, None)
             if header is None:
                 raise InputError(f"{path}: missing header row")

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,10 +12,10 @@ from hypothesis import strategies as st
 import _datagen as datagen
 import _oracles as oracles
 from clustem.anonymize import PrivacyParams, _CodedLattice, _fold, generate_vghs, loss, search
-from clustem.embed import WordVectorProvider
-from clustem.errors import InputError
+from clustem.embed import HttpApiProvider, WordVectorProvider, embed_all
+from clustem.errors import InputError, ProviderError
 from clustem.tabular import Column, QiSpec, Table, group_ids, load_csv
-from clustem.vgh import WARD, Vgh, build_vgh
+from clustem.vgh import METHODS, WARD, Vgh, build_vgh
 from conftest import make_table
 
 
@@ -183,6 +184,52 @@ class TestGenerateVghs:
         table = make_table(p=["x", "y"], q=["c", bad])
         with pytest.raises(InputError, match=re.escape(repr(bad))):
             generate_vghs(table, ["p", "q"], self.NeverFetched(), WARD)
+
+    class Counting:
+        provider_id = "counting"
+
+        def __init__(self):
+            self.calls = []
+
+        def fetch(self, values):
+            self.calls.append(list(values))
+            return [np.array([float(len(v)), float(ord(v[0]))]) for v in values]
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_one_fetch_embeds_every_column(self, method):
+        table = make_table(p=["cook", "nurse", "cook"], q=["pilot", "nurse", "ab"])
+        provider = self.Counting()
+        vghs = generate_vghs(table, ["p", "q"], provider, method, seed=3)
+        assert provider.calls == [["ab", "cook", "nurse", "pilot"]]
+        for attr in ("p", "q"):
+            values = sorted(set(table.column(attr).values))
+            embeddings = embed_all(values, self.Counting())
+            assert vghs[attr] == build_vgh(values, embeddings, method, 3, attribute=attr)
+
+    def test_one_http_request_carries_the_union_of_the_columns(self, monkeypatch):
+        sent = []
+
+        def post(url, json=None, headers=None, timeout=None):
+            sent.append(json["input"])
+            data = [{"index": i, "embedding": [float(i), 1.0]} for i in range(len(json["input"]))]
+            return SimpleNamespace(status_code=200, json=lambda: {"data": data})
+
+        monkeypatch.setattr("clustem.embed.requests.post", post)
+        p = [f"v{i:03d}" for i in range(100)]
+        q = [f"v{i:03d}" for i in range(50, 150)]
+        generate_vghs(make_table(p=p, q=q), ["p", "q"], HttpApiProvider("http://x", "m"), WARD)
+        assert sent == [[f"v{i:03d}" for i in range(150)]]
+
+    def test_columns_of_different_dimensions_are_refused(self):
+        class TwoDimensions:
+            provider_id = "two-dimensions"
+
+            def fetch(self, values):
+                return [np.zeros(2 if v.startswith("p") else 3) for v in values]
+
+        table = make_table(p=["p1", "p2"], q=["q1", "q2"])
+        with pytest.raises(ProviderError, match="inconsistent embedding dimensions in one run"):
+            generate_vghs(table, ["p", "q"], TwoDimensions(), WARD)
 
 
 class TestSearch:

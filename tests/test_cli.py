@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -156,6 +158,8 @@ class TestVghBuild:
             ("a,b", "1 1\nc 0\n", "set labels"),
             # A vector exists, but the value would break the hierarchy file.
             ("a;b", "2 1\na;b 1\nc 0\n", "hierarchy file"),
+            # The vector file is malformed, but it is read only after the values are checked.
+            ("a;b", "1 2\nnurse 0 x\n", "hierarchy file"),
         ],
     )
     def test_bad_value_is_rejected_before_embedding(self, tmp_path, capsys, value, vectors, use):
@@ -194,6 +198,98 @@ class TestVghBuild:
         assert f"{data}: line 3: field larger than field limit" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text, column, message",
+        [
+            ('job\ncook\n"nurse\npilot\n', "job", "line 4: unexpected end of data"),
+            ('a,b\n"x"y,1\n', "a", "line 2: ',' expected after '\"'"),
+        ],
+    )
+    def test_malformed_quoting_is_an_input_error(
+        self, small_inputs, capsys, text, column, message
+    ):
+        data = small_inputs["dir"] / "quoted.csv"
+        data.write_text(text, encoding="utf-8")
+        out = small_inputs["dir"] / "h"
+        code = main(
+            [
+                "vgh", "build",
+                "--input", str(data),
+                "--columns", column,
+                "--vectors", small_inputs["vectors"],
+                "--out-dir", str(out),
+            ]
+        )
+        assert code == 2
+        assert f"{data}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_values_all_in_the_cache_need_no_vector_file(self, small_inputs):
+        vectors = Path(small_inputs["vectors"])
+        cache = small_inputs["dir"] / "cache.json"
+        outs = [small_inputs["dir"] / "h1", small_inputs["dir"] / "h2"]
+        for out in outs:
+            code = main(
+                [
+                    "vgh", "build",
+                    "--input", small_inputs["csv"],
+                    "--columns", "job,grade",
+                    "--vectors", str(vectors),
+                    "--cache", str(cache),
+                    "--out-dir", str(out),
+                ]
+            )
+            assert code == 0
+            vectors.unlink(missing_ok=True)
+        for column in ("job", "grade"):
+            first, second = (out / f"{column}.csv" for out in outs)
+            assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
+    def test_a_named_pipe_works_as_the_vector_file(self, small_inputs):
+        fifo = small_inputs["dir"] / "vecs.fifo"
+        os.mkfifo(fifo)
+        text = Path(small_inputs["vectors"]).read_text(encoding="utf-8")
+
+        def write_once():
+            with open(fifo, "w", encoding="utf-8") as fh:
+                fh.write(text)
+
+        def open_and_close():
+            try:
+                os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+            except OSError:  # ENXIO: no reader waits on the pipe
+                pass
+
+        def build(vectors, out):
+            return main(
+                [
+                    "vgh", "build",
+                    "--input", small_inputs["csv"],
+                    "--columns", "job,grade",
+                    "--vectors", str(vectors),
+                    "--out-dir", str(small_inputs["dir"] / out),
+                ]
+            )
+
+        writer = threading.Thread(target=write_once, daemon=True)
+        writer.start()
+        # A second open of the pipe would wait for a writer for ever; this one
+        # ends such a wait with an empty read, so the run fails instead of hanging.
+        closer = threading.Timer(5.0, open_and_close)
+        closer.start()
+        try:
+            assert build(fifo, "from-pipe") == 0
+        finally:
+            closer.cancel()
+        writer.join(5.0)
+        assert not writer.is_alive()
+        assert build(small_inputs["vectors"], "from-file") == 0
+        for column in ("job", "grade"):
+            from_pipe = small_inputs["dir"] / "from-pipe" / f"{column}.csv"
+            from_file = small_inputs["dir"] / "from-file" / f"{column}.csv"
+            assert from_pipe.read_bytes() == from_file.read_bytes()
 
     def test_repeated_column_is_a_config_error(self, small_inputs, capsys):
         out = small_inputs["dir"] / "h"
