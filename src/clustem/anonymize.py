@@ -6,14 +6,15 @@ suppressed fraction stays within the limit. Passing is monotone (generalizing
 further only merges groups): the upward cone of a passing node passes, the
 downward cone of a failing node fails.
 
-For each entry of a sweep, a fresh walk visits nodes best-first from the
-bottom node, in ascending (loss, level sum, levels) order, and yields the
-first passing node it pops. That key grows strictly along every lattice edge,
-so every node popped before it fails and it is the optimum. A popped node
-without a verdict is checked; when it fails, a greedy upward chain from it is
-binary-searched for its first passing node. Every check tags a whole cone,
-upward on a pass and downward on a fail (the chain search of OLA and Flash),
-so most popped nodes are decided by a tag, not a check.
+For each entry of a sweep, a fresh walk visits nodes in ascending (loss, level
+sum, levels) order and yields the first passing node, so every node visited
+before it fails and it is the optimum. A visited node without a verdict is
+checked; when it fails, a greedy upward chain from it is binary-searched for
+its first passing node. Every check tags a whole cone, upward on a pass and
+downward on a fail (the chain search of OLA and Flash), so most nodes are
+decided by a tag, and a walk ends once the all-top node fails. The order is
+one sort of the lattice, made once a walk goes beyond the bottom node: about
+1.1 s and 225 MiB of memory at 9.8M nodes.
 
 Cells are mapped through the hierarchies once per sweep, into integer codes;
 the privacy check, each row's group id (-1 on suppressed rows) and the
@@ -26,7 +27,6 @@ packed into one mixed-radix int64 key per row, then numbered densely.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
@@ -276,6 +276,20 @@ def _classify(
         mid = (lo + hi) // 2
 
 
+def _ranking(level_counts: Sequence[int]) -> np.ndarray:
+    """Every node's flat index, in ascending (loss, level sum, levels) order.
+    Losses are summed in ``loss``'s order, so they are bit-equal to it, and
+    the stable sort keeps C order, which is lexicographic, on full ties."""
+    losses = np.zeros(level_counts)
+    heights = np.zeros(level_counts, dtype=np.int32)
+    axes = np.ix_(*[np.arange(c, dtype=np.int32) for c in level_counts])
+    for count, levels in zip(level_counts, axes):
+        losses += levels / max(count - 1, 1)
+        heights += levels
+    losses /= len(level_counts)
+    return np.lexsort((heights.ravel(), losses.ravel()))
+
+
 def search(
     table: Table, spec: QiSpec, vghs: Mapping[str, Vgh], sweep: Sequence[PrivacyParams]
 ) -> Iterator[AnonymizationResult]:
@@ -284,29 +298,25 @@ def search(
     lattice = _CodedLattice(table, spec, vghs)
     level_counts = tuple(v.level_count for v in lattice.vghs)
     tops = tuple(c - 1 for c in level_counts)
-    bottom = (0,) * len(level_counts)
+    ranking = np.zeros(1, dtype=np.intp)  # the bottom node, which ranks first
     for params in sweep:
         state = np.full(level_counts, _UNKNOWN, dtype=np.int8)
-        queued = np.zeros(level_counts, dtype=bool)
-        queued[bottom] = True
-        heap = [(loss(bottom, lattice.vghs), 0, bottom)]
+        flat = state.reshape(-1)
         best, satisfied = tops, False
-        # The key rises strictly along every lattice edge, so nodes pop in key
-        # order and every node popped before the first passing one fails.
-        while heap and state[tops] != _FAIL:
-            _, height, node = heapq.heappop(heap)
-            if state[node] == _UNKNOWN:
+        for rank in range(flat.size):
+            if rank == len(ranking):
+                ranking = _ranking(level_counts)
+            index = ranking[rank]
+            if flat[index] == _FAIL:
+                continue
+            node = tuple(map(int, np.unravel_index(index, level_counts)))
+            if flat[index] == _UNKNOWN:
                 _classify(lattice, params, _chain(node, tops, state), state)
-            if state[node] == _PASS:
+            if flat[index] == _PASS:
                 best, satisfied = node, True
                 break
-            for j, top in enumerate(tops):
-                if node[j] < top:
-                    successor = node[:j] + (node[j] + 1,) + node[j + 1 :]
-                    if not queued[successor]:
-                        queued[successor] = True
-                        key = (loss(successor, lattice.vghs), height + 1, successor)
-                        heapq.heappush(heap, key)
+            if state[tops] == _FAIL:
+                break
 
         groups = lattice.groups(best, params)
         out = lattice.generalize(table, best, groups < 0)

@@ -11,7 +11,15 @@ from hypothesis import strategies as st
 
 import _datagen as datagen
 import _oracles as oracles
-from clustem.anonymize import PrivacyParams, _CodedLattice, _fold, generate_vghs, loss, search
+from clustem.anonymize import (
+    PrivacyParams,
+    _CodedLattice,
+    _fold,
+    _ranking,
+    generate_vghs,
+    loss,
+    search,
+)
 from clustem.embed import HttpApiProvider, WordVectorProvider, embed_all
 from clustem.errors import InputError, ProviderError
 from clustem.tabular import Column, QiSpec, Table, group_ids, load_csv
@@ -311,6 +319,23 @@ class TestSearch:
             assert result.node == tuple(vghs[a].level_count - 1 for a in spec.qi)
         return result.satisfied
 
+    def test_ranking_is_the_brute_force_key_order(self):
+        # 1-level attributes and equal level counts give loss ties, broken by
+        # the level sum and then the levels.
+        rng = np.random.default_rng(1717)
+        ties = 0
+        for _ in range(40):
+            counts = rng.choice([1, 2, 3, 3, 4, 5, 7], size=int(rng.integers(1, 5))).tolist()
+            vghs = [SimpleNamespace(attribute=f"q{j}", level_count=c) for j, c in enumerate(counts)]
+            expected = sorted(
+                itertools.product(*map(range, counts)),
+                key=lambda n: (loss(n, vghs), sum(n), n),
+            )
+            ranked = np.unravel_index(_ranking(counts), counts)
+            assert list(zip(*(axis.tolist() for axis in ranked))) == expected
+            ties += len(expected) - len({loss(n, vghs) for n in expected})
+        assert ties > 0
+
     def test_matches_exhaustive_enumeration(self):
         rng = np.random.default_rng(2024)
         for _ in range(25):
@@ -400,11 +425,15 @@ class TestSearch:
             return check(lattice, node, params)
 
         monkeypatch.setattr(_CodedLattice, "check", counting_check)
-        [result] = search(train, spec, vghs, [PrivacyParams(k=200, l=2, sup_limit=0.5)])
-        assert result.satisfied
-        # The boundary here is 69 minimal passing and 66 maximal failing nodes,
-        # while 72,191 of the lattice's 116,960 nodes fail.
-        assert len(checks) < 1000
+        sweep = [PrivacyParams(k=k, l=2, sup_limit=0.5) for k in [2, 10, 30, 200]]
+        counts = []
+        for result in search(train, spec, vghs, sweep):
+            assert result.satisfied
+            counts.append(len(checks))
+            checks.clear()
+        # At k=200 the boundary is 69 minimal passing and 66 maximal failing
+        # nodes, while 72,191 of the lattice's 116,960 nodes fail.
+        assert counts == [1, 1, 83, 154]
 
     def test_table_and_mask_match_dict_lookups(self):
         rng = np.random.default_rng(77)
