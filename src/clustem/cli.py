@@ -130,8 +130,8 @@ def _once(entries: list, what: str) -> list:
 
 
 def _provider_from_args(args):
-    if args.vectors and args.api_endpoint:
-        raise InputError("configure either --vectors or an API endpoint, not both")
+    if args.vectors and (args.api_endpoint or args.api_model):
+        raise InputError("configure either --vectors or --api-endpoint/--api-model, not both")
     if args.vectors:
         config = ProviderConfig(WORD_VECTOR_FILE, path=args.vectors)
     elif args.api_endpoint or args.api_model:

@@ -3,24 +3,26 @@
 Two sources are supported: a word-vector text file (a value embeds as the
 mean of its tokens' vectors; each fetch reads the file once, checks every line
 and converts only the lines of tokens that its values name) and a generic HTTP
-embeddings API (the whole value string is embedded at once). Results can be
-cached on disk as a JSON object stamped with the provider id and the vector
-dimension, plus a map of value -> array of numbers; the cache is written
-atomically, reproduces provider output bit for bit, and is refused when the
-stamp does not match.
+embeddings API over the stdlib's ``urllib.request`` (the whole value string is
+embedded at once). Results can be cached on disk as a JSON object stamped with
+the provider id and the vector dimension, plus a map of value -> array of
+numbers; the cache is written atomically, reproduces provider output bit for
+bit, and is refused when the stamp does not match.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import re
+import urllib.error
+import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-import requests
 
 from .errors import InputError, ProviderError
 from .tabular import atomic_write
@@ -154,7 +156,9 @@ class HttpApiProvider:
     Values are embedded whole (no tokenization). Requests carry a bearer token
     taken from the configured environment variable when it is set, are
     batched at API_BATCH_SIZE values apiece, and time out after API_TIMEOUT_S
-    seconds.
+    seconds. Only http and https endpoints are contacted; TLS trusts the
+    system's CA store. A redirect of the POST (307/308), like any other
+    non-2xx status or transport failure, is a ProviderError.
     """
 
     def __init__(self, endpoint: str, model: str, api_key_env: str = DEFAULT_API_KEY_ENV) -> None:
@@ -173,25 +177,29 @@ class HttpApiProvider:
         return out
 
     def _post(self, batch: list[str]) -> list[np.ndarray]:
-        headers = {}
+        # urlopen would also read file: and data: URLs.
+        if not self.endpoint.lower().startswith(("http://", "https://")):
+            raise ProviderError(f"embeddings API endpoint {self.endpoint!r} is not an http(s) URL")
+        headers = {"Content-Type": "application/json"}
         token = os.environ.get(self.api_key_env)
         if token:
             headers["Authorization"] = f"Bearer {token}"
+        body = json.dumps({"model": self.model, "input": batch}).encode()
         try:
-            resp = requests.post(
-                self.endpoint,
-                json={"model": self.model, "input": batch},
-                headers=headers,
-                timeout=API_TIMEOUT_S,
-            )
-        except requests.RequestException as exc:
+            request = urllib.request.Request(self.endpoint, body, headers, method="POST")
+            try:
+                resp = urllib.request.urlopen(request, timeout=API_TIMEOUT_S)
+            except urllib.error.HTTPError as exc:  # a non-2xx status, with its body
+                resp = exc
+            with resp:
+                status, raw = resp.status, resp.read()
+        except (OSError, http.client.HTTPException, ValueError) as exc:
             raise ProviderError(f"embeddings request failed: {exc}") from exc
-        if not 200 <= resp.status_code < 300:
-            raise ProviderError(
-                f"embeddings API returned {resp.status_code}: {resp.text[:200]}"
-            )
+        if not 200 <= status < 300:
+            text = raw.decode("utf-8", "replace")
+            raise ProviderError(f"embeddings API returned {status}: {text[:200]}")
         try:
-            payload = resp.json()
+            payload = json.loads(raw)
             items = payload["data"]
             slots: list[np.ndarray | None] = [None] * len(batch)
             for item in items:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 import _datagen as datagen
+from _loopback import EmbeddingsApi
 from clustem.tabular import Column, Table
 
 
@@ -18,6 +19,14 @@ def adult_paths(tmp_path_factory):
     datagen.write_csv(str(test), datagen.make_rows(1500, seed=12))
     datagen.write_word_vectors(str(vectors))
     return {"train": str(train), "test": str(test), "vectors": str(vectors)}
+
+
+@pytest.fixture
+def embeddings_api(monkeypatch):
+    """A scripted embeddings API on 127.0.0.1 (see ``_loopback``)."""
+    monkeypatch.setenv("no_proxy", "127.0.0.1")  # keep an outer proxy off the loopback traffic
+    with EmbeddingsApi() as api:
+        yield api
 
 
 def make_table(**columns: list[str]) -> Table:

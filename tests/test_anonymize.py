@@ -214,18 +214,12 @@ class TestGenerateVghs:
             embeddings = embed_all(values, self.Counting())
             assert vghs[attr] == build_vgh(values, embeddings, method, 3, attribute=attr)
 
-    def test_one_http_request_carries_the_union_of_the_columns(self, monkeypatch):
-        sent = []
-
-        def post(url, json=None, headers=None, timeout=None):
-            sent.append(json["input"])
-            data = [{"index": i, "embedding": [float(i), 1.0]} for i in range(len(json["input"]))]
-            return SimpleNamespace(status_code=200, json=lambda: {"data": data})
-
-        monkeypatch.setattr("clustem.embed.requests.post", post)
+    def test_one_http_request_carries_the_union_of_the_columns(self, embeddings_api):
         p = [f"v{i:03d}" for i in range(100)]
         q = [f"v{i:03d}" for i in range(50, 150)]
-        generate_vghs(make_table(p=p, q=q), ["p", "q"], HttpApiProvider("http://x", "m"), WARD)
+        provider = HttpApiProvider(embeddings_api.url, "m")
+        generate_vghs(make_table(p=p, q=q), ["p", "q"], provider, WARD)
+        sent = [request.json["input"] for request in embeddings_api.requests]
         assert sent == [[f"v{i:03d}" for i in range(150)]]
 
     def test_columns_of_different_dimensions_are_refused(self):

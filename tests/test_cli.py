@@ -2,14 +2,19 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
 import threading
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import clustem
+from _loopback import response, vector_of
 from clustem.anonymize import _CodedLattice
 from clustem.cli import main
 from clustem.tabular import group_ids, load_csv
@@ -962,3 +967,115 @@ class TestSuppressionMark:
         assert code == 0
         evaluated = json.loads(evaluation.read_text())
         assert (evaluated["perc_recs"], evaluated["achieved_k"]) == (0.0, 0)
+
+
+def command_args(command, small_inputs, out):
+    """The flags of a run on ``small_inputs``, less its embedding source."""
+    if command == "vgh":
+        return ["vgh", "build", "--input", small_inputs["csv"], "--columns", "job,grade",
+                "--out-dir", str(out)]
+    return ["anonymize", "--input", small_inputs["csv"], "--out", str(out),
+            "--qi", "job,grade", "--sa", "salary-class", "--k", "2", "--sup-limit", "0.5"]
+
+
+class TestEmbeddingsApi:
+    """The commands against a scripted embeddings API on 127.0.0.1."""
+
+    @pytest.fixture
+    def api_flags(self, embeddings_api, monkeypatch):
+        monkeypatch.setenv("CLUSTEM_TEST_KEY", "sekret")
+        return ["--api-endpoint", embeddings_api.url, "--api-model", "m",
+                "--api-key-env", "CLUSTEM_TEST_KEY"]
+
+    def expected_hierarchy(self, small_inputs, column) -> bytes:
+        values = sorted(set(load_csv(small_inputs["csv"]).column(column).values))
+        embeddings = {v: np.array(vector_of(v)) for v in values}
+        path = small_inputs["dir"] / f"expected-{column}.csv"
+        write_hierarchy(build_vgh(values, embeddings, "ward", attribute=column), str(path))
+        return path.read_bytes()
+
+    def assert_one_authorized_request(self, embeddings_api):
+        [request] = embeddings_api.requests
+        assert request.headers["Authorization"] == "Bearer sekret"
+        values = ["cook", "high", "low", "mid", "nurse", "pilot"]  # both columns, sorted
+        assert request.json == {"model": "m", "input": values}
+
+    def test_vgh_build(self, small_inputs, embeddings_api, api_flags):
+        out = small_inputs["dir"] / "h"
+        assert main(command_args("vgh", small_inputs, out) + api_flags) == 0
+        self.assert_one_authorized_request(embeddings_api)
+        for column in ("job", "grade"):
+            expected = self.expected_hierarchy(small_inputs, column)
+            assert (out / f"{column}.csv").read_bytes() == expected
+
+    def test_anonymize(self, small_inputs, embeddings_api, api_flags):
+        out = small_inputs["dir"] / "run"
+        assert main(command_args("anonymize", small_inputs, out) + api_flags) == 0
+        self.assert_one_authorized_request(embeddings_api)
+        report = json.loads((out / "report.json").read_text())
+        assert report["meta"]["provider"] == f"http:m@{embeddings_api.url}"
+        for column in ("job", "grade"):
+            written = out / "hierarchies" / f"{column}.csv"
+            assert written.read_bytes() == self.expected_hierarchy(small_inputs, column)
+
+    @pytest.mark.parametrize("command", ["vgh", "anonymize"])
+    def test_error_reply_exits_3_and_writes_nothing(
+        self, small_inputs, embeddings_api, api_flags, capsys, command
+    ):
+        embeddings_api.reply = lambda request: response(500, b"internal error")
+        out = small_inputs["dir"] / "out"
+        assert main(command_args(command, small_inputs, out) + api_flags) == 3
+        assert "embeddings API returned 500: internal error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "reply, endpoint",
+        [
+            (b"garbage\r\n", None),
+            (response(200, b'{"data": []}', length=100), None),
+            (response(307, headers=("Location: /v1/embeddings",)), None),
+            (None, "http://[::1/x"),
+            (None, "FILE"),  # the vector file's file: URL
+        ],
+        ids=["garbage-status-line", "truncated-body", "redirect", "unparseable-url", "file-url"],
+    )
+    def test_transport_failure_exits_3_without_a_traceback(
+        self, small_inputs, embeddings_api, reply, endpoint
+    ):
+        if reply:
+            embeddings_api.reply = lambda request: reply
+        if endpoint == "FILE":
+            endpoint = Path(small_inputs["vectors"]).as_uri()
+        out = small_inputs["dir"] / "out"
+        args = command_args("vgh", small_inputs, out)
+        args += ["--api-endpoint", endpoint or embeddings_api.url, "--api-model", "m"]
+        src = str(Path(clustem.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "clustem.cli", *args],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["vgh", "anonymize"])
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--vectors", "VECTORS", "--api-endpoint", "http://127.0.0.1:9/"], "not both"),
+        (["--vectors", "VECTORS", "--api-model", "m"], "not both"),
+        ([], "an embedding source is required"),
+    ],
+    ids=["vectors-and-endpoint", "vectors-and-model", "none"],
+)
+def test_one_embedding_source_or_exit_2(small_inputs, capsys, command, flags, message):
+    out = small_inputs["dir"] / "out"
+    flags = [small_inputs["vectors"] if flag == "VECTORS" else flag for flag in flags]
+    assert main(command_args(command, small_inputs, out) + flags) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()

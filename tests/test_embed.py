@@ -3,12 +3,14 @@ from __future__ import annotations
 import json
 import math
 import re
+import socket
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from _loopback import data_reply, indexed_vectors, response, vector_of
 from _oracles import ReferenceWordVectorProvider
 from clustem.embed import (
     _FINITE,
@@ -186,75 +188,68 @@ class TestMatchesReferenceParser:
         assert math.isfinite(float(text))
 
 
-class _FakeResponse:
-    def __init__(self, payload, status_code=200):
-        self._payload = payload
-        self.status_code = status_code
-        self.text = json.dumps(payload)
-
-    def json(self):
-        return self._payload
-
-
-def _fake_post(recorder, dim=3, shuffle=False, status=200):
-    def post(url, json=None, headers=None, timeout=None):
-        recorder.append({"url": url, "body": json, "headers": headers})
-        inputs = json["input"]
-        data = [
-            {"index": i, "embedding": [float(i + len(recorder)), *([0.0] * (dim - 1))]}
-            for i in range(len(inputs))
-        ]
-        if shuffle:
-            data = data[::-1]
-        return _FakeResponse({"data": data}, status_code=status)
-
-    return post
-
-
 class TestHttpApiProvider:
-    def test_batches_of_256(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr("clustem.embed.requests.post", _fake_post(calls))
-        provider = HttpApiProvider("http://localhost/v1/embeddings", "test-model")
-        values = [f"v{i}" for i in range(300)]
-        out = provider.fetch(values)
-        assert len(out) == 300
-        assert len(calls) == 2
-        assert len(calls[0]["body"]["input"]) == API_BATCH_SIZE
-        assert len(calls[1]["body"]["input"]) == 44
+    def test_batches_of_256(self, embeddings_api):
+        values = [f"v{i}" for i in range(600)]
+        out = HttpApiProvider(embeddings_api.url, "m").fetch(values)
+        sent = [request.json["input"] for request in embeddings_api.requests]
+        assert [len(batch) for batch in sent] == [API_BATCH_SIZE, API_BATCH_SIZE, 88]
+        assert sum(sent, []) == values
+        assert [vec.tolist() for vec in out] == [vector_of(v) for v in values]
 
-    def test_reorders_by_index(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr("clustem.embed.requests.post", _fake_post(calls, shuffle=True))
-        provider = HttpApiProvider("http://x", "m")
-        out = provider.fetch(["a", "b", "c"])
-        assert [vec[0] for vec in out] == [1.0, 2.0, 3.0]
+    def test_posts_json_with_its_content_type(self, embeddings_api):
+        HttpApiProvider(embeddings_api.url, "test-model").fetch(["a", "b c"])
+        [request] = embeddings_api.requests
+        assert request.path == "/v1/embeddings"
+        assert request.headers["Content-Type"] == "application/json"
+        assert request.json == {"model": "test-model", "input": ["a", "b c"]}
 
-    def test_bearer_token_from_env(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr("clustem.embed.requests.post", _fake_post(calls))
+    def test_reorders_by_index(self, embeddings_api):
+        embeddings_api.reply = lambda request: data_reply(indexed_vectors(request)[::-1])
+        out = HttpApiProvider(embeddings_api.url, "m").fetch(["a", "bb", "ccc"])
+        assert [vec.tolist() for vec in out] == [vector_of(v) for v in ["a", "bb", "ccc"]]
+
+    def test_bearer_token_from_env(self, embeddings_api, monkeypatch):
         monkeypatch.setenv("MY_KEY", "sekret")
-        HttpApiProvider("http://x", "m", api_key_env="MY_KEY").fetch(["a"])
-        assert calls[0]["headers"]["Authorization"] == "Bearer sekret"
+        HttpApiProvider(embeddings_api.url, "m", api_key_env="MY_KEY").fetch(["a"])
+        assert embeddings_api.requests[0].headers["Authorization"] == "Bearer sekret"
 
-    def test_no_token_when_env_unset(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr("clustem.embed.requests.post", _fake_post(calls))
+    def test_no_token_when_env_unset(self, embeddings_api, monkeypatch):
         monkeypatch.delenv("CLUSTEM_API_KEY", raising=False)
-        HttpApiProvider("http://x", "m").fetch(["a"])
-        assert "Authorization" not in calls[0]["headers"]
+        HttpApiProvider(embeddings_api.url, "m").fetch(["a"])
+        assert "Authorization" not in embeddings_api.requests[0].headers
 
-    def test_non_2xx_is_provider_error(self, monkeypatch):
-        monkeypatch.setattr("clustem.embed.requests.post", _fake_post([], status=500))
-        with pytest.raises(ProviderError, match="500"):
-            HttpApiProvider("http://x", "m").fetch(["a"])
+    def test_non_2xx_is_provider_error(self, embeddings_api):
+        body = "overloaded: " + "é" * 300
+        embeddings_api.reply = lambda request: response(500, body.encode())
+        with pytest.raises(ProviderError) as info:
+            HttpApiProvider(embeddings_api.url, "m").fetch(["a"])
+        assert str(info.value) == f"embeddings API returned 500: {body[:200]}"
 
-    def test_malformed_response(self, monkeypatch):
-        monkeypatch.setattr(
-            "clustem.embed.requests.post", lambda *a, **k: _FakeResponse({"nope": 1})
-        )
+    def test_malformed_response(self, embeddings_api):
+        embeddings_api.reply = lambda request: response(200, b'{"nope": 1}')
         with pytest.raises(ProviderError, match="malformed"):
-            HttpApiProvider("http://x", "m").fetch(["a"])
+            HttpApiProvider(embeddings_api.url, "m").fetch(["a"])
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b"<html>not json</html>",
+            b"\xff\xfe{",
+            b'{"data": 5}',
+            b'{"data": [{"index": 0}]}',
+            b'{"data": [{"index": 0, "embedding": ["x"]}]}',
+            b'{"data": [{"index": 0, "embedding": []}]}',
+            b'{"data": [{"index": 0, "embedding": [[1.0]]}]}',
+            b'{"data": [{"index": 0, "embedding": [NaN]}]}',
+        ],
+        ids=["not-json", "not-utf8", "data-not-a-list", "no-embedding", "non-numeric",
+             "empty", "nested", "nan"],
+    )
+    def test_malformed_replies_are_provider_errors(self, embeddings_api, body):
+        embeddings_api.reply = lambda request: response(200, body)
+        with pytest.raises(ProviderError, match="malformed"):
+            HttpApiProvider(embeddings_api.url, "m").fetch(["a"])
 
     @pytest.mark.parametrize(
         "indices",
@@ -262,13 +257,50 @@ class TestHttpApiProvider:
         ids=["extra-negative", "duplicate", "duplicate-only", "bool", "out-of-range",
              "float", "string", "missing"],
     )
-    def test_rejects_bad_indices(self, monkeypatch, indices):
+    def test_rejects_bad_indices(self, embeddings_api, indices):
         data = [{"index": i, "embedding": [float(n), 1.0]} for n, i in enumerate(indices)]
-        monkeypatch.setattr(
-            "clustem.embed.requests.post", lambda *a, **k: _FakeResponse({"data": data})
-        )
+        embeddings_api.reply = lambda request: data_reply(data)
         with pytest.raises(ProviderError, match="index|missing"):
-            HttpApiProvider("http://x", "m").fetch(["a", "b"])
+            HttpApiProvider(embeddings_api.url, "m").fetch(["a", "b"])
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            (b"garbage\r\n", "embeddings request failed"),
+            (response(200, b'{"data": []}', length=100), "embeddings request failed"),
+            (response(307, headers=("Location: /v1/embeddings",)), "returned 307"),
+            (response(308, headers=("Location: /v1/embeddings",)), "returned 308"),
+        ],
+        ids=["garbage-status-line", "truncated-body", "redirect-307", "redirect-308"],
+    )
+    def test_broken_replies_are_provider_errors(self, embeddings_api, raw, message):
+        embeddings_api.reply = lambda request: raw
+        with pytest.raises(ProviderError, match=message):
+            HttpApiProvider(embeddings_api.url, "m").fetch(["a"])
+        assert len(embeddings_api.requests) == 1  # a redirect is not followed
+
+    def test_refused_connection_is_a_provider_error(self):
+        with socket.socket() as sock:  # a port that nothing listens on once closed
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        with pytest.raises(ProviderError, match="embeddings request failed"):
+            HttpApiProvider(f"http://127.0.0.1:{port}/v1/embeddings", "m").fetch(["a"])
+
+    @pytest.mark.parametrize(
+        "endpoint", ["http://[::1/x", "http://127.0.0.1:port/", "http://a b/", "x"]
+    )
+    def test_unusable_url_is_a_provider_error(self, endpoint):
+        with pytest.raises(ProviderError):
+            HttpApiProvider(endpoint, "m").fetch(["a"])
+
+    def test_file_and_data_urls_are_not_read(self, tmp_path):
+        reply = json.dumps({"data": [{"index": 0, "embedding": [1.0]}]})
+        path = tmp_path / "reply.json"
+        path.write_text(reply, encoding="utf-8")
+        # Both would read as a valid reply if they were opened.
+        for endpoint in [path.as_uri(), f"data:application/json,{reply}"]:
+            with pytest.raises(ProviderError, match="not an http"):
+                HttpApiProvider(endpoint, "m").fetch(["a"])
 
 
 class _CountingProvider:
@@ -394,16 +426,17 @@ class TestEmbedAll:
         raw = json.loads((tmp_path / "cache.json").read_text())
         assert set(raw["vectors"]) == {"a", "bb"}
 
-    def test_cache_suppresses_all_http_requests(self, monkeypatch, tmp_path):
-        calls = []
-        monkeypatch.setattr("clustem.embed.requests.post", _fake_post(calls))
-        provider = HttpApiProvider("http://x", "m")
+    def test_cache_suppresses_all_http_requests(self, embeddings_api, tmp_path):
+        provider = HttpApiProvider(embeddings_api.url, "m")
         cache = str(tmp_path / "cache.json")
         values = ["a", "b", "c"]
-        embed_all(values, provider, cache_path=cache)
-        assert len(calls) == 1
-        embed_all(values, provider, cache_path=cache)
-        assert len(calls) == 1  # second call never touches the network
+        first = embed_all(values, provider, cache_path=cache)
+        assert len(embeddings_api.requests) == 1
+        second = embed_all(values, provider, cache_path=cache)
+        assert len(embeddings_api.requests) == 1  # second call never touches the network
+        assert {v: e.tolist() for v, e in second.items()} == {
+            v: e.tolist() for v, e in first.items()
+        }
 
     def test_fetched_component_beyond_the_bound_is_refused(self):
         with pytest.raises(ProviderError, match="'a'.*beyond 1e\\+100"):

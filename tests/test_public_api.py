@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import _datagen as datagen
@@ -34,3 +37,23 @@ def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
     vectors = {tuple(v) for v in embeddings.values()}
     assert len(vectors) == len(embeddings) > 1
     assert str(result.node) in capsys.readouterr().out
+
+
+def _top_level_modules_after(statement: str) -> set[str]:
+    """The top-level modules loaded by a fresh interpreter that runs ``statement``."""
+    src = str(Path(clustem.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import sys\n{statement}\nprint(*sys.modules)"],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return {name.partition(".")[0] for name in proc.stdout.split()}
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    added = _top_level_modules_after("import clustem.cli") - _top_level_modules_after(
+        "import numpy"
+    )
+    assert added - set(sys.stdlib_module_names) == {"clustem"}
