@@ -82,8 +82,9 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--l", type=int, default=1)
     ev.add_argument("--sup-limit", type=float, default=0.0)
     ev.add_argument("--positive-class", default=">50K")
-    ev.add_argument("--numeric-features", help="comma-separated numeric feature columns")
-    ev.add_argument(
+    features = ev.add_mutually_exclusive_group()
+    features.add_argument("--numeric-features", help="comma-separated numeric feature columns")
+    features.add_argument(
         "--qi-only", action="store_true", help="use only the QI columns as features"
     )
     ev.add_argument(
@@ -130,22 +131,14 @@ def _once(entries: list, what: str) -> list:
 
 
 def _provider_from_args(args):
-    if args.vectors and (args.api_endpoint or args.api_model):
-        raise InputError("configure either --vectors or --api-endpoint/--api-model, not both")
-    if args.vectors:
-        config = ProviderConfig(WORD_VECTOR_FILE, path=args.vectors)
-    elif args.api_endpoint or args.api_model:
-        config = ProviderConfig(
-            HTTP_API,
-            endpoint=args.api_endpoint,
-            model=args.api_model,
-            api_key_env=args.api_key_env,
-        )
-    else:
+    if not (args.vectors or args.api_endpoint or args.api_model):
         raise InputError(
             "an embedding source is required: --vectors or --api-endpoint/--api-model"
         )
-    return create_provider(config)
+    kind = WORD_VECTOR_FILE if args.vectors else HTTP_API
+    return create_provider(
+        ProviderConfig(kind, args.vectors, args.api_endpoint, args.api_model, args.api_key_env)
+    )
 
 
 def _now() -> str:
@@ -265,8 +258,9 @@ def _cmd_anonymize(args) -> int:
     provider_id = "hierarchy-files"
     kmeans_repairs = 0
     to_generate = [attr for attr in spec.qi if attr not in vghs]
+    if to_generate or args.vectors or args.api_endpoint or args.api_model:
+        provider = _provider_from_args(args)  # judges the flags even when unused
     if to_generate:
-        provider = _provider_from_args(args)
         provider_id = provider.provider_id
         generated = generate_vghs(table, to_generate, provider, method, seed, args.cache)
         hierarchy_dir = out_root / "hierarchies"

@@ -16,7 +16,7 @@ from __future__ import annotations
 import logging
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -57,7 +57,7 @@ class EfficacyReport:
     positive_class: str
 
     def to_dict(self) -> dict:
-        return {"accuracy": self.accuracy, "f1": self.f1, "positive_class": self.positive_class}
+        return asdict(self)
 
 
 @dataclass

@@ -58,7 +58,10 @@ class ProviderConfig:
     def __post_init__(self) -> None:
         if self.kind == WORD_VECTOR_FILE:
             if not self.path or self.endpoint or self.model:
-                raise InputError("a word-vector provider needs a file path and nothing else")
+                raise InputError(
+                    "a word-vector provider needs a file path and no API endpoint or model:"
+                    " configure a vector file or an API, not both"
+                )
         elif self.kind == HTTP_API:
             if self.path or not (self.endpoint and self.model):
                 raise InputError("an HTTP provider needs an endpoint and a model name")

@@ -10,7 +10,7 @@ those rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -29,20 +29,9 @@ class MetricReport:
     node: LatticeNode | None = None
 
     def to_dict(self) -> dict:
-        out = {
-            "achieved_k": self.achieved_k,
-            "achieved_l": self.achieved_l,
-            "t_closeness": self.t_closeness,
-            "perc_recs": self.perc_recs,
-            "c_avg": self.c_avg,
-            "requested": {
-                "k": self.requested.k,
-                "l": self.requested.l,
-                "sup_limit": self.requested.sup_limit,
-            },
-        }
-        if self.node is not None:
-            out["node"] = list(self.node)
+        out = asdict(self)
+        if self.node is None:
+            del out["node"]
         return out
 
 

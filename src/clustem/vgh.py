@@ -6,7 +6,7 @@ generalized label: level 0 is the identity, the top level maps everything to
 use the ";"-separated one-row-per-leaf layout common to lattice anonymizers,
 so generalized set labels use "," inside braces (";" would break the file
 format). This module owns that label grammar: ``get_categories`` writes
-labels, ``Vgh.validate`` checks them and ``label_leaves`` reads them.
+labels, a ``Vgh`` checks them on construction and ``label_leaves`` reads them.
 """
 
 from __future__ import annotations
@@ -35,8 +35,10 @@ FIELD_SEPARATOR = ";"
 class Vgh:
     """A full-domain generalization hierarchy for one nominal attribute.
 
-    ``kmeans_repairs`` counts empty-cluster repairs that occurred while the
-    hierarchy was built; it is diagnostic only and ignored by comparisons.
+    Construction raises ``InputError`` unless the levels have the structure
+    the module docstring describes. ``kmeans_repairs`` counts empty-cluster
+    repairs that occurred while the hierarchy was built; it is diagnostic
+    only and ignored by comparisons.
     """
 
     attribute: str
@@ -48,7 +50,7 @@ class Vgh:
     def level_count(self) -> int:
         return len(self.levels)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not self.leaves:
             raise InputError(f"hierarchy for {self.attribute!r} has no leaves")
         if len(set(self.leaves)) != len(self.leaves):
@@ -188,14 +190,11 @@ def build_vgh(
                 levels.append(get_categories(values, assign))
     levels.append({v: TOP for v in values})
 
-    vgh = Vgh(attribute=attribute, leaves=values, levels=levels, kmeans_repairs=repairs)
-    vgh.validate()
-    return vgh
+    return Vgh(attribute=attribute, leaves=values, levels=levels, kmeans_repairs=repairs)
 
 
 def write_hierarchy(vgh: Vgh, path: str) -> None:
     """Write one ";"-separated row per leaf, levels as columns, no header."""
-    vgh.validate()
     lines = [FIELD_SEPARATOR.join(level[leaf] for level in vgh.levels) for leaf in vgh.leaves]
     with atomic_write(path) as fh:
         fh.write("\n".join(lines) + "\n")
@@ -215,10 +214,8 @@ def read_hierarchy(path: str, attribute: str | None = None) -> Vgh:
     if len(widths) != 1:
         raise InputError(f"{path}: rows have unequal column counts {sorted(widths)}")
     levels = [{row[0]: row[j] for row in rows} for j in range(widths.pop())]
-    vgh = Vgh(
+    return Vgh(
         attribute=attribute if attribute is not None else Path(path).stem,
         leaves=[row[0] for row in rows],
         levels=levels,
     )
-    vgh.validate()
-    return vgh

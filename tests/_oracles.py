@@ -44,9 +44,7 @@ def random_vgh(rng: np.random.Generator, attr: str, n_values: int, max_levels: i
                 level[leaf] = label
         levels.append(level)
     levels.append({leaf: "*" for leaf in leaves})
-    vgh = Vgh(attr, leaves, levels)
-    vgh.validate()
-    return vgh
+    return Vgh(attr, leaves, levels)
 
 
 def random_instance(rng: np.random.Generator):

@@ -60,7 +60,8 @@ class TestLoss:
         assert loss((1, 0), [ab_vgh, ab_vgh]) == 0.25
 
     def test_single_level_hierarchy_contributes_zero(self):
-        flat = Vgh("c", ["*"], [{"*": "*"}])
+        # A valid Vgh has at least two levels; loss only reads the level counts.
+        flat = SimpleNamespace(attribute="c", level_count=1)
         assert loss((0, 1), [flat, Vgh("q", ["a"], [{"a": "a"}, {"a": "*"}])]) == 0.5
 
 
@@ -281,6 +282,28 @@ class TestSearch:
         vghs = {f"q{j}": Vgh(f"q{j}", big.leaves, big.levels) for j in range(4)}
         with pytest.raises(InputError, match="lattice"):
             list(search(table, QiSpec([f"q{j}" for j in range(4)]), vghs, [PrivacyParams(k=1)]))
+
+    @pytest.mark.parametrize(
+        "levels, message",
+        [
+            ([{"a": "a", "b": "b", "c": "c"}, {"a": "{a,b}", "c": "c"}], "level 1 does not map"),
+            (
+                [
+                    {"a": "a", "b": "b", "c": "c"},
+                    {"a": "{a,b}", "b": "{a,b}", "c": "c"},
+                    {"a": "a", "b": "{b,c}", "c": "{b,c}"},
+                ],
+                "level 2 splits a level-1 block",
+            ),
+        ],
+        ids=["leaf-missing-from-a-level", "level-splits-a-block"],
+    )
+    def test_a_broken_hierarchy_cannot_reach_the_search(self, levels, message):
+        # search reads every level as a total map that coarsens the one below:
+        # a level missing a leaf ended it with a KeyError, a split went unseen.
+        top = {leaf: "*" for leaf in "abc"}
+        with pytest.raises(InputError, match=message):
+            Vgh("q", ["a", "b", "c"], [*levels, top])
 
     def test_post_hoc_guarantee_on_satisfied_results(self):
         rng = np.random.default_rng(404)

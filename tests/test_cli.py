@@ -95,9 +95,7 @@ class TestVghBuild:
         )
         assert code == 0
         for column in ("job", "grade"):
-            vgh = read_hierarchy(str(out / f"{column}.csv"))
-            vgh.validate()
-            assert vgh.attribute == column
+            assert read_hierarchy(str(out / f"{column}.csv")).attribute == column
 
     def test_missing_input_flag_is_a_config_error(self, capsys):
         assert main(["vgh", "build", "--columns", "x", "--out-dir", "o"]) == 2
@@ -631,6 +629,67 @@ class TestAnonymize:
         assert err.startswith("error: ")
         assert next(iter(override)) in err
 
+    @pytest.mark.parametrize(
+        "flags, config, message",
+        [
+            (["--qi", "nope", "--k", "2"], None, "quasi-identifier column 'nope' not in table"),
+            (["--qi", "job", "--sa", "nope", "--k", "2"], None, "attribute 'nope' not in table"),
+            (["--qi", "job", "--k", "2,x"], None, "malformed k value '2,x'"),
+            (["--qi", "job"], None, "k is required"),
+            ([], {"qi": ["job"], "k": 2, "method": "spectral"}, "method 'spectral'"),
+            ([], {"qi": ["job", "job"], "k": 2}, "columns must be distinct"),
+        ],
+        ids=["unknown-qi", "unknown-sa", "malformed-k", "no-k", "unknown-method", "repeated-qi"],
+    )
+    def test_unusable_setting_is_a_config_error(
+        self, small_inputs, capsys, flags, config, message
+    ):
+        if config is not None:
+            path = small_inputs["dir"] / "run.json"
+            path.write_text(json.dumps(config), encoding="utf-8")
+            flags = ["--config", str(path)]
+        out = small_inputs["dir"] / "unusable"
+        code = main(
+            [
+                "anonymize",
+                "--input", small_inputs["csv"],
+                "--out", str(out),
+                "--vectors", small_inputs["vectors"],
+                *flags,
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, file_name, text, message",
+        [
+            ("--input", "data.csv", "", "missing header row"),
+            ("--input", "data.csv", "job,,salary-class\ncook,low,>50K\n", "empty column name"),
+            ("--hierarchies-dir", "job.csv", "cook;*\n\nnurse;*\n", "empty line"),
+        ],
+        ids=["empty-csv", "empty-column-name", "blank-hierarchy-line"],
+    )
+    def test_malformed_file_is_an_error_naming_it(
+        self, small_inputs, capsys, flag, file_name, text, message
+    ):
+        bad_dir = small_inputs["dir"] / "given"
+        bad_dir.mkdir()
+        bad = bad_dir / file_name
+        bad.write_text(text, encoding="utf-8")
+        argument = bad_dir if flag == "--hierarchies-dir" else bad
+        code, out = run_anonymize(
+            small_inputs, "malformed", "--k", "2", "--sup-limit", "0.5", flag, str(argument)
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}")
+        assert message in err
+        assert not out.exists()
+
     def test_negative_seed_flag_is_a_config_error(self, small_inputs, capsys):
         code, _ = run_anonymize(small_inputs, "negseed", "--k", "2", "--seed", "-1")
         assert code == 2
@@ -767,6 +826,24 @@ class TestEvaluate:
             payload["meta"].pop("finished_at")
             outs.append(json.dumps(payload, sort_keys=True))
         assert outs[0] == outs[1]
+
+    def test_qi_only_with_numeric_features_is_a_usage_error(self, small_inputs, capsys):
+        out = small_inputs["dir"] / "eval_both.json"
+        code = main(
+            [
+                "evaluate",
+                "--train", small_inputs["csv"],
+                "--test", small_inputs["csv"],
+                "--qi", "job,grade",
+                "--sa", "salary-class",
+                "--qi-only",
+                "--numeric-features", "hours",
+                "--out", str(out),
+            ]
+        )
+        assert code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_repeated_numeric_feature_is_an_input_error(self, small_inputs, capsys):
         out = small_inputs["dir"] / "eval_repeated.json"
@@ -1079,3 +1156,50 @@ def test_one_embedding_source_or_exit_2(small_inputs, capsys, command, flags, me
     assert main(command_args(command, small_inputs, out) + flags) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, code",
+    [
+        (["--vectors", "nope.txt", "--api-endpoint", "http://127.0.0.1:9/"], 2),
+        (["--vectors", "nope.txt", "--api-model", "m"], 2),
+        (["--vectors", "nope.txt"], 0),  # a provider is built, never used
+    ],
+    ids=["vectors-and-endpoint", "vectors-and-model", "vectors"],
+)
+def test_embedding_flags_are_judged_when_no_hierarchy_is_generated(
+    small_inputs, capsys, flags, code
+):
+    hdir = small_inputs["dir"] / "given"
+    hdir.mkdir()
+    for attr, values in (("job", ["cook", "nurse", "pilot"]), ("grade", ["high", "low", "mid"])):
+        emb = {v: np.array([float(i)]) for i, v in enumerate(values)}
+        write_hierarchy(build_vgh(values, emb, "ward", attribute=attr), str(hdir / f"{attr}.csv"))
+    out = small_inputs["dir"] / "out"
+    args = command_args("anonymize", small_inputs, out) + ["--hierarchies-dir", str(hdir)]
+    assert main(args + flags) == code
+    if code:
+        assert "not both" in capsys.readouterr().err
+        assert not out.exists()
+    else:
+        report = json.loads((out / "report.json").read_text())
+        assert report["meta"]["provider"] == "hierarchy-files"
+        assert not (out / "hierarchies").exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag, name",
+    [("anonymize", "--input", "missing.csv"), ("vgh", "--out-dir", "taken")],
+    ids=["missing-input", "out-dir-is-a-file"],
+)
+def test_os_error_exits_2_naming_the_path(small_inputs, capsys, command, flag, name):
+    path = small_inputs["dir"] / name
+    if name == "taken":
+        path.write_text("", encoding="utf-8")
+    args = command_args(command, small_inputs, small_inputs["dir"] / "out")
+    args[args.index(flag) + 1] = str(path)
+    assert main(args + ["--vectors", small_inputs["vectors"]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert str(path) in err
+    assert "Traceback" not in err
