@@ -150,7 +150,9 @@ class _CodedLattice:
             index = {leaf: i for i, leaf in enumerate(vgh.leaves)}
             column = table.column(attr).values
             try:
-                leaf_index_columns.append(np.array([index[v] for v in column], dtype=np.int64))
+                leaf_index_columns.append(
+                    np.fromiter(map(index.__getitem__, column), np.int64, count=len(column))
+                )
             except KeyError as exc:
                 raise InputError(
                     f"value {exc.args[0]!r} in column {attr!r} is not a hierarchy leaf"
@@ -180,10 +182,10 @@ class _CodedLattice:
         # The distinct (combination, sensitive value) pairs.
         self.pair_sa: np.ndarray | None = None
         if spec.sa is not None:
-            sa_index: dict[str, int] = {}
-            sa_codes = np.array(
-                [sa_index.setdefault(v, len(sa_index)) for v in table.column(spec.sa).values],
-                dtype=np.int64,
+            sa_column = table.column(spec.sa).values
+            sa_index = {v: i for i, v in enumerate(dict.fromkeys(sa_column))}
+            sa_codes = np.fromiter(
+                map(sa_index.__getitem__, sa_column), np.int64, count=len(sa_column)
             )
             self.n_sa = len(sa_index)
             _, first = _fold([self.row_combo, sa_codes], [len(self.combo_counts), self.n_sa])
@@ -201,8 +203,6 @@ class _CodedLattice:
         sizes = np.bincount(inverse, weights=self.combo_counts).astype(np.int64)
         bad = sizes < params.k
         if params.l > 1:
-            if self.pair_sa is None:
-                raise InputError("l-diversity above 1 requires a sensitive attribute")
             pair_group = inverse[self.pair_combo]
             _, first = _fold([pair_group, self.pair_sa], [len(sizes), self.n_sa])
             bad |= np.bincount(pair_group[first], minlength=len(sizes)) < params.l
@@ -290,11 +290,19 @@ def _ranking(level_counts: Sequence[int]) -> np.ndarray:
     return np.lexsort((heights.ravel(), losses.ravel()))
 
 
+def check_plan(spec: QiSpec, sweep: Sequence[PrivacyParams]) -> None:
+    """Reject a sweep that ``spec`` cannot serve, before any work is done:
+    l-diversity above 1 needs a sensitive attribute."""
+    if spec.sa is None and any(params.l > 1 for params in sweep):
+        raise InputError("l-diversity above 1 requires a sensitive attribute")
+
+
 def search(
     table: Table, spec: QiSpec, vghs: Mapping[str, Vgh], sweep: Sequence[PrivacyParams]
 ) -> Iterator[AnonymizationResult]:
     """Yield, per sweep entry, the satisfying node of minimal loss (ties broken
     by level sum, then levels), else the all-top node flagged unsatisfied."""
+    check_plan(spec, sweep)
     lattice = _CodedLattice(table, spec, vghs)
     level_counts = tuple(v.level_count for v in lattice.vghs)
     tops = tuple(c - 1 for c in level_counts)

@@ -15,7 +15,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import efficacy, metrics
-from .anonymize import PrivacyParams, generate_vghs, search
+from .anonymize import PrivacyParams, check_plan, generate_vghs, search
 from .embed import (
     DEFAULT_API_KEY_ENV,
     HTTP_API,
@@ -141,6 +141,18 @@ def _provider_from_args(args):
     )
 
 
+def _output_dir(raw: str) -> Path:
+    """The output directory, checked before any work is done: it, or else
+    its nearest existing ancestor, must be a directory."""
+    out = Path(raw)
+    for path in (out, *out.parents):
+        if path.exists():
+            if not path.is_dir():
+                raise InputError(f"output directory {raw}: {path} is not a directory")
+            break
+    return out
+
+
 def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
@@ -153,9 +165,9 @@ def _write_json(path: Path, payload: dict) -> None:
 def _cmd_vgh_build(args) -> int:
     table = load_csv(args.input)
     columns = _parse_names(args.columns)
+    out_dir = _output_dir(args.out_dir)
     provider = _provider_from_args(args)
     vghs = generate_vghs(table, columns, provider, args.method, args.seed, args.cache)
-    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for attr, hierarchy in vghs.items():
         write_hierarchy(hierarchy, str(out_dir / f"{attr}.csv"))
@@ -240,6 +252,8 @@ def _cmd_anonymize(args) -> int:
     table = load_csv(args.input)
     spec = QiSpec(list(qi), sa)
     spec.validate_against(table)
+    check_plan(spec, sweep)
+    out_root = _output_dir(args.out)
 
     vghs = {}
     file_overrides = dict(config.get("hierarchies", {}))
@@ -254,7 +268,6 @@ def _cmd_anonymize(args) -> int:
         if attr in spec.qi:
             vghs[attr] = read_hierarchy(path, attribute=attr)
 
-    out_root = Path(args.out)
     provider_id = "hierarchy-files"
     kmeans_repairs = 0
     to_generate = [attr for attr in spec.qi if attr not in vghs]

@@ -44,8 +44,18 @@ def count_matrix(groups: np.ndarray, sa_values: Sequence[str] | None) -> np.ndar
     if sa_values is None:
         codes, width = np.zeros(len(ids), dtype=np.int64), 1
     else:
-        values, codes = np.unique(np.asarray(sa_values)[retained], return_inverse=True)
-        width = max(len(values), 1)
+        # Code the values by first appearance, then renumber the retained
+        # rows' values in sorted order: the columns np.unique would give.
+        index = {value: i for i, value in enumerate(dict.fromkeys(sa_values))}
+        codes = np.fromiter(map(index.__getitem__, sa_values), np.int64, count=len(sa_values))
+        codes = codes[retained]
+        present = np.zeros(len(index), dtype=bool)
+        present[codes] = True
+        names = list(index)
+        order = sorted(np.flatnonzero(present).tolist(), key=names.__getitem__)
+        rank = np.zeros(len(index), dtype=np.int64)
+        rank[order] = np.arange(len(order))
+        codes, width = rank[codes], max(len(order), 1)
     rows = int(ids.max()) + 1 if len(ids) else 0
     counts = np.bincount(ids * width + codes, minlength=rows * width).reshape(rows, width)
     return counts[counts.any(axis=1)]

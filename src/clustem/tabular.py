@@ -7,6 +7,13 @@ value when grouping. Tables are never mutated: every operation returns a new
 Table. Every file clustem writes goes through ``atomic_write``, so no output
 is ever left partly written.
 
+``load_csv`` splits a file directly on "," and "\n" when it needs none of
+the csv module's rules: UTF-8 text with no '"', "\r", NUL or empty line,
+the header's comma count on every line, distinct non-empty column names and
+no line longer than ``csv.field_size_limit()``. Every other file, and every
+error, goes through ``csv.reader(strict=True)``; both give the same Table for
+any file the direct split accepts.
+
 A written CSV ends each row with "\n". A cell holding ",", '"' or "\n" is
 wrapped in double quotes, with every '"' doubled; the empty cell of a
 one-column row is written as '""'. When any cell or column name holds a
@@ -18,9 +25,11 @@ one-column row is written as '""'. When any cell or column name holds a
 from __future__ import annotations
 
 import csv
+import io
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Iterator, Sequence, TextIO
 
@@ -101,24 +110,58 @@ class QiSpec:
 
 def load_csv(path: str) -> Table:
     """Read a comma-separated, double-quote quoted, UTF-8 file with a header row."""
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh, strict=True)
-            header = next(reader, None)
-            if header is None:
-                raise InputError(f"{path}: missing header row")
-            if len(set(header)) != len(header):
-                raise InputError(f"{path}: duplicate column names in header")
-            if any(not name for name in header):
-                raise InputError(f"{path}: empty column name in header")
-            rows: list[list[str]] = []
-            for row in reader:
-                if len(row) != len(header):
-                    raise InputError(
-                        f"{path}: line {reader.line_num}: expected {len(header)} fields,"
-                        f" got {len(row)}"
-                    )
-                rows.append(row)
+        table = _split_plain(data.decode("utf-8"))
+    except UnicodeDecodeError:  # _read_csv reports it
+        table = None
+    if table is None:
+        table = _read_csv(path, io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
+    return table
+
+
+def _split_plain(text: str) -> Table | None:
+    r"""The table of a text that needs none of the csv module's rules (see
+    the module docstring), split directly; None for any other text. Only "\n"
+    ends a line: csv does not split on "\x1c", "\x85" or "\u2028", so
+    neither does this."""
+    if '"' in text or "\r" in text or "\0" in text:
+        return None
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    if not lines or "" in lines or max(map(len, lines)) > csv.field_size_limit():
+        return None
+    header = lines[0].split(",")
+    width = len(header)
+    if len(set(header)) != width or "" in header:
+        return None
+    if set(map(str.count, lines, repeat(","))) != {width - 1}:
+        return None
+    cells = ",".join(lines).split(",")
+    return Table([Column(name, cells[width + j :: width]) for j, name in enumerate(header)])
+
+
+def _read_csv(path: str, stream: TextIO) -> Table:
+    """Parse ``stream`` with ``csv.reader``; errors name ``path`` and the line."""
+    try:
+        reader = csv.reader(stream, strict=True)
+        header = next(reader, None)
+        if header is None:
+            raise InputError(f"{path}: missing header row")
+        if len(set(header)) != len(header):
+            raise InputError(f"{path}: duplicate column names in header")
+        if any(not name for name in header):
+            raise InputError(f"{path}: empty column name in header")
+        rows: list[list[str]] = []
+        for row in reader:
+            if len(row) != len(header):
+                raise InputError(
+                    f"{path}: line {reader.line_num}: expected {len(header)} fields,"
+                    f" got {len(row)}"
+                )
+            rows.append(row)
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not UTF-8 text: {exc}") from exc
     except csv.Error as exc:

@@ -1,6 +1,6 @@
 """Independent brute-force references for the lattice search and metrics tests,
-and frozen copies of the former k-means and word-vector parser for the
-bit-identity tests.
+and frozen copies of the former k-means, word-vector parser, CSV reader and
+count matrix for the bit-identity tests.
 
 Everything here works on plain dicts and loops, deliberately sharing no code
 with the production search and metrics paths.
@@ -8,6 +8,7 @@ with the production search and metrics paths.
 
 from __future__ import annotations
 
+import csv
 import itertools
 from collections import Counter
 from typing import Sequence
@@ -324,3 +325,52 @@ class ReferenceWordVectorProvider:
                 raise ProviderError(f"no vector for any token of value {value!r}")
             out.append(np.mean(token_vecs, axis=0))
         return out
+
+
+# ``tabular.load_csv`` and ``metrics.count_matrix`` as they were before the
+# direct split of quote-free files and the dict coding of sensitive values,
+# kept verbatim so that both can be checked against them.
+
+
+def reference_load_csv(path: str) -> Table:
+    """Read a comma-separated, double-quote quoted, UTF-8 file with a header row."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh, strict=True)
+            header = next(reader, None)
+            if header is None:
+                raise InputError(f"{path}: missing header row")
+            if len(set(header)) != len(header):
+                raise InputError(f"{path}: duplicate column names in header")
+            if any(not name for name in header):
+                raise InputError(f"{path}: empty column name in header")
+            rows: list[list[str]] = []
+            for row in reader:
+                if len(row) != len(header):
+                    raise InputError(
+                        f"{path}: line {reader.line_num}: expected {len(header)} fields,"
+                        f" got {len(row)}"
+                    )
+                rows.append(row)
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text: {exc}") from exc
+    except csv.Error as exc:
+        raise InputError(f"{path}: line {reader.line_num}: {exc}") from exc
+
+    return Table([Column(name, [row[j] for row in rows]) for j, name in enumerate(header)])
+
+
+def reference_count_matrix(groups: np.ndarray, sa_values: Sequence[str] | None) -> np.ndarray:
+    """Retained rows per (group, sensitive value): one matrix row per group id
+    that holds a row, one column per sensitive value of the retained rows (a
+    single column without a sensitive attribute)."""
+    retained = groups >= 0
+    ids = groups[retained]
+    if sa_values is None:
+        codes, width = np.zeros(len(ids), dtype=np.int64), 1
+    else:
+        values, codes = np.unique(np.asarray(sa_values)[retained], return_inverse=True)
+        width = max(len(values), 1)
+    rows = int(ids.max()) + 1 if len(ids) else 0
+    counts = np.bincount(ids * width + codes, minlength=rows * width).reshape(rows, width)
+    return counts[counts.any(axis=1)]

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 import _datagen as datagen
 from _loopback import EmbeddingsApi
+from clustem import tabular
 from clustem.tabular import Column, Table
 
 
@@ -40,3 +43,24 @@ def toy_table() -> Table:
         q=["a", "a", "b", "b", "c"],
         s=["x", "y", "x", "y", "x"],
     )
+
+
+@pytest.fixture
+def paths_taken(monkeypatch):
+    """Counts the files ``load_csv`` splits directly and those it hands to csv."""
+    taken = Counter()
+    split, read = tabular._split_plain, tabular._read_csv
+
+    def spy_split(text):
+        table = split(text)
+        if table is not None:
+            taken["split"] += 1
+        return table
+
+    def spy_read(path, stream):
+        taken["csv"] += 1
+        return read(path, stream)
+
+    monkeypatch.setattr(tabular, "_split_plain", spy_split)
+    monkeypatch.setattr(tabular, "_read_csv", spy_read)
+    return taken

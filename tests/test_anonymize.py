@@ -16,6 +16,7 @@ from clustem.anonymize import (
     _CodedLattice,
     _fold,
     _ranking,
+    check_plan,
     generate_vghs,
     loss,
     search,
@@ -137,15 +138,15 @@ class TestCheckPrivacy:
         assert (lattice.groups((0,), params) < 0).sum() == 1
 
     def test_l_above_one_requires_sa(self, abc_table_spec, ab_vgh):
-        table, _ = abc_table_spec
+        # check_plan owns the rule; search applies it before its first result.
+        table, spec = abc_table_spec
+        sweep = [PrivacyParams(k=1), PrivacyParams(k=1, l=2)]
+        check_plan(spec, sweep)
+        with pytest.raises(InputError, match="sensitive"):
+            check_plan(QiSpec(["q"]), sweep)
         for rows in (table, make_table(q=[])):
-            lattice = _CodedLattice(rows, QiSpec(["q"]), {"q": ab_vgh})
             with pytest.raises(InputError, match="sensitive"):
-                lattice.check((0,), PrivacyParams(k=1, l=2))
-            with pytest.raises(InputError, match="sensitive"):
-                lattice.groups((0,), PrivacyParams(k=1, l=2))
-            with pytest.raises(InputError, match="sensitive"):
-                list(search(rows, QiSpec(["q"]), {"q": ab_vgh}, [PrivacyParams(k=1, l=2)]))
+                next(search(rows, QiSpec(["q"]), {"q": ab_vgh}, sweep))
 
 
 RADICES = [1, 2, 3, 7, 2**20, 2**31]

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import _datagen as datagen
 import clustem
 from _loopback import response, vector_of
 from clustem.anonymize import _CodedLattice
@@ -493,29 +494,67 @@ class TestAnonymize:
         report = json.loads((out / "report.json").read_text())
         assert report["meta"]["provider"] == "hierarchy-files"
 
-    @pytest.mark.parametrize("rows", [[], ["a", "b"]])
-    def test_l_above_one_without_sa_is_a_config_error(self, tmp_path, capsys, rows):
-        import numpy as np
-
+    @pytest.mark.parametrize(
+        "rows, generated",
+        [([], False), (["a", "b"], False), (["a", "b"], True)],
+        ids=["rows0", "rows1", "generated"],
+    )
+    def test_l_above_one_without_sa_is_a_config_error(self, tmp_path, capsys, rows, generated):
         data = tmp_path / "data.csv"
         data.write_text("q\n" + "".join(f"{v}\n" for v in rows), encoding="utf-8")
-        hdir = tmp_path / "given"
-        hdir.mkdir()
-        emb = {"a": np.array([0.0]), "b": np.array([1.0])}
-        write_hierarchy(build_vgh(["a", "b"], emb, "ward", attribute="q"), str(hdir / "q.csv"))
+        if generated:
+            # A deleted vector file: the run must stop before the provider reads it.
+            source = ["--vectors", str(tmp_path / "deleted.txt")]
+        else:
+            hdir = tmp_path / "given"
+            hdir.mkdir()
+            emb = {"a": np.array([0.0]), "b": np.array([1.0])}
+            write_hierarchy(build_vgh(["a", "b"], emb, "ward", attribute="q"), str(hdir / "q.csv"))
+            source = ["--hierarchies-dir", str(hdir)]
+        out = tmp_path / "out"
         code = main(
             [
                 "anonymize",
                 "--input", str(data),
-                "--out", str(tmp_path / "out"),
+                "--out", str(out),
                 "--qi", "q",
-                "--hierarchies-dir", str(hdir),
                 "--k", "1",
                 "--l", "2",
+                *source,
             ]
         )
         assert code == 2
         assert "requires a sensitive attribute" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_crlf_input_writes_the_same_bytes(self, tmp_path, paths_taken):
+        # The pins' input, once with "\n" (split directly) and once with "\r\n"
+        # line ends (read by the csv module).
+        lf, crlf, vectors = tmp_path / "lf.csv", tmp_path / "crlf.csv", tmp_path / "vecs.txt"
+        datagen.write_csv(str(lf), datagen.make_rows(2000, seed=11))
+        crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+        datagen.write_word_vectors(str(vectors))
+        outputs = []
+        for data in (lf, crlf):
+            out = tmp_path / f"out-{data.stem}"
+            code = main(
+                ["anonymize", "--input", str(data), "--out", str(out)]
+                + ["--qi", ",".join(datagen.QI), "--sa", datagen.SA, "--k", "2,10,30,200"]
+                + ["--l", "2", "--sup-limit", "0.5", "--seed", "42", "--vectors", str(vectors)]
+            )
+            assert code == 0
+            files = {}
+            for path in sorted(out.rglob("*.*")):
+                content = path.read_bytes()
+                if path.name == "report.json":
+                    report = json.loads(content)
+                    del report["meta"]["started_at"], report["meta"]["finished_at"]
+                    content = report
+                files[str(path.relative_to(out))] = content
+            outputs.append(files)
+        assert paths_taken == Counter({"split": 1, "csv": 1})
+        assert len(outputs[0]) == 4 + 2 * 4
+        assert outputs[0] == outputs[1]
 
     def test_k_preset_expands_to_the_standard_sweep(self, small_inputs):
         code, out = run_anonymize(
@@ -1185,6 +1224,21 @@ def test_embedding_flags_are_judged_when_no_hierarchy_is_generated(
         report = json.loads((out / "report.json").read_text())
         assert report["meta"]["provider"] == "hierarchy-files"
         assert not (out / "hierarchies").exists()
+
+
+@pytest.mark.parametrize("command", ["vgh", "anonymize"])
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
+def test_output_path_through_a_file_exits_2_before_embedding(
+    small_inputs, capsys, command, below
+):
+    taken = small_inputs["dir"] / "taken"
+    taken.write_text("keep\n", encoding="utf-8")
+    out = taken / "sub" if below else taken
+    vectors = small_inputs["dir"] / "deleted.txt"  # the provider must not be reached
+    assert main(command_args(command, small_inputs, out) + ["--vectors", str(vectors)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: output directory {out}: {taken} is not a directory\n"
+    assert taken.read_text(encoding="utf-8") == "keep\n"
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import _oracles as oracles
+from clustem import metrics
 from clustem.anonymize import PrivacyParams, search
 from clustem.metrics import (
     achieved_privacy,
@@ -36,6 +37,54 @@ class TestCountMatrix:
     def test_no_retained_rows(self):
         assert counts([-1, -1], ["x", "y"]).shape == (0, 1)
         assert counts([], []).shape == (0, 1)
+
+
+class TestAgainstNpUnique:
+    """count_matrix against a frozen copy of its np.unique version."""
+
+    # Code-point order differs from first-appearance order here, "" sorts
+    # first, and "a\0b" keeps its inner NUL in a numpy string array too.
+    DOMAIN = ["b", "a", "é", "日", "a b", "", "?", "Z", "aa", "a\0b"]
+
+    def assert_bit_equal(self, groups, sa, monkeypatch):
+        groups = np.array(groups, dtype=np.int64)
+        got, want = count_matrix(groups, sa), oracles.reference_count_matrix(groups, sa)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        params = PrivacyParams(k=2)
+        report = compute_report(len(groups), groups, sa, params)
+        with monkeypatch.context() as patch:
+            patch.setattr(metrics, "count_matrix", oracles.reference_count_matrix)
+            reference = compute_report(len(groups), groups, sa, params)
+        assert report.t_closeness == reference.t_closeness
+        assert report == reference
+
+    @pytest.mark.parametrize(
+        "groups, sa",
+        [
+            ([0, -1, 0, 1], ["x", "y", "x", "x"]),  # "y" only on a suppressed row
+            ([0, 1, 1, -1], ["y", "y", "y", "y"]),  # a single value
+            ([-1, -1], ["x", "y"]),  # no retained row
+            ([], []),
+        ],
+        ids=["value-only-suppressed", "single-value", "none-retained", "empty"],
+    )
+    def test_corner_cases(self, monkeypatch, groups, sa):
+        self.assert_bit_equal(groups, sa, monkeypatch)
+
+    def test_random_groups(self, monkeypatch):
+        rng = np.random.default_rng(20)
+        for _ in range(300):
+            n = int(rng.integers(0, 50))
+            groups = rng.integers(-1, int(rng.integers(1, 9)), size=n)
+            domain = self.DOMAIN[: int(rng.integers(1, len(self.DOMAIN) + 1))]
+            sa = [domain[i] for i in rng.integers(0, len(domain), size=n)]
+            self.assert_bit_equal(groups, sa, monkeypatch)
+
+    def test_a_trailing_nul_is_a_value_of_its_own(self):
+        # A numpy string array drops trailing NULs, so the np.unique version
+        # counted "a" and "a\0" as one value; the search never did.
+        assert counts([0, 0], ["a", "a\0"]).tolist() == [[1, 1]]
+        assert oracles.reference_count_matrix(np.array([0, 0]), ["a", "a\0"]).tolist() == [[2]]
 
 
 class TestPercRecs:

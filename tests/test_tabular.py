@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import io
 import os
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import _oracles as oracles
 from clustem import cli, embed
 from clustem.efficacy import encode
 from clustem.errors import InputError
@@ -88,6 +90,94 @@ class TestLoadCsv:
     def test_duplicate_header(self, tmp_path):
         with pytest.raises(InputError, match="duplicate"):
             load_csv(_write(tmp_path / "t.csv", "a,a\n1,2\n"))
+
+
+# Characters a quote-free file may hold, including the ones str.splitlines
+# would split on and csv does not; then everything that sends a file to csv.
+PLAIN_CHARS = st.sampled_from(["a", "?", " ", "é", "日", "\x1c", "\x85", "\u2028"])
+ANY_CHARS = st.sampled_from(['"', ",", "\n", "\r", "\0", "a", " ", "é", "\x85"])
+
+
+@st.composite
+def _csv_files(draw):
+    """File bytes: half of them rectangular quote-free "\n" files with distinct
+    header names, the rest with quotes, CR, NUL, empty lines, ragged rows,
+    duplicate or empty header names, or invalid UTF-8."""
+    plain = draw(st.booleans())
+    chars = PLAIN_CHARS if plain else ANY_CHARS
+    cell = st.text(chars, max_size=3)
+    width = draw(st.integers(1, 3))
+    if plain:
+        names = st.text(chars, min_size=1, max_size=2)
+        header = draw(st.lists(names, min_size=width, max_size=width, unique=True))
+        rows = draw(st.lists(st.lists(cell, min_size=width, max_size=width), max_size=5))
+        newline = st.just("\n")
+    else:
+        names = st.sampled_from(["a", "b", "", "é"]) | cell
+        header = draw(st.lists(names, min_size=width, max_size=width))
+        rows = draw(st.lists(st.lists(cell, max_size=width + 1), max_size=5))
+        newline = st.sampled_from(["\n", "\r\n", "\r", "\n\n"])
+    text = ",".join(header)
+    for row in rows:
+        text += draw(newline) + ",".join(row)
+    if draw(st.booleans()):
+        text += draw(newline)
+    data = text.encode("utf-8")
+    if not plain and draw(st.booleans()):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80"])) + data[at:]
+    return data
+
+
+def _outcome(load, path):
+    """The Table ``load`` reads from ``path``, or the text of its InputError."""
+    try:
+        return load(str(path))
+    except InputError as exc:
+        return f"InputError: {exc}"
+
+
+class TestLoadCsvMatchesTheCsvModule:
+    """``load_csv`` against a frozen copy of its csv-only version."""
+
+    def test_any_file(self, tmp_path, paths_taken):
+        path = tmp_path / "t.csv"
+
+        @settings(max_examples=500, deadline=None, derandomize=True)
+        @given(data=_csv_files())
+        @example(data=b"")
+        @example(data=b"a,b")
+        @example(data=b"a\n\n")
+        @example(data=b"a,b\n1,2\r\n3,4\n")
+        @example(data=b"\xef\xbb\xbfa,b\n1,2\n")
+        @example(data=b"a\n" + b"x\n" * 5000 + b"\xff\n")  # past the first 8 KiB read
+        def check(data):
+            path.write_bytes(data)
+            assert _outcome(load_csv, path) == _outcome(oracles.reference_load_csv, path)
+
+        check()
+        assert paths_taken["split"] > 0 and paths_taken["csv"] > 0
+
+    @pytest.mark.parametrize(
+        "body, taken, readable",
+        [
+            ("xxxx,yyy\n", "split", True),  # the longest line is as long as the limit
+            ("xxxx,yyyy\n", "csv", True),  # a line over the limit, every field within it
+            ("xxxxxxxxx,y\n", "csv", False),  # a field over the limit
+        ],
+        ids=["line-at-limit", "line-over-limit", "field-over-limit"],
+    )
+    def test_field_size_limit(self, tmp_path, paths_taken, body, taken, readable):
+        path = tmp_path / "t.csv"
+        path.write_text("a,b\n" + body, encoding="utf-8")
+        limit = csv.field_size_limit(8)
+        try:
+            got = _outcome(load_csv, path)
+            assert got == _outcome(oracles.reference_load_csv, path)
+        finally:
+            csv.field_size_limit(limit)
+        assert paths_taken == Counter({taken: 1})
+        assert isinstance(got, Table) == readable
 
 
 class TestWriteCsv:
