@@ -19,10 +19,14 @@ one sort of the lattice, made once a walk goes beyond the bottom node: about
 Cells are mapped through the hierarchies once per sweep, into integer codes;
 the privacy check, each row's group id (-1 on suppressed rows) and the
 generalized table at the chosen node are all computed from those codes, and
-the reports in ``metrics`` count over the same group ids. Every grouping of
-codes (rows into leaf combinations, combinations into a node's groups, and
-their pairs with the sensitive value) is one ``_fold``: the code columns
-packed into one mixed-radix int64 key per row, then numbered densely.
+the reports in ``metrics`` count over the same group ids. Each QI and
+sensitive column is coded once (``Column.coding``). Every grouping packs code
+columns into one mixed-radix int64 key per row (``tabular.pack``). Rows
+become leaf combinations by ``np.unique``, once per sweep, which gives each
+combination's first row. A check's groups, and their distinct pairs with the
+sensitive value, need no first rows: ``tabular.fold`` numbers them, through a
+presence table when the key's range is small, and each distinct pair key
+names its group.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ import numpy as np
 
 from . import embed
 from .errors import InputError
-from .tabular import SUPPRESSED, Column, QiSpec, Table
+from .tabular import SUPPRESSED, Column, QiSpec, Table, code_column, fold, pack
 from .vgh import Vgh, build_vgh, check_values
 
 MAX_LATTICE_NODES = 10_000_000
@@ -101,34 +105,12 @@ def _vgh_for(vghs: Mapping[str, Vgh], attribute: str) -> Vgh:
         raise InputError(f"no hierarchy provided for QI attribute {attribute!r}") from None
 
 
-def _fold(columns: Sequence[np.ndarray], radices: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Dense ids of the distinct rows of equal-length integer columns, plus the
-    first row of each id.
-
-    Column j holds values in [0, radices[j]). Ids follow the rows' lexicographic
-    order, first column most significant, as a row-wise ``np.unique`` numbers them.
-    The columns are packed into one int64 key; where the key could reach 2**62,
-    the part packed so far is first renumbered densely, which keeps its order.
-    Radices and row counts must stay below 2**31.
-    """
-    key = np.zeros(len(columns[0]), dtype=np.int64)
-    bound = 1
-    for column, radix in zip(columns, radices):
-        if bound * radix >= 2**62:
-            _, key = np.unique(key, return_inverse=True)
-            bound = len(key)
-        key = key * radix + column
-        bound *= radix
-    _, first_row, ids = np.unique(key, return_index=True, return_inverse=True)
-    return ids, first_row
-
-
 class _CodedLattice:
     """Row data coded once through the hierarchies.
 
     Rows are collapsed to distinct leaf-value combinations with multiplicities;
     each (attribute, level) gets a lookup table from leaf index to a label
-    code, so grouping at a node is one ``_fold`` of the combinations' label
+    code, so grouping at a node is one ``fold`` of the combinations' label
     codes, and the generalized table is one label lookup per cell. An empty
     table has no combinations and no groups, and passes every check.
     """
@@ -138,27 +120,16 @@ class _CodedLattice:
         self.n_rows = table.row_count
         self.qi = list(spec.qi)
         self.vghs = [_vgh_for(vghs, a) for a in self.qi]
-        total_nodes = math.prod(v.level_count for v in self.vghs)
-        if total_nodes > MAX_LATTICE_NODES:
-            raise InputError(
-                f"generalization lattice has {total_nodes} nodes, above the "
-                f"{MAX_LATTICE_NODES} limit"
-            )
+        check_lattice(table, self.qi, vghs)
 
         leaf_index_columns = []
         for attr, vgh in zip(self.qi, self.vghs):
+            codes, distinct = table.column(attr).coding
             index = {leaf: i for i, leaf in enumerate(vgh.leaves)}
-            column = table.column(attr).values
-            try:
-                leaf_index_columns.append(
-                    np.fromiter(map(index.__getitem__, column), np.int64, count=len(column))
-                )
-            except KeyError as exc:
-                raise InputError(
-                    f"value {exc.args[0]!r} in column {attr!r} is not a hierarchy leaf"
-                ) from None
+            leaf_index_columns.append(np.array([index[v] for v in distinct], np.int64)[codes])
 
-        self.row_combo, first = _fold(leaf_index_columns, [len(v.leaves) for v in self.vghs])
+        key, _ = pack(leaf_index_columns, [len(v.leaves) for v in self.vghs])
+        _, first, self.row_combo = np.unique(key, return_index=True, return_inverse=True)
         # combos[j][c]: leaf index of attribute j in combination c
         self.combos = [column[first] for column in leaf_index_columns]
         self.combo_counts = np.bincount(self.row_combo, minlength=len(first))
@@ -167,45 +138,33 @@ class _CodedLattice:
         self.luts: list[list[np.ndarray]] = []
         self.labels: list[list[list[str]]] = []
         for vgh in self.vghs:
-            attr_luts, attr_labels = [], []
-            for level in vgh.levels:
-                codes: dict[str, int] = {}
-                lut = np.zeros(len(vgh.leaves), dtype=np.int64)
-                for i, leaf in enumerate(vgh.leaves):
-                    label = level[leaf]
-                    lut[i] = codes.setdefault(label, len(codes))
-                attr_luts.append(lut)
-                attr_labels.append(sorted(codes, key=codes.get))
-            self.luts.append(attr_luts)
-            self.labels.append(attr_labels)
+            codings = [code_column([level[leaf] for leaf in vgh.leaves]) for level in vgh.levels]
+            self.luts.append([lut for lut, _ in codings])
+            self.labels.append([labels for _, labels in codings])
 
         # The distinct (combination, sensitive value) pairs.
         self.pair_sa: np.ndarray | None = None
         if spec.sa is not None:
-            sa_column = table.column(spec.sa).values
-            sa_index = {v: i for i, v in enumerate(dict.fromkeys(sa_column))}
-            sa_codes = np.fromiter(
-                map(sa_index.__getitem__, sa_column), np.int64, count=len(sa_column)
-            )
-            self.n_sa = len(sa_index)
-            _, first = _fold([self.row_combo, sa_codes], [len(self.combo_counts), self.n_sa])
-            self.pair_combo, self.pair_sa = self.row_combo[first], sa_codes[first]
+            sa_codes, sa_values = table.column(spec.sa).coding
+            self.n_sa = len(sa_values)
+            _, pairs = fold([self.row_combo, sa_codes], [len(first), self.n_sa])
+            self.pair_combo, self.pair_sa = np.divmod(pairs, self.n_sa)
 
     def _bad_groups(
         self, node: LatticeNode, params: PrivacyParams
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Group id per combination, group sizes in rows, and which groups miss
         k or l, at the node."""
-        inverse, _ = _fold(
+        inverse, _ = fold(
             [self.luts[j][level][self.combos[j]] for j, level in enumerate(node)],
             [len(self.labels[j][level]) for j, level in enumerate(node)],
         )
         sizes = np.bincount(inverse, weights=self.combo_counts).astype(np.int64)
         bad = sizes < params.k
         if params.l > 1:
-            pair_group = inverse[self.pair_combo]
-            _, first = _fold([pair_group, self.pair_sa], [len(sizes), self.n_sa])
-            bad |= np.bincount(pair_group[first], minlength=len(sizes)) < params.l
+            # Each distinct (group, sensitive value) key names its group.
+            _, pairs = fold([inverse[self.pair_combo], self.pair_sa], [len(sizes), self.n_sa])
+            bad |= np.bincount(pairs // self.n_sa, minlength=len(sizes)) < params.l
         return inverse, sizes, bad
 
     def check(self, node: LatticeNode, params: PrivacyParams) -> bool:
@@ -297,6 +256,29 @@ def check_plan(spec: QiSpec, sweep: Sequence[PrivacyParams]) -> None:
         raise InputError("l-diversity above 1 requires a sensitive attribute")
 
 
+def check_lattice(table: Table, qi: Sequence[str], vghs: Mapping[str, Vgh]) -> None:
+    """Reject a lattice before any hierarchy is generated. A QI column with a
+    hierarchy in ``vghs`` counts its levels, and every value in it must be one
+    of its leaves; a column without one counts n + 1 levels for its n distinct
+    values, as ``build_vgh`` makes. The lattice may hold at most
+    ``MAX_LATTICE_NODES`` nodes."""
+    distinct = {attr: table.column(attr).coding[1] for attr in qi}
+    total_nodes = math.prod(
+        vghs[a].level_count if a in vghs else len(distinct[a]) + 1 for a in qi
+    )
+    if total_nodes > MAX_LATTICE_NODES:
+        raise InputError(
+            f"generalization lattice has {total_nodes} nodes, above the "
+            f"{MAX_LATTICE_NODES} limit"
+        )
+    for attr in qi:
+        if attr in vghs:
+            leaves = set(vghs[attr].leaves)
+            for value in distinct[attr]:
+                if value not in leaves:
+                    raise InputError(f"value {value!r} in column {attr!r} is not a hierarchy leaf")
+
+
 def search(
     table: Table, spec: QiSpec, vghs: Mapping[str, Vgh], sweep: Sequence[PrivacyParams]
 ) -> Iterator[AnonymizationResult]:
@@ -341,7 +323,7 @@ def generate_vghs(
 ) -> dict[str, Vgh]:
     """Check every QI column's values, embed all of them in one ``embed_all``
     call (a value shared by columns once), then build one hierarchy per column."""
-    columns = {attr: sorted(set(table.column(attr).values)) for attr in qi_columns}
+    columns = {attr: sorted(table.column(attr).coding[1]) for attr in qi_columns}
     for attr, values in columns.items():
         check_values(values, attr)
     embeddings = embed.embed_all(sorted(set().union(*columns.values())), provider, cache_path)

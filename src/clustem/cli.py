@@ -15,7 +15,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import efficacy, metrics
-from .anonymize import PrivacyParams, check_plan, generate_vghs, search
+from .anonymize import PrivacyParams, check_lattice, check_plan, generate_vghs, search
 from .embed import (
     DEFAULT_API_KEY_ENV,
     HTTP_API,
@@ -153,6 +153,16 @@ def _output_dir(raw: str) -> Path:
     return out
 
 
+def _output_file(raw: str) -> Path:
+    """The output file, checked before any work is done: it must not be a
+    directory, and its directory must pass ``_output_dir``."""
+    out = Path(raw)
+    if out.is_dir():
+        raise InputError(f"output file {raw} is a directory")
+    _output_dir(str(out.parent))
+    return out
+
+
 def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
@@ -267,6 +277,7 @@ def _cmd_anonymize(args) -> int:
     for attr, path in file_overrides.items():
         if attr in spec.qi:
             vghs[attr] = read_hierarchy(path, attribute=attr)
+    check_lattice(table, spec.qi, vghs)
 
     provider_id = "hierarchy-files"
     kmeans_repairs = 0
@@ -318,6 +329,7 @@ def _cmd_anonymize(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     started = _now()
+    out = _output_file(args.out)
     train = load_csv(args.train)
     test = load_csv(args.test)
     spec = QiSpec(_parse_names(args.qi), args.sa)
@@ -350,7 +362,6 @@ def _cmd_evaluate(args) -> int:
         "started_at": started,
         "finished_at": _now(),
     }
-    out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     _write_json(out, payload)
     return EXIT_OK

@@ -78,14 +78,14 @@ def infer_leaves(tables: Sequence[Table], qi: Sequence[str]) -> dict[str, list[s
     leaves: dict[str, set[str]] = {attr: set() for attr in qi}
     for table in tables:
         for attr in qi:
-            for cell in set(table.column(attr).values):
+            for cell in table.column(attr).coding[1]:
                 leaves[attr].update(label_leaves(cell))
     return {attr: sorted(vals) for attr, vals in leaves.items()}
 
 
 def _labels(table: Table, label_column: str, positive_class: str) -> np.ndarray:
-    cells = table.column(label_column).values
-    return np.array([1 if cell == positive_class else 0 for cell in cells], dtype=int)
+    codes, distinct = table.column(label_column).coding
+    return np.array([cell == positive_class for cell in distinct], dtype=int)[codes]
 
 
 def _multi_hot(
@@ -94,8 +94,7 @@ def _multi_hot(
     blocks = []
     for attr in qi:
         leaf_index = {leaf: i for i, leaf in enumerate(leaves[attr])}
-        distinct: dict[str, int] = {}
-        rows = [distinct.setdefault(cell, len(distinct)) for cell in table.column(attr).values]
+        rows, distinct = table.column(attr).coding
         encoded = np.zeros((len(distinct), len(leaf_index)))
         unseen: set[str] = set()
         for i, cell in enumerate(distinct):
@@ -108,31 +107,37 @@ def _multi_hot(
                 elif leaf not in unseen:
                     unseen.add(leaf)
                     logger.warning("unseen leaf %r in %r for %r encoded as zero", leaf, cell, attr)
-        blocks.append(encoded[np.array(rows, dtype=np.intp)])
+        blocks.append(encoded[rows])
     return np.hstack(blocks) if blocks else np.zeros((table.row_count, 0))
 
 
-def _number(role: str, name: str, row: int, cell: str) -> float:
-    """A numeric feature cell as a float, NaN for the missing marker."""
+def _number(cell: str) -> float | None:
+    """A numeric feature cell as a float, NaN for the missing marker, None
+    for any other cell that is not a finite number."""
     if cell == MISSING:
         return math.nan
     try:
         value = float(cell)
     except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise InputError(
-            f"{role} set, numeric feature {name!r}, data row {row}: {cell!r} is "
-            f"neither a finite number nor the missing marker {MISSING!r}"
-        )
-    return value
+        return None
+    return value if math.isfinite(value) else None
 
 
 def _numeric_matrix(table: Table, names: Sequence[str], role: str) -> np.ndarray:
+    """The numeric columns, each distinct cell parsed once; an unparsable cell
+    is reported at the first data row that holds it."""
     cols = []
     for name in names:
-        cells = table.column(name).values
-        cols.append(np.array([_number(role, name, i, c) for i, c in enumerate(cells, start=1)]))
+        codes, distinct = table.column(name).coding
+        values = [_number(cell) for cell in distinct]
+        if None in values:
+            bad = values.index(None)
+            raise InputError(
+                f"{role} set, numeric feature {name!r}, data row "
+                f"{int(np.argmax(codes == bad)) + 1}: {distinct[bad]!r} is "
+                f"neither a finite number nor the missing marker {MISSING!r}"
+            )
+        cols.append(np.array(values, dtype=float)[codes])
     return np.stack(cols, axis=1) if names else np.zeros((table.row_count, 0))
 
 
@@ -148,7 +153,7 @@ def encode(
     """Encode train and test with one shared feature layout: multi-hot blocks
     in QI order (leaves lexicographic), then numerics standardized to the
     training mean and variance (missing numerics land on the mean)."""
-    observed = set(train.column(label_column).values) | set(test.column(label_column).values)
+    observed = set(train.column(label_column).coding[1] + test.column(label_column).coding[1])
     if len(observed) > 2:
         raise InputError(
             f"label column {label_column!r} must be binary, found {sorted(observed)[:4]}"
@@ -189,10 +194,9 @@ def train_classifier(train: FeatureMatrix) -> LogisticModel:
     if train.data.shape[0] == 0:
         raise InputError("training needs a non-empty training set")
     labels = train.labels
-    classes = np.unique(labels)
-    if classes.size == 1:
+    if labels.min() == labels.max():
         warnings.warn("training data holds a single class; model predicts it everywhere")
-        return LogisticModel(np.zeros(train.data.shape[1]), 0.0, int(classes[0]))
+        return LogisticModel(np.zeros(train.data.shape[1]), 0.0, int(labels[0]))
     x = train.data
     n, d = x.shape
     # Per row, the margin u = (1 - 2y) z is exact in both the loss log(1+e^u)

@@ -16,6 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .anonymize import LatticeNode, PrivacyParams
+from .tabular import code_column
 
 
 @dataclass
@@ -46,14 +47,12 @@ def count_matrix(groups: np.ndarray, sa_values: Sequence[str] | None) -> np.ndar
     else:
         # Code the values by first appearance, then renumber the retained
         # rows' values in sorted order: the columns np.unique would give.
-        index = {value: i for i, value in enumerate(dict.fromkeys(sa_values))}
-        codes = np.fromiter(map(index.__getitem__, sa_values), np.int64, count=len(sa_values))
+        codes, names = code_column(sa_values)
         codes = codes[retained]
-        present = np.zeros(len(index), dtype=bool)
+        present = np.zeros(len(names), dtype=bool)
         present[codes] = True
-        names = list(index)
         order = sorted(np.flatnonzero(present).tolist(), key=names.__getitem__)
-        rank = np.zeros(len(index), dtype=np.int64)
+        rank = np.zeros(len(names), dtype=np.int64)
         rank[order] = np.arange(len(order))
         codes, width = rank[codes], max(len(order), 1)
     rows = int(ids.max()) + 1 if len(ids) else 0

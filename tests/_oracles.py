@@ -1,6 +1,6 @@
 """Independent brute-force references for the lattice search and metrics tests,
-and frozen copies of the former k-means, word-vector parser, CSV reader and
-count matrix for the bit-identity tests.
+and frozen copies of the former k-means, word-vector parser, CSV reader,
+count matrix, fold and group ids for the bit-identity tests.
 
 Everything here works on plain dicts and loops, deliberately sharing no code
 with the production search and metrics paths.
@@ -20,7 +20,7 @@ from clustem.cluster import KMEANS_MAX_ITER, KMEANS_RESTARTS, KMEANS_TOL, Cluste
 from clustem.embed import preprocess
 from clustem.errors import InputError, ProviderError
 from clustem.metrics import MetricReport
-from clustem.tabular import Column, QiSpec, Table
+from clustem.tabular import SUPPRESSED, Column, QiSpec, Table
 from clustem.vgh import Vgh
 
 
@@ -374,3 +374,42 @@ def reference_count_matrix(groups: np.ndarray, sa_values: Sequence[str] | None) 
     rows = int(ids.max()) + 1 if len(ids) else 0
     counts = np.bincount(ids * width + codes, minlength=rows * width).reshape(rows, width)
     return counts[counts.any(axis=1)]
+
+
+# ``anonymize._fold`` and ``tabular.group_ids`` as they were before string
+# columns were coded once and folds numbered keys without a sort.
+
+
+def reference_fold(columns: Sequence[np.ndarray], radices: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Dense ids of the distinct rows of equal-length integer columns, plus the
+    first row of each id.
+
+    Column j holds values in [0, radices[j]). Ids follow the rows' lexicographic
+    order, first column most significant, as a row-wise ``np.unique`` numbers them.
+    The columns are packed into one int64 key; where the key could reach 2**62,
+    the part packed so far is first renumbered densely, which keeps its order.
+    Radices and row counts must stay below 2**31.
+    """
+    key = np.zeros(len(columns[0]), dtype=np.int64)
+    bound = 1
+    for column, radix in zip(columns, radices):
+        if bound * radix >= 2**62:
+            _, key = np.unique(key, return_inverse=True)
+            bound = len(key)
+        key = key * radix + column
+        bound *= radix
+    _, first_row, ids = np.unique(key, return_index=True, return_inverse=True)
+    return ids, first_row
+
+
+def reference_group_ids(table: Table, qi: Sequence[str]) -> np.ndarray:
+    """One int64 id per row, shared by the rows with equal QI cells (ids count
+    up from 0 in order of first appearance); -1 on rows whose QI cells are all
+    "*"."""
+    columns = [table.column(name).values for name in qi]
+    suppressed = (SUPPRESSED,) * len(columns)
+    ids: dict[tuple[str, ...], int] = {}
+    return np.fromiter(
+        (-1 if key == suppressed else ids.setdefault(key, len(ids)) for key in zip(*columns)),
+        dtype=np.int64,
+    )

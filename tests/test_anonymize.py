@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import re
 from types import SimpleNamespace
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -14,7 +17,6 @@ import _oracles as oracles
 from clustem.anonymize import (
     PrivacyParams,
     _CodedLattice,
-    _fold,
     _ranking,
     check_plan,
     generate_vghs,
@@ -23,7 +25,7 @@ from clustem.anonymize import (
 )
 from clustem.embed import HttpApiProvider, WordVectorProvider, embed_all
 from clustem.errors import InputError, ProviderError
-from clustem.tabular import Column, QiSpec, Table, group_ids, load_csv
+from clustem.tabular import DENSE_RANGE_FACTOR, Column, QiSpec, Table, fold, group_ids, load_csv
 from clustem.vgh import METHODS, WARD, Vgh, build_vgh
 from conftest import make_table
 
@@ -166,6 +168,28 @@ def code_columns(draw):
     return columns, radices
 
 
+def _mixed_radix(row: Sequence[int], radices: Sequence[int]) -> int:
+    return functools.reduce(lambda key, pair: key * pair[1] + pair[0], zip(row, radices), 0)
+
+
+@st.composite
+def dense_or_sparse_folds(draw):
+    """1-3 integer columns whose radix product lies on either side of the
+    presence-table switch (DENSE_RANGE_FACTOR times the row count), with
+    radix-1 columns and empty columns among them."""
+    n_rows = draw(st.integers(0, 40))
+    limit = DENSE_RANGE_FACTOR * n_rows
+    radices = draw(st.lists(st.integers(1, 12), min_size=1, max_size=3))
+    scale = draw(st.sampled_from([1, max(limit // math.prod(radices), 1), limit + 1]))
+    radices[-1] *= scale
+    columns = [
+        np.array(draw(st.lists(st.integers(0, r - 1), min_size=n_rows, max_size=n_rows)),
+                 dtype=np.int64)
+        for r in radices
+    ]
+    return columns, radices
+
+
 class TestFold:
     @settings(max_examples=300, deadline=None)
     @given(drawn=code_columns())
@@ -173,13 +197,35 @@ class TestFold:
     @example(drawn=([np.zeros(0, dtype=np.int64)] * 2, [2**31, 2**31]))
     def test_matches_unique_rows(self, drawn):
         columns, radices = drawn
-        ids, first_row = _fold(columns, radices)
+        ids, keys = fold(columns, radices)
         stacked = np.stack(columns, axis=1)
-        _, expected_first, expected_ids = np.unique(
-            stacked, axis=0, return_index=True, return_inverse=True
-        )
+        distinct, expected_ids = np.unique(stacked, axis=0, return_inverse=True)
         assert ids.tolist() == expected_ids.reshape(-1).tolist()
-        assert first_row.tolist() == expected_first.tolist()
+        assert len(keys) == len(distinct) and (np.diff(keys) > 0).all()
+        if math.prod(radices) < 2**62:
+            assert keys.tolist() == [_mixed_radix(row, radices) for row in distinct.tolist()]
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(drawn=dense_or_sparse_folds())
+    @example(drawn=([np.zeros(0, dtype=np.int64)] * 2, [3, 5]))
+    @example(drawn=([np.zeros(6, dtype=np.int64), np.arange(6)], [1, 6]))
+    @example(drawn=([np.arange(5), np.arange(5)], [5, DENSE_RANGE_FACTOR]))  # at the switch
+    def test_ids_and_pair_counts_match_the_reference_fold(self, drawn):
+        # The per-check folds on both sides of the presence-table switch,
+        # against the frozen sort-based fold: the same ids, and the same
+        # distinct (group, last column) pairs per group, as _bad_groups counts.
+        columns, radices = drawn
+        ids, _ = fold(columns, radices)
+        expected_ids, _ = oracles.reference_fold(columns, radices)
+        assert ids.tolist() == expected_ids.tolist()
+
+        groups, n_last = len(set(ids.tolist())), radices[-1]
+        _, pairs = fold([ids, columns[-1]], [groups, n_last])
+        _, first = oracles.reference_fold([ids, columns[-1]], [groups, n_last])
+        assert (
+            np.bincount(pairs // n_last, minlength=groups).tolist()
+            == np.bincount(ids[first], minlength=groups).tolist()
+        )
 
 
 class TestGenerateVghs:

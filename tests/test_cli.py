@@ -1241,6 +1241,102 @@ def test_output_path_through_a_file_exits_2_before_embedding(
     assert taken.read_text(encoding="utf-8") == "keep\n"
 
 
+def test_evaluate_out_naming_a_directory_exits_2_before_loading(small_inputs, capsys):
+    taken = small_inputs["dir"] / "taken"
+    taken.mkdir()
+    missing = small_inputs["dir"] / "missing.csv"  # loading it would fail differently
+    code = main(
+        [
+            "evaluate",
+            "--train", str(missing),
+            "--test", str(missing),
+            "--qi", "job,grade",
+            "--sa", "salary-class",
+            "--out", str(taken),
+        ]
+    )
+    assert code == 2
+    assert capsys.readouterr().err == f"error: output file {taken} is a directory\n"
+    assert list(taken.iterdir()) == []
+
+
+def _write_hierarchy_of(values, path, attr):
+    embeddings = {v: np.array([float(i)]) for i, v in enumerate(values)}
+    write_hierarchy(build_vgh(values, embeddings, "ward", attribute=attr), str(path))
+
+
+@pytest.mark.parametrize("with_file", [False, True], ids=["generated", "with-a-file"])
+def test_oversized_lattice_exits_2_before_embedding(tmp_path, capsys, with_file):
+    # Four generated 57-value columns give 58**4 = 11,316,496 nodes; with a
+    # 60-value file hierarchy (61 levels) as the fourth, 58**3 * 61.
+    data = tmp_path / "wide.csv"
+    rows = [f"a{i % 57},b{i % 57},c{i % 57},d{i},s{i % 2}\n" for i in range(60 if with_file else 57)]
+    data.write_text("a,b,c,d,sa\n" + "".join(rows), encoding="utf-8")
+    flags = []
+    if with_file:
+        hdir = tmp_path / "given"
+        hdir.mkdir()
+        _write_hierarchy_of([f"d{i}" for i in range(60)], hdir / "d.csv", "d")
+        flags = ["--hierarchies-dir", str(hdir)]
+    out = tmp_path / "out"
+    vectors = tmp_path / "deleted.txt"  # the provider must not be reached
+    code = main(
+        ["anonymize", "--input", str(data), "--out", str(out), "--qi", "a,b,c,d", "--sa", "sa",
+         "--k", "2", "--vectors", str(vectors), *flags]
+    )
+    assert code == 2
+    expected = 58**3 * 61 if with_file else 58**4
+    assert capsys.readouterr().err == (
+        f"error: generalization lattice has {expected} nodes, above the 10000000 limit\n"
+    )
+    assert not out.exists()
+
+
+def test_value_missing_from_a_hierarchy_file_exits_2_before_embedding(small_inputs, capsys):
+    hdir = small_inputs["dir"] / "given"
+    hdir.mkdir()
+    _write_hierarchy_of(["cook", "nurse"], hdir / "job.csv", "job")  # no "pilot"
+    out = small_inputs["dir"] / "out"
+    vectors = small_inputs["dir"] / "deleted.txt"  # grade is generated, but not reached
+    args = command_args("anonymize", small_inputs, out)
+    code = main(args + ["--hierarchies-dir", str(hdir), "--vectors", str(vectors)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "error: value 'pilot' in column 'job' is not a hierarchy leaf\n"
+    assert not out.exists()
+
+
+def test_anonymize_and_evaluate_import_no_further_numpy_module(small_inputs):
+    # Every numpy module the commands need is loaded by importing the CLI,
+    # so a fresh process pays for no lazily imported one (numpy.ma, ...).
+    out = small_inputs["dir"] / "out"
+    anonymize = command_args("anonymize", small_inputs, out) + [
+        "--method", "ward", "--vectors", small_inputs["vectors"]
+    ]
+    evaluate = ["evaluate", "--train", str(out / "anonymized.csv"), "--test",
+                small_inputs["csv"], "--qi", "job,grade", "--sa", "salary-class",
+                "--numeric-features", "hours", "--out", str(out / "evaluation.json")]
+    script = (
+        "import json, sys\n"
+        "import clustem.cli\n"
+        "def numpy_modules():\n"
+        "    return {m for m in sys.modules if m == 'numpy' or m.startswith('numpy.')}\n"
+        "before = numpy_modules()\n"
+        f"codes = [clustem.cli.main(argv) for argv in {[anonymize, evaluate]!r}]\n"
+        "print(json.dumps({'codes': codes, 'added': sorted(numpy_modules() - before)}))\n"
+    )
+    src = str(Path(clustem.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    )
+    assert json.loads(proc.stdout.splitlines()[-1]) == {"codes": [0, 0], "added": []}
+
+
 @pytest.mark.parametrize(
     "command, flag, name",
     [("anonymize", "--input", "missing.csv"), ("vgh", "--out-dir", "taken")],

@@ -81,6 +81,17 @@ class TestEncode:
         with pytest.raises(InputError, match=f"test set, .*'h', data row 2: '{cell}'"):
             encode(good, train, ["w"], ["h"], LEAVES, "y", "p")
 
+    def test_repeated_bad_cell_is_reported_at_its_first_row(self):
+        # Each distinct cell is parsed once; the message still names the
+        # first data row that holds the first bad cell.
+        # Repeated good cells come first, so the bad cell's row differs from
+        # its position among the distinct cells.
+        train = make_table(
+            w=["a"] * 6, h=["1", "1", "?", "x", "y", "x"], y=["p", "n", "p", "n", "p", "n"]
+        )
+        with pytest.raises(InputError, match="'h', data row 4: 'x'"):
+            encode(train, train, ["w"], ["h"], LEAVES, "y", "p")
+
     def test_non_binary_label_rejected(self):
         train = tiny(["a", "b", "c"], ["p", "n", "maybe"])
         with pytest.raises(InputError, match="binary"):

@@ -15,7 +15,7 @@ import _oracles as oracles
 from clustem import cli, embed
 from clustem.efficacy import encode
 from clustem.errors import InputError
-from clustem.tabular import Column, QiSpec, Table, group_ids, load_csv, write_csv
+from clustem.tabular import _BLOCK_ROWS, Column, QiSpec, Table, group_ids, load_csv, write_csv
 from clustem.vgh import Vgh, write_hierarchy
 from conftest import make_table
 
@@ -219,6 +219,20 @@ class TestWriteCsv:
         write_csv(table, str(out))
         assert out.read_bytes() == _csv_module_bytes(table)
 
+    @pytest.mark.parametrize("width", [1, 2])
+    @pytest.mark.parametrize("cell", ["a,b", 'say "hi"', "two\nlines", "", "cr\rhere"])
+    def test_a_cell_past_the_first_block_decides_its_own_block(self, tmp_path, width, cell):
+        # Every cell of the first block is plain; the one cell that needs
+        # quotes (or, for "\r", quotes on every cell of the file) comes later.
+        rows = 2 * _BLOCK_ROWS + 5
+        columns = [[f"v{i % 7}" for i in range(rows)] for _ in range(width)]
+        columns[-1][_BLOCK_ROWS + 3] = cell
+        table = Table([Column(f"c{j}", col) for j, col in enumerate(columns)])
+        out = tmp_path / "t.csv"
+        write_csv(table, str(out))
+        assert out.read_bytes() == _csv_module_bytes(table)
+        assert load_csv(str(out)) == table
+
     def test_unwritable_path(self, tmp_path):
         with pytest.raises(OSError):
             write_csv(make_table(c=["v"]), str(tmp_path / "no" / "dir.csv"))
@@ -245,6 +259,19 @@ class TestGroupIds:
     def test_missing_column(self, toy_table):
         with pytest.raises(InputError, match="nope"):
             group_ids(toy_table, ["nope"])
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        rows=st.lists(
+            st.tuples(st.sampled_from("ab*"), st.sampled_from("xy*"), st.sampled_from("*")),
+            max_size=20,
+        ),
+        width=st.integers(1, 3),
+    )
+    def test_ids_match_the_reference_numbering(self, rows, width):
+        table = Table([Column(f"q{j}", [row[j] for row in rows]) for j in range(3)])
+        qi = [f"q{j}" for j in range(width)]
+        assert group_ids(table, qi).tolist() == oracles.reference_group_ids(table, qi).tolist()
 
     @settings(max_examples=50, deadline=None)
     @given(rows=st.lists(st.tuples(st.sampled_from("ab*"), st.sampled_from("xy*")), max_size=12))
