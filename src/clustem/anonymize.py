@@ -19,9 +19,10 @@ one sort of the lattice, made once a walk goes beyond the bottom node: about
 Cells are mapped through the hierarchies once per sweep, into integer codes;
 the privacy check, each row's group id (-1 on suppressed rows) and the
 generalized table at the chosen node are all computed from those codes, and
-the reports in ``metrics`` count over the same group ids. Each QI and
-sensitive column is coded once (``Column.coding``). Every grouping packs code
-columns into one mixed-radix int64 key per row (``tabular.pack``). Rows
+the reports in ``metrics`` count over the same group ids and sensitive codes.
+Each QI and sensitive column is coded once (``Column.coding``). Every
+grouping packs code columns into one mixed-radix int64 key per row
+(``tabular.pack``). Rows
 become leaf combinations by ``np.unique``, once per sweep, which gives each
 combination's first row. A check's groups, and their distinct pairs with the
 sensitive value, need no first rows: ``tabular.fold`` numbers them, through a

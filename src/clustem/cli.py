@@ -294,7 +294,6 @@ def _cmd_anonymize(args) -> int:
             kmeans_repairs += hierarchy.kmeans_repairs
         vghs.update(generated)
 
-    sa_values = table.column(sa).values if sa else None
     all_satisfied = True
     results = search(table, spec, vghs, sweep)
     for params in sweep:
@@ -305,7 +304,7 @@ def _cmd_anonymize(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         write_csv(result.table, str(out_dir / "anonymized.csv"))
         report = metrics.compute_report(
-            table.row_count, result.groups, sa_values, params, result.node
+            result.groups, table.column(sa) if sa else None, params, result.node
         )
         payload = report.to_dict()
         payload.update(
@@ -337,9 +336,7 @@ def _cmd_evaluate(args) -> int:
     spec.validate_against(test)
     params = PrivacyParams(k=args.k, l=args.l, sup_limit=args.sup_limit)
 
-    report = metrics.compute_report(
-        train.row_count, group_ids(train, spec.qi), train.column(args.sa).values, params
-    )
+    report = metrics.compute_report(group_ids(train, spec.qi), train.column(args.sa), params)
 
     if args.qi_only:
         numeric = []
@@ -358,7 +355,7 @@ def _cmd_evaluate(args) -> int:
     payload["efficacy"] = efficacy_report.to_dict()
     payload["meta"] = {
         "seed": args.seed,
-        "features": train_fm.feature_names[-len(numeric):] if numeric else [],
+        "features": numeric,
         "started_at": started,
         "finished_at": _now(),
     }

@@ -1,22 +1,23 @@
 """Privacy and utility measurements over an anonymization's retained groups.
 
 Groups come as one id per row, -1 on suppressed rows: ``AnonymizationResult.groups``
-for a search result, ``tabular.group_ids`` for a written table. They are
-counted once into a (group x sensitive value) matrix, and every measurement is
-read off that matrix. All measurements are taken on the retained records, and
-the "global" sensitive distribution for t-closeness is computed over exactly
-those rows.
+for a search result, ``tabular.group_ids`` for a written table. The sensitive
+attribute comes as the table's Column, and its shared coding
+(``Column.coding``, made once per column and read by the search too) is
+counted with the group ids into a (group x sensitive value) matrix. Every
+measurement is read off that matrix. All measurements are taken on the
+retained records, and the "global" sensitive distribution for t-closeness is
+computed over exactly those rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .anonymize import LatticeNode, PrivacyParams
-from .tabular import code_column
+from .tabular import Column
 
 
 @dataclass
@@ -36,18 +37,18 @@ class MetricReport:
         return out
 
 
-def count_matrix(groups: np.ndarray, sa_values: Sequence[str] | None) -> np.ndarray:
+def count_matrix(groups: np.ndarray, sa: Column | None) -> np.ndarray:
     """Retained rows per (group, sensitive value): one matrix row per group id
     that holds a row, one column per sensitive value of the retained rows (a
     single column without a sensitive attribute)."""
     retained = groups >= 0
     ids = groups[retained]
-    if sa_values is None:
+    if sa is None:
         codes, width = np.zeros(len(ids), dtype=np.int64), 1
     else:
-        # Code the values by first appearance, then renumber the retained
-        # rows' values in sorted order: the columns np.unique would give.
-        codes, names = code_column(sa_values)
+        # Renumber the retained rows' values in sorted order: the columns
+        # np.unique would give.
+        codes, names = sa.coding
         codes = codes[retained]
         present = np.zeros(len(names), dtype=bool)
         present[codes] = True
@@ -98,23 +99,22 @@ def achieved_privacy(counts: np.ndarray) -> tuple[int, int]:
 
 
 def compute_report(
-    n_rows: int,
     groups: np.ndarray,
-    sa_values: Sequence[str] | None,
+    sa: Column | None,
     params: PrivacyParams,
     node: LatticeNode | None = None,
 ) -> MetricReport:
     """Assemble the full report from per-row group ids; pure in its inputs.
     Without a sensitive attribute, l and t are reported as 0."""
-    counts = count_matrix(groups, sa_values)
+    counts = count_matrix(groups, sa)
     retained = int(counts.sum())
     achieved_k, achieved_l = achieved_privacy(counts)
-    with_sa = sa_values is not None
+    with_sa = sa is not None
     return MetricReport(
         achieved_k=achieved_k,
         achieved_l=achieved_l if with_sa else 0,
         t_closeness=t_closeness(counts) if with_sa and retained else 0.0,
-        perc_recs=perc_recs(n_rows, retained),
+        perc_recs=perc_recs(len(groups), retained),
         c_avg=c_avg(retained, len(counts), params.k),
         requested=params,
         node=node,

@@ -324,8 +324,8 @@ def group_ids(table: Table, qi: Sequence[str]) -> np.ndarray:
     up from 0 in order of first appearance); -1 on rows whose QI cells are all
     "*", the mark of a suppressed row in a written table. "*" is also the top
     label, so a row generalized to the top of every QI gets -1 too: a written
-    table cannot tell it from a suppressed row."""
-    codings = [table.column(name).coding for name in qi]
+    table cannot tell it from a suppressed row. ``qi`` must pass ``QiSpec``."""
+    codings = [table.column(name).coding for name in QiSpec(list(qi)).qi]
     suppressed = np.ones(table.row_count, dtype=bool)
     for codes, distinct in codings:
         suppressed &= codes == (distinct.index(SUPPRESSED) if SUPPRESSED in distinct else -1)

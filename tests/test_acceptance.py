@@ -15,7 +15,7 @@ from clustem.anonymize import PrivacyParams, generate_vghs, search
 from clustem.cli import main
 from clustem.cluster import agglomerate, kmeans
 from clustem.embed import WordVectorProvider
-from clustem.tabular import QiSpec, group_ids, load_csv
+from clustem.tabular import Column, QiSpec, group_ids, load_csv
 from clustem.vgh import KMEANS, WARD, build_vgh, read_hierarchy, write_hierarchy
 from test_cluster import brute_force_inertia, replayed_partitions
 from test_vgh import assert_valid_structure
@@ -125,13 +125,12 @@ def test_criterion_3_vgh_structure_and_round_trip(tmp_path):
 def test_criterion_4_adult_protocol_at_desk_scale(adult, adult_runs):
     with criterion(4, "k in {2,5,10,30} on the Adult-schema subset meets every bound"):
         train, spec = adult["train"], adult["spec"]
-        sa_values = train.column(spec.sa).values
         for k in (2, 5, 10, 30):
             result, elapsed = adult_runs[k]
             params = PrivacyParams(k=k, l=2, sup_limit=0.5)
             assert result.satisfied, f"k={k} not satisfied"
             report = metrics.compute_report(
-                train.row_count, result.groups, sa_values, params, result.node
+                result.groups, train.column(spec.sa), params, result.node
             )
             assert report.achieved_k >= k
             assert min(np.unique(result.groups[~result.suppressed], return_counts=True)[1]) >= k
@@ -164,9 +163,10 @@ def test_criterion_5_efficacy_declines_gently_then_further(adult, adult_runs):
 def test_criterion_6_metric_unit_values():
     with criterion(6, "metric formulas hit their exact reference values"):
         assert metrics.c_avg(12, 3, 4) == 1.0
-        one_group = metrics.count_matrix(np.array([0, 0]), ["x", "y"])
+        sa = Column("s", ["x", "y"])
+        one_group = metrics.count_matrix(np.array([0, 0]), sa)
         assert metrics.t_closeness(one_group) == 0.0
-        two_groups = metrics.count_matrix(np.array([0, 1]), ["x", "y"])
+        two_groups = metrics.count_matrix(np.array([0, 1]), sa)
         assert metrics.t_closeness(two_groups) == 0.5
         assert metrics.perc_recs(5, 4) == 0.8
 

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import _datagen as datagen
 import clustem
 from _loopback import response, vector_of
+from clustem import tabular
 from clustem.anonymize import _CodedLattice
 from clustem.cli import main
 from clustem.tabular import group_ids, load_csv
@@ -412,6 +413,37 @@ class TestAnonymize:
             report = json.loads((out / f"k{k}" / "report.json").read_text())
             assert report["requested"]["k"] == k
             assert report["meta"]["started_at"] <= report["meta"]["finished_at"]
+
+    def test_a_sweep_codes_the_sensitive_column_once(self, adult_paths, tmp_path, monkeypatch):
+        # The search and every k's report share the column's one coding.
+        sa_values = load_csv(adult_paths["train"]).column(datagen.SA).values
+        received = []
+        code_column = tabular.code_column
+
+        def spy(values):
+            received.append(values)
+            return code_column(values)
+
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("clustem") and (
+                getattr(module, "code_column", None) is code_column
+            ):
+                monkeypatch.setattr(module, "code_column", spy)
+        code = main(
+            [
+                "anonymize",
+                "--input", adult_paths["train"],
+                "--out", str(tmp_path / "out"),
+                "--qi", ",".join(datagen.QI),
+                "--sa", datagen.SA,
+                "--k", "2,10,30,200",
+                "--l", "2",
+                "--sup-limit", "0.5",
+                "--vectors", adult_paths["vectors"],
+            ]
+        )
+        assert code == 0
+        assert sum(list(values) == sa_values for values in received) == 1
 
     def test_repeated_k_flag_is_a_config_error(self, small_inputs, capsys):
         code, out = run_anonymize(small_inputs, "twice", "--k", "2,2")
@@ -865,6 +897,31 @@ class TestEvaluate:
             payload["meta"].pop("finished_at")
             outs.append(json.dumps(payload, sort_keys=True))
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize(
+        "flags, features",
+        [
+            ([], ["capital-gain", "capital-loss", "hours-per-week"]),
+            (["--numeric-features", "hours-per-week"], ["hours-per-week"]),
+            (["--qi-only"], []),
+        ],
+        ids=["default", "named", "qi-only"],
+    )
+    def test_meta_names_the_numeric_features(self, adult_paths, tmp_path, flags, features):
+        out = tmp_path / "eval.json"
+        code = main(
+            [
+                "evaluate",
+                "--train", adult_paths["train"],
+                "--test", adult_paths["test"],
+                "--qi", ",".join(datagen.QI),
+                "--sa", datagen.SA,
+                "--out", str(out),
+                *flags,
+            ]
+        )
+        assert code == 0
+        assert json.loads(out.read_text())["meta"]["features"] == features
 
     def test_qi_only_with_numeric_features_is_a_usage_error(self, small_inputs, capsys):
         out = small_inputs["dir"] / "eval_both.json"

@@ -14,13 +14,23 @@ from clustem.metrics import (
     perc_recs,
     t_closeness,
 )
-from clustem.tabular import QiSpec, group_ids, load_csv, write_csv
+from clustem.tabular import Column, QiSpec, group_ids, load_csv, write_csv
 from clustem.vgh import build_vgh
 from conftest import make_table
 
 
+def sa_column(values):
+    """The sensitive values as a table's Column; None stays None."""
+    return None if values is None else Column("s", list(values))
+
+
 def counts(groups, sa):
-    return count_matrix(np.array(groups, dtype=np.int64), sa)
+    return count_matrix(np.array(groups, dtype=np.int64), sa_column(sa))
+
+
+def reference_count_matrix(groups, sa):
+    """The value-based reference, called like ``count_matrix``."""
+    return oracles.reference_count_matrix(groups, None if sa is None else sa.values)
 
 
 class TestCountMatrix:
@@ -47,14 +57,14 @@ class TestAgainstNpUnique:
     DOMAIN = ["b", "a", "é", "日", "a b", "", "?", "Z", "aa", "a\0b"]
 
     def assert_bit_equal(self, groups, sa, monkeypatch):
-        groups = np.array(groups, dtype=np.int64)
-        got, want = count_matrix(groups, sa), oracles.reference_count_matrix(groups, sa)
+        groups, sa = np.array(groups, dtype=np.int64), sa_column(sa)
+        got, want = count_matrix(groups, sa), reference_count_matrix(groups, sa)
         assert got.dtype == want.dtype and np.array_equal(got, want)
         params = PrivacyParams(k=2)
-        report = compute_report(len(groups), groups, sa, params)
+        report = compute_report(groups, sa, params)
         with monkeypatch.context() as patch:
-            patch.setattr(metrics, "count_matrix", oracles.reference_count_matrix)
-            reference = compute_report(len(groups), groups, sa, params)
+            patch.setattr(metrics, "count_matrix", reference_count_matrix)
+            reference = compute_report(groups, sa, params)
         assert report.t_closeness == reference.t_closeness
         assert report == reference
 
@@ -158,7 +168,7 @@ class TestAchievedPrivacy:
 
 class TestComputeReport:
     def test_without_a_sensitive_attribute_l_and_t_are_zero(self):
-        report = compute_report(3, np.array([0, 0, -1]), None, PrivacyParams(k=2))
+        report = compute_report(np.array([0, 0, -1]), None, PrivacyParams(k=2))
         assert (report.achieved_k, report.achieved_l, report.t_closeness) == (2, 0, 0.0)
         assert report.perc_recs == 2 / 3
 
@@ -178,7 +188,7 @@ class TestComputeReport:
             sa = [str(rng.choice(domain)) for _ in range(n)]
             params = PrivacyParams(k=int(rng.integers(1, 6)))
             for sa_values in (sa, None):
-                got = compute_report(n, groups, sa_values, params, (1, 2))
+                got = compute_report(groups, sa_column(sa_values), params, (1, 2))
                 want = oracles.naive_report(n, groups, sa_values, params, (1, 2))
                 if n_sa >= 3:
                     assert abs(got.t_closeness - want.t_closeness) <= 1e-15
@@ -199,18 +209,12 @@ class TestReportRecompute:
         )
         params = PrivacyParams(k=2, l=2, sup_limit=0.2)
         [result] = search(table, spec, {"q": vgh}, [params])
-        direct = compute_report(
-            table.row_count, result.groups, table.column("s").values, params, result.node
-        )
+        direct = compute_report(result.groups, table.column("s"), params, result.node)
 
         out = tmp_path / "anon.csv"
         write_csv(result.table, str(out))
         reloaded = load_csv(str(out))
         recomputed = compute_report(
-            reloaded.row_count,
-            group_ids(reloaded, spec.qi),
-            reloaded.column("s").values,
-            params,
-            result.node,
+            group_ids(reloaded, spec.qi), reloaded.column("s"), params, result.node
         )
         assert recomputed == direct

@@ -260,6 +260,10 @@ class TestGroupIds:
         with pytest.raises(InputError, match="nope"):
             group_ids(toy_table, ["nope"])
 
+    def test_empty_qi_is_an_input_error(self, toy_table):
+        with pytest.raises(InputError, match="at least one column"):
+            group_ids(toy_table, [])
+
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(
         rows=st.lists(
