@@ -135,6 +135,8 @@ def _provider_from_args(args):
         raise InputError(
             "an embedding source is required: --vectors or --api-endpoint/--api-model"
         )
+    if args.cache and not Path(args.cache).parent.is_dir():
+        raise InputError(f"embedding cache {args.cache} is not in an existing directory")
     kind = WORD_VECTOR_FILE if args.vectors else HTTP_API
     return create_provider(
         ProviderConfig(kind, args.vectors, args.api_endpoint, args.api_model, args.api_key_env)
@@ -176,6 +178,8 @@ def _cmd_vgh_build(args) -> int:
     table = load_csv(args.input)
     columns = _parse_names(args.columns)
     out_dir = _output_dir(args.out_dir)
+    for attr in columns:
+        _output_file(str(out_dir / f"{attr}.csv"))
     provider = _provider_from_args(args)
     vghs = generate_vghs(table, columns, provider, args.method, args.seed, args.cache)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -282,12 +286,17 @@ def _cmd_anonymize(args) -> int:
     provider_id = "hierarchy-files"
     kmeans_repairs = 0
     to_generate = [attr for attr in spec.qi if attr not in vghs]
+    out_dirs = [out_root / f"k{params.k}" if len(sweep) > 1 else out_root for params in sweep]
+    hierarchy_dir = out_root / "hierarchies"
+    for path in [hierarchy_dir / f"{attr}.csv" for attr in to_generate] + [
+        out_dir / name for out_dir in out_dirs for name in ("anonymized.csv", "report.json")
+    ]:
+        _output_file(str(path))
     if to_generate or args.vectors or args.api_endpoint or args.api_model:
         provider = _provider_from_args(args)  # judges the flags even when unused
     if to_generate:
         provider_id = provider.provider_id
         generated = generate_vghs(table, to_generate, provider, method, seed, args.cache)
-        hierarchy_dir = out_root / "hierarchies"
         hierarchy_dir.mkdir(parents=True, exist_ok=True)
         for attr, hierarchy in generated.items():
             write_hierarchy(hierarchy, str(hierarchy_dir / f"{attr}.csv"))
@@ -296,11 +305,10 @@ def _cmd_anonymize(args) -> int:
 
     all_satisfied = True
     results = search(table, spec, vghs, sweep)
-    for params in sweep:
+    for params, out_dir in zip(sweep, out_dirs):
         started = _now()
         result = next(results)
         all_satisfied &= result.satisfied
-        out_dir = out_root if len(sweep) == 1 else out_root / f"k{params.k}"
         out_dir.mkdir(parents=True, exist_ok=True)
         write_csv(result.table, str(out_dir / "anonymized.csv"))
         report = metrics.compute_report(

@@ -19,12 +19,10 @@ wrapped in double quotes, with every '"' doubled; the empty cell of a
 one-column row is written as '""'. When any cell or column name holds a
 "\r", every cell is quoted. These are the bytes of ``csv.writer`` with
 ``QUOTE_MINIMAL`` (``QUOTE_ALL`` when there is a "\r") and
-``lineterminator="\n"``. ``write_csv`` joins each block of rows plainly and
-keeps that text when it shows that no cell needs quotes: no '"' or "\r",
-exactly one "," per cell boundary and one "\n" per row, and no empty cell in
-a one-column table. Any other block is joined again with the quotes its
-cells need, and the first "\r" makes it write the whole file again with
-every cell quoted.
+``lineterminator="\n"``. ``write_csv`` works a block of rows at a time and
+joins each column's cells of the block once: that string tells whether the
+column needs the per-cell rule, and the block is then rendered in one join.
+The first "\r" makes it write the whole file again with every cell quoted.
 
 String columns are grouped through integer codes. ``code_column`` codes a
 column once (``Column.coding`` keeps the result), numbering its distinct
@@ -232,40 +230,26 @@ def write_csv(table: Table, path: str) -> None:
 def _write_rows(fh: TextIO, table: Table, quote_all: bool) -> bool:
     """Write the header and the rows, a block at a time. Without ``quote_all``,
     stop and return False at the first block that holds a "\r"."""
-    width = len(table.columns)
-    lone = width == 1
+    lone = len(table.columns) == 1
     blocks = (
         [col.values[start : start + _BLOCK_ROWS] for col in table.columns]
         for start in range(0, table.row_count, _BLOCK_ROWS)
     )
     for block in chain([[[name] for name in table.column_names]], blocks):
-        if quote_all:
-            fh.write("\n".join(",".join(map(_quote, row)) for row in zip(*block)) + "\n")
-            continue
-        rows = len(block[0]) if block else 1
-        text = "\n".join(map(",".join, zip(*block))) + "\n"
-        if (
-            '"' in text
-            or "\r" in text
-            or text.count(",") != rows * (width - 1)
-            or text.count("\n") != rows
-            or (lone and "" in block[0])
-        ):
-            if "\r" in text:
+        cells = []
+        for col in block:
+            joined = "".join(col)
+            if "\r" in joined and not quote_all:
                 return False
-            block = [_quote_minimal(col, lone) for col in block]
-            text = "\n".join(map(",".join, zip(*block))) + "\n"
-        fh.write(text)
+            # A one-column row of one empty cell would read back as a blank line.
+            if quote_all or _needs_quotes(joined) or (lone and "" in col):
+                col = [
+                    _quote(c) if quote_all or _needs_quotes(c) or (lone and not c) else c
+                    for c in col
+                ]
+            cells.append(col)
+        fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
     return True
-
-
-def _quote_minimal(cells: list[str], lone: bool) -> list[str]:
-    """``cells`` with each cell that needs quotes quoted, deciding for the
-    whole column first. A one-column row of one empty cell would read back as
-    a blank line, so in a one-column table it is quoted too."""
-    if not (_needs_quotes("".join(cells)) or (lone and "" in cells)):
-        return cells
-    return [_quote(c) if _needs_quotes(c) or (lone and not c) else c for c in cells]
 
 
 def code_column(values: Sequence[str]) -> tuple[np.ndarray, list[str]]:

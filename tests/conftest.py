@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +31,14 @@ def embeddings_api(monkeypatch):
     monkeypatch.setenv("no_proxy", "127.0.0.1")  # keep an outer proxy off the loopback traffic
     with EmbeddingsApi() as api:
         yield api
+
+
+def tree(root: Path) -> dict[str, bytes | None]:
+    """Every path under ``root``, relative to it, with a file's bytes."""
+    return {
+        str(path.relative_to(root)): path.read_bytes() if path.is_file() else None
+        for path in sorted(root.rglob("*"))
+    }
 
 
 def make_table(**columns: list[str]) -> Table:

@@ -21,6 +21,7 @@ from clustem.anonymize import _CodedLattice
 from clustem.cli import main
 from clustem.tabular import group_ids, load_csv
 from clustem.vgh import build_vgh, read_hierarchy, write_hierarchy
+from conftest import tree
 
 CONFIG_KEYS = ["qi", "sa", "k", "l", "sup_limit", "method", "seed", "hierarchies"]
 VALID_CONFIG = {"qi": ["job", "grade"], "sa": "salary-class", "k": 2, "sup_limit": 0.5}
@@ -1284,18 +1285,52 @@ def test_embedding_flags_are_judged_when_no_hierarchy_is_generated(
 
 
 @pytest.mark.parametrize("command", ["vgh", "anonymize"])
-@pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
+@pytest.mark.parametrize("where", ["file", "below-a-file", "blocked-output"])
 def test_output_path_through_a_file_exits_2_before_embedding(
-    small_inputs, capsys, command, below
+    small_inputs, capsys, command, where
 ):
     taken = small_inputs["dir"] / "taken"
-    taken.write_text("keep\n", encoding="utf-8")
-    out = taken / "sub" if below else taken
     vectors = small_inputs["dir"] / "deleted.txt"  # the provider must not be reached
-    assert main(command_args(command, small_inputs, out) + ["--vectors", str(vectors)]) == 2
+    flags = ["--vectors", str(vectors)]
+    if where == "blocked-output":
+        # The first output can be written; a later one is blocked.
+        out = small_inputs["dir"] / "out"
+        out.mkdir()
+        if command == "vgh":
+            (out / "grade.csv").mkdir()
+            message = f"output file {out / 'grade.csv'} is a directory"
+        else:
+            (out / "k10").write_text("keep\n", encoding="utf-8")
+            flags += ["--k", "2,10"]
+            message = f"output directory {out / 'k10'}: {out / 'k10'} is not a directory"
+        before = tree(out)
+    else:
+        taken.write_text("keep\n", encoding="utf-8")
+        out = taken / "sub" if where == "below-a-file" else taken
+        message = f"output directory {out}: {taken} is not a directory"
+    assert main(command_args(command, small_inputs, out) + flags) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    if where == "blocked-output":
+        assert tree(out) == before
+    else:
+        assert taken.read_text(encoding="utf-8") == "keep\n"
+
+
+@pytest.mark.parametrize("command", ["vgh", "anonymize"])
+@pytest.mark.parametrize("place", ["missing-dir", "through-a-file"])
+def test_cache_outside_a_directory_exits_2_before_embedding(
+    small_inputs, capsys, command, place
+):
+    if place == "through-a-file":
+        (small_inputs["dir"] / "taken").write_text("keep\n", encoding="utf-8")
+    cache = small_inputs["dir"] / ("nodir" if place == "missing-dir" else "taken") / "c.json"
+    out = small_inputs["dir"] / "out"
+    vectors = small_inputs["dir"] / "deleted.txt"  # the provider must not be reached
+    args = command_args(command, small_inputs, out) + ["--vectors", str(vectors)]
+    assert main(args + ["--cache", str(cache)]) == 2
     err = capsys.readouterr().err
-    assert err == f"error: output directory {out}: {taken} is not a directory\n"
-    assert taken.read_text(encoding="utf-8") == "keep\n"
+    assert err == f"error: embedding cache {cache} is not in an existing directory\n"
+    assert not out.exists()
 
 
 def test_evaluate_out_naming_a_directory_exits_2_before_loading(small_inputs, capsys):

@@ -20,6 +20,7 @@ from clustem.cli import main
 from clustem.embed import preprocess
 from clustem.tabular import Column, QiSpec, Table, group_ids, load_csv
 from clustem.vgh import read_hierarchy
+from conftest import tree
 
 # One value in six is text over an alphabet of the characters that CSV
 # quoting, hierarchy files, set labels and the suppression mark treat
@@ -49,12 +50,17 @@ def runs(draw):
             files[attr] = (leaves, draw(st.integers(0, 2**32 - 1)))
     sa_values = list(dict.fromkeys(draw(st.lists(VALUES | st.just(""), min_size=2, max_size=3))))
     columns["s"] = [sa_values[i] for i in rng.integers(0, len(sa_values), n_rows)]
+    ks = draw(st.lists(st.integers(1, 8), min_size=1, max_size=3, unique=True))
+    # A file in the way of an output: a k directory of a sweep, or the
+    # directory of the generated hierarchies.
+    blockable = [f"k{k}" for k in ks if len(ks) > 1] + ["hierarchies"] * (len(files) < len(qi))
     return {
         "table": Table([Column(name, values) for name, values in columns.items()]),
         "qi": qi,
         "sa": draw(st.sampled_from(["s", "s", None])),
         "files": files,
-        "ks": draw(st.lists(st.integers(1, 8), min_size=1, max_size=3, unique=True)),
+        "ks": ks,
+        "blocker": draw(st.sampled_from([None, None, None, *blockable])),
         "l": draw(st.sampled_from([1, 1, 2, 3])),
         "sup_limit": draw(st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0])),
         "method": draw(st.sampled_from(["ward", "kmeans"])),
@@ -158,6 +164,11 @@ def test_anonymize_ends_in_a_documented_state(tmp_path, capsys, run):
         root = Path(scratch)
         paths = write_inputs(root, run)
         out = root / "out"
+        before = None
+        if run["blocker"]:
+            out.mkdir()
+            (out / run["blocker"]).write_text("keep\n", encoding="utf-8")
+            before = tree(out)
         args = [
             "anonymize",
             "--input", paths["data"],
@@ -174,9 +185,9 @@ def test_anonymize_ends_in_a_documented_state(tmp_path, capsys, run):
             args += ["--sa", run["sa"]]
         code = main(args)
         assert "Traceback" not in capsys.readouterr().err
-        assert code in (0, 1, 2, 3)
+        assert code in ((2, 3) if run["blocker"] else (0, 1, 2, 3))
         if code in (2, 3):
-            assert not out.exists()
+            assert (tree(out) if out.exists() else None) == before
             return
 
         table, spec = run["table"], QiSpec(run["qi"], run["sa"])

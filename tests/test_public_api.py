@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import _datagen as datagen
 import clustem
+from clustem import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -37,6 +39,21 @@ def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
     vectors = {tuple(v) for v in embeddings.values()}
     assert len(vectors) == len(embeddings) > 1
     assert str(result.node) in capsys.readouterr().out
+
+
+def test_readme_commands_and_config_parse(tmp_path):
+    text = README.read_text(encoding="utf-8")
+    lines = "".join(re.findall(r"```sh\n(.*?)```", text, re.S)).replace("\\\n", " ")
+    commands = [shlex.split(line) for line in lines.splitlines() if line.startswith("clustem ")]
+    assert {argv[1] for argv in commands} == {"vgh", "anonymize", "evaluate"}
+    parser = cli._build_parser()
+    for argv in commands:
+        parser.parse_args(argv[1:])
+
+    [config] = re.findall(r"### Run config file\n.*?```json\n(.*?)```", text, re.S)
+    path = tmp_path / "run.json"
+    path.write_text(config, encoding="utf-8")
+    assert cli._load_config(str(path))["k"] == 5
 
 
 def _top_level_modules_after(statement: str) -> set[str]:
