@@ -20,10 +20,11 @@ Cells are mapped through the hierarchies once per sweep, into integer codes;
 the privacy check, each row's group id (-1 on suppressed rows) and the
 generalized table at the chosen node are all computed from those codes, and
 the reports in ``metrics`` count over the same group ids and sensitive codes.
-Each QI and sensitive column is coded once (``Column.coding``). Every
-grouping packs code columns into one mixed-radix int64 key per row
-(``tabular.pack``). Rows
-become leaf combinations by ``np.unique``, once per sweep, which gives each
+Each QI and sensitive column is coded once (``Column.coding``), and the
+lattice groups rows by those codes: a hierarchy level becomes a lookup from
+value code to label code. Every grouping packs code columns into one
+mixed-radix int64 key per row (``tabular.pack``). Rows become combinations of
+QI value codes by ``np.unique``, once per sweep, which gives each
 combination's first row. A check's groups, and their distinct pairs with the
 sensitive value, need no first rows: ``tabular.fold`` numbers them, through a
 presence table when the key's range is small, and each distinct pair key
@@ -71,8 +72,9 @@ class PrivacyParams:
 @dataclass
 class AnonymizationResult:
     """The generalized table (suppressed rows' QI cells are "*"), the chosen
-    node, each row's group id at the node (-1 on suppressed rows), the node's
-    loss, and whether the privacy requirements were met."""
+    node, each row's group id at the node (-1 on suppressed rows; the ids
+    carry no order), the node's loss, and whether the privacy requirements
+    were met."""
 
     table: Table
     node: LatticeNode
@@ -109,9 +111,10 @@ def _vgh_for(vghs: Mapping[str, Vgh], attribute: str) -> Vgh:
 class _CodedLattice:
     """Row data coded once through the hierarchies.
 
-    Rows are collapsed to distinct leaf-value combinations with multiplicities;
-    each (attribute, level) gets a lookup table from leaf index to a label
-    code, so grouping at a node is one ``fold`` of the combinations' label
+    Rows are collapsed to distinct combinations of their QI value codes
+    (``Column.coding``) with multiplicities; each (attribute, level) gets a
+    lookup table from value code to label code, over the labels some row
+    holds, so grouping at a node is one ``fold`` of the combinations' label
     codes, and the generalized table is one label lookup per cell. An empty
     table has no combinations and no groups, and passes every check.
     """
@@ -123,25 +126,20 @@ class _CodedLattice:
         self.vghs = [_vgh_for(vghs, a) for a in self.qi]
         check_lattice(table, self.qi, vghs)
 
-        leaf_index_columns = []
-        for attr, vgh in zip(self.qi, self.vghs):
-            codes, distinct = table.column(attr).coding
-            index = {leaf: i for i, leaf in enumerate(vgh.leaves)}
-            leaf_index_columns.append(np.array([index[v] for v in distinct], np.int64)[codes])
-
-        key, _ = pack(leaf_index_columns, [len(v.leaves) for v in self.vghs])
+        codings = [table.column(attr).coding for attr in self.qi]
+        key, _ = pack([codes for codes, _ in codings], [len(d) for _, d in codings])
         _, first, self.row_combo = np.unique(key, return_index=True, return_inverse=True)
-        # combos[j][c]: leaf index of attribute j in combination c
-        self.combos = [column[first] for column in leaf_index_columns]
+        # combos[j][c]: the code of attribute j's value in combination c
+        self.combos = [codes[first] for codes, _ in codings]
         self.combo_counts = np.bincount(self.row_combo, minlength=len(first))
 
-        # luts[j][v]: leaf index -> label code at level v; labels[j][v]: code -> string
+        # luts[j][v]: value code -> label code at level v; labels[j][v]: code -> string
         self.luts: list[list[np.ndarray]] = []
         self.labels: list[list[list[str]]] = []
-        for vgh in self.vghs:
-            codings = [code_column([level[leaf] for leaf in vgh.leaves]) for level in vgh.levels]
-            self.luts.append([lut for lut, _ in codings])
-            self.labels.append([labels for _, labels in codings])
+        for vgh, (_, distinct) in zip(self.vghs, codings):
+            coded = [code_column([level[v] for v in distinct]) for level in vgh.levels]
+            self.luts.append([lut for lut, _ in coded])
+            self.labels.append([labels for _, labels in coded])
 
         # The distinct (combination, sensitive value) pairs.
         self.pair_sa: np.ndarray | None = None
@@ -193,7 +191,7 @@ class _CodedLattice:
             j = self.qi.index(column.name)
             level = node[j]
             labels = np.array(self.labels[j][level] + [SUPPRESSED], dtype=object)
-            codes = self.luts[j][level][self.combos[j][self.row_combo]]
+            codes = self.luts[j][level][column.coding[0]]
             codes[mask] = len(labels) - 1
             columns.append(Column(column.name, labels[codes].tolist()))
         return Table(columns)

@@ -135,6 +135,8 @@ def _provider_from_args(args):
         raise InputError(
             "an embedding source is required: --vectors or --api-endpoint/--api-model"
         )
+    if args.cache and Path(args.cache).is_dir():
+        raise InputError(f"embedding cache {args.cache} is a directory")
     if args.cache and not Path(args.cache).parent.is_dir():
         raise InputError(f"embedding cache {args.cache} is not in an existing directory")
     kind = WORD_VECTOR_FILE if args.vectors else HTTP_API
@@ -174,17 +176,29 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _cmd_vgh_build(args) -> int:
-    table = load_csv(args.input)
-    columns = _parse_names(args.columns)
-    out_dir = _output_dir(args.out_dir)
-    for attr in columns:
-        _output_file(str(out_dir / f"{attr}.csv"))
-    provider = _provider_from_args(args)
-    vghs = generate_vghs(table, columns, provider, args.method, args.seed, args.cache)
+def _build_hierarchies(args, table, columns, out_dir: Path, method, seed, outputs=()):
+    """The hierarchy step of both commands. Every output path, ``out_dir``'s
+    ``<column>.csv`` files first, then ``outputs``, is checked before the
+    provider flags are judged; the flags are judged even when no column is
+    left to generate. Writes one hierarchy file per column and returns the
+    hierarchies and the provider id ("hierarchy-files" when none is made)."""
+    for path in [out_dir / f"{attr}.csv" for attr in columns] + list(outputs):
+        _output_file(str(path))
+    if columns or args.vectors or args.api_endpoint or args.api_model:
+        provider = _provider_from_args(args)
+    if not columns:
+        return {}, "hierarchy-files"
+    vghs = generate_vghs(table, columns, provider, method, seed, args.cache)
     out_dir.mkdir(parents=True, exist_ok=True)
     for attr, hierarchy in vghs.items():
         write_hierarchy(hierarchy, str(out_dir / f"{attr}.csv"))
+    return vghs, provider.provider_id
+
+
+def _cmd_vgh_build(args) -> int:
+    table = load_csv(args.input)
+    columns = _parse_names(args.columns)
+    _build_hierarchies(args, table, columns, _output_dir(args.out_dir), args.method, args.seed)
     return EXIT_OK
 
 
@@ -247,20 +261,22 @@ def _parse_k_list(raw) -> list[int]:
 def _cmd_anonymize(args) -> int:
     config = _load_config(args.config)
 
+    def setting(key: str, default=None):
+        """The flag, else the config key, else the default."""
+        value = getattr(args, key)
+        return value if value is not None else config.get(key, default)
+
     qi = _parse_names(args.qi) if args.qi else config.get("qi")
     if not qi:
         raise InputError("the quasi-identifier is required (--qi or config 'qi')")
-    sa = args.sa if args.sa is not None else config.get("sa")
-    k_raw = args.k if args.k is not None else config.get("k")
+    k_raw = setting("k")
     if k_raw is None:
         raise InputError("k is required (--k or config 'k')")
     ks = _parse_k_list(k_raw)
-    l_value = args.l if args.l is not None else config.get("l", 1)
-    sup_limit = args.sup_limit if args.sup_limit is not None else config.get("sup_limit", 0.0)
-    method = args.method or config.get("method", WARD)
+    method, seed, sa = setting("method", WARD), setting("seed", 0), setting("sa")
     if method not in METHODS:
         raise InputError(f"unknown clustering method {method!r}")
-    seed = args.seed if args.seed is not None else config.get("seed", 0)
+    l_value, sup_limit = setting("l", 1), setting("sup_limit", 0.0)
     sweep = [PrivacyParams(k=k, l=l_value, sup_limit=sup_limit) for k in ks]
 
     table = load_csv(args.input)
@@ -283,25 +299,15 @@ def _cmd_anonymize(args) -> int:
             vghs[attr] = read_hierarchy(path, attribute=attr)
     check_lattice(table, spec.qi, vghs)
 
-    provider_id = "hierarchy-files"
-    kmeans_repairs = 0
-    to_generate = [attr for attr in spec.qi if attr not in vghs]
     out_dirs = [out_root / f"k{params.k}" if len(sweep) > 1 else out_root for params in sweep]
-    hierarchy_dir = out_root / "hierarchies"
-    for path in [hierarchy_dir / f"{attr}.csv" for attr in to_generate] + [
-        out_dir / name for out_dir in out_dirs for name in ("anonymized.csv", "report.json")
-    ]:
-        _output_file(str(path))
-    if to_generate or args.vectors or args.api_endpoint or args.api_model:
-        provider = _provider_from_args(args)  # judges the flags even when unused
-    if to_generate:
-        provider_id = provider.provider_id
-        generated = generate_vghs(table, to_generate, provider, method, seed, args.cache)
-        hierarchy_dir.mkdir(parents=True, exist_ok=True)
-        for attr, hierarchy in generated.items():
-            write_hierarchy(hierarchy, str(hierarchy_dir / f"{attr}.csv"))
-            kmeans_repairs += hierarchy.kmeans_repairs
-        vghs.update(generated)
+    outputs = [out_dir / name for out_dir in out_dirs for name in ("anonymized.csv", "report.json")]
+    to_generate = [attr for attr in spec.qi if attr not in vghs]
+    generated, provider_id = _build_hierarchies(
+        args, table, to_generate, out_root / "hierarchies", method, seed, outputs
+    )
+    vghs.update(generated)
+    repairs = sum(hierarchy.kmeans_repairs for hierarchy in generated.values())
+    meta = {"seed": seed, "method": method, "provider": provider_id, "kmeans_repairs": repairs}
 
     all_satisfied = True
     results = search(table, spec, vghs, sweep)
@@ -320,14 +326,7 @@ def _cmd_anonymize(args) -> int:
                 "loss": result.loss,
                 "satisfied": result.satisfied,
                 "suppressed_count": int(result.suppressed.sum()),
-                "meta": {
-                    "seed": seed,
-                    "method": method,
-                    "provider": provider_id,
-                    "kmeans_repairs": kmeans_repairs,
-                    "started_at": started,
-                    "finished_at": _now(),
-                },
+                "meta": {**meta, "started_at": started, "finished_at": _now()},
             }
         )
         _write_json(out_dir / "report.json", payload)

@@ -67,6 +67,19 @@ class TestLoss:
         flat = SimpleNamespace(attribute="c", level_count=1)
         assert loss((0, 1), [flat, Vgh("q", ["a"], [{"a": "a"}, {"a": "*"}])]) == 0.5
 
+    @pytest.mark.parametrize(
+        "node, message",
+        [
+            ((0,), "node length does not match the hierarchy count"),
+            ((0, 3), "level 3 out of range for 'q'"),
+            ((-1, 0), "level -1 out of range for 'q'"),
+        ],
+        ids=["short", "above-the-top", "negative"],
+    )
+    def test_a_node_outside_the_lattice_is_an_input_error(self, ab_vgh, node, message):
+        with pytest.raises(InputError, match=re.escape(message)):
+            loss(node, [ab_vgh, ab_vgh])
+
 
 @pytest.fixture
 def abc_vgh():
@@ -320,6 +333,12 @@ class TestSearch:
         [result] = search(table, QiSpec(["q"]), {"q": ab_vgh}, [PrivacyParams(k=3)])
         assert result.satisfied
         assert result.node == (0,)
+
+    def test_a_qi_attribute_without_a_hierarchy_is_an_input_error(self, abc_table_spec):
+        table, spec = abc_table_spec
+        results = search(table, spec, {}, [PrivacyParams(k=1)])
+        with pytest.raises(InputError, match="no hierarchy provided for QI attribute 'q'"):
+            next(results)
 
     def test_refuses_oversized_lattices(self):
         values = [f"v{i}" for i in range(100)]

@@ -1317,20 +1317,50 @@ def test_output_path_through_a_file_exits_2_before_embedding(
 
 
 @pytest.mark.parametrize("command", ["vgh", "anonymize"])
-@pytest.mark.parametrize("place", ["missing-dir", "through-a-file"])
+@pytest.mark.parametrize("place", ["missing-dir", "through-a-file", "is-a-directory"])
 def test_cache_outside_a_directory_exits_2_before_embedding(
     small_inputs, capsys, command, place
 ):
     if place == "through-a-file":
         (small_inputs["dir"] / "taken").write_text("keep\n", encoding="utf-8")
     cache = small_inputs["dir"] / ("nodir" if place == "missing-dir" else "taken") / "c.json"
+    problem = "is not in an existing directory"
+    if place == "is-a-directory":
+        cache = small_inputs["dir"] / "c.json"
+        cache.mkdir()
+        problem = "is a directory"
     out = small_inputs["dir"] / "out"
     vectors = small_inputs["dir"] / "deleted.txt"  # the provider must not be reached
     args = command_args(command, small_inputs, out) + ["--vectors", str(vectors)]
     assert main(args + ["--cache", str(cache)]) == 2
-    err = capsys.readouterr().err
-    assert err == f"error: embedding cache {cache} is not in an existing directory\n"
+    assert capsys.readouterr().err == f"error: embedding cache {cache} {problem}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag, raw",
+    [("anonymize", "--qi", "job,,grade"), ("vgh", "--columns", ",job")],
+)
+def test_malformed_column_list_exits_2_and_writes_nothing(
+    small_inputs, capsys, command, flag, raw
+):
+    out = small_inputs["dir"] / "out"
+    args = command_args(command, small_inputs, out)
+    args[args.index(flag) + 1] = raw
+    assert main(args + ["--vectors", small_inputs["vectors"]]) == 2
+    assert capsys.readouterr().err == f"error: malformed column list {raw!r}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method", ["ward", "kmeans"])
+def test_both_commands_write_the_same_hierarchies(small_inputs, method):
+    flags = ["--method", method, "--seed", "7", "--vectors", small_inputs["vectors"]]
+    built, run = small_inputs["dir"] / "built", small_inputs["dir"] / "run"
+    assert main(command_args("vgh", small_inputs, built) + flags) == 0
+    assert main(command_args("anonymize", small_inputs, run) + flags) == 0
+    for column in ("job", "grade"):
+        written = (run / "hierarchies" / f"{column}.csv").read_bytes()
+        assert written == (built / f"{column}.csv").read_bytes()
 
 
 def test_evaluate_out_naming_a_directory_exits_2_before_loading(small_inputs, capsys):
