@@ -10,11 +10,12 @@ For each entry of a sweep, a fresh walk visits nodes in ascending (loss, level
 sum, levels) order and yields the first passing node, so every node visited
 before it fails and it is the optimum. A visited node without a verdict is
 checked; when it fails, a greedy upward chain from it is binary-searched for
-its first passing node. Every check tags a whole cone, upward on a pass and
-downward on a fail (the chain search of OLA and Flash), so most nodes are
-decided by a tag, and a walk ends once the all-top node fails. The order is
-one sort of the lattice, made once a walk goes beyond the bottom node: about
-1.1 s and 225 MiB of memory at 9.8M nodes.
+its first passing node. Each such step then tags at most two cones, downward
+from the last failing chain node and upward from the first passing one (the
+chain search of OLA and Flash), so most nodes are decided by a tag, and a walk
+ends once the all-top node fails. The order is one sort of the lattice, made
+once a walk goes beyond the bottom node: about 1.1 s and 225 MiB of memory at
+9.8M nodes.
 
 Cells are mapped through the hierarchies once per sweep, into integer codes;
 the privacy check, each row's group id (-1 on suppressed rows) and the
@@ -197,41 +198,39 @@ class _CodedLattice:
         return Table(columns)
 
 
-def _chain(node: LatticeNode, tops: Sequence[int], state: np.ndarray) -> list[LatticeNode]:
-    """A greedy upward chain from an untagged node: each step raises the
-    attribute with the most levels left (lowest index on ties), and the chain
-    stops before the first tagged node or at the top."""
-    chain = [node]
-    current = list(node)
-    while True:
-        left = [t - v for t, v in zip(tops, current)]
-        j = left.index(max(left))
-        if left[j] == 0:
-            return chain
-        current[j] += 1
-        step = tuple(current)
-        if state[step] != _UNKNOWN:
-            return chain
-        chain.append(step)
-
-
 def _classify(
-    lattice: _CodedLattice, params: PrivacyParams, chain: list[LatticeNode], state: np.ndarray
-) -> None:
-    """Tag every chain node. Privacy is monotone, so a pass tags the node's
-    upward cone and a fail its downward cone. The first node is checked first,
-    because it is the best candidate left; when it fails, the rest of the
-    chain is binary-searched for its first passing node."""
+    lattice: _CodedLattice,
+    params: PrivacyParams,
+    node: LatticeNode,
+    tops: LatticeNode,
+    state: np.ndarray,
+) -> bool:
+    """Decide an untagged node; True when it passes. A greedy upward chain
+    from it raises the attribute with the most levels left (lowest index on
+    ties) and stops before a tagged node or at the top. The node is checked
+    first, as the best candidate left; when it fails, the rest of the chain
+    is binary-searched for its first passing node. The chain ascends, so the
+    last failing node's downward cone and the first passing node's upward
+    cone hold every check's verdict, and only those two are tagged."""
+    chain, current = [node], list(node)
+    while tuple(current) != tops:
+        left = [t - v for t, v in zip(tops, current)]
+        current[left.index(max(left))] += 1
+        if state[tuple(current)] != _UNKNOWN:
+            break
+        chain.append(tuple(current))
     lo, hi, mid = 0, len(chain), 0
     while lo < hi:
-        node = chain[mid]
-        if lattice.check(node, params):
-            state[tuple(slice(v, None) for v in node)] = _PASS
+        if lattice.check(chain[mid], params):
             hi = mid
         else:
-            state[tuple(slice(0, v + 1) for v in node)] = _FAIL
             lo = mid + 1
         mid = (lo + hi) // 2
+    if lo > 0:
+        state[tuple(slice(0, v + 1) for v in chain[lo - 1])] = _FAIL
+    if lo < len(chain):
+        state[tuple(slice(v, None) for v in chain[lo])] = _PASS
+    return lo == 0
 
 
 def _ranking(level_counts: Sequence[int]) -> np.ndarray:
@@ -299,9 +298,7 @@ def search(
             if flat[index] == _FAIL:
                 continue
             node = tuple(map(int, np.unravel_index(index, level_counts)))
-            if flat[index] == _UNKNOWN:
-                _classify(lattice, params, _chain(node, tops, state), state)
-            if flat[index] == _PASS:
+            if flat[index] == _PASS or _classify(lattice, params, node, tops, state):
                 best, satisfied = node, True
                 break
             if state[tops] == _FAIL:

@@ -382,10 +382,7 @@ def main(argv: list[str] | None = None) -> int:
     except ProviderError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PROVIDER
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

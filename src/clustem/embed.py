@@ -152,6 +152,21 @@ class WordVectorProvider:
         return out
 
 
+def _vector(components: object) -> np.ndarray:
+    """A non-empty JSON array of finite numbers, as floats. Anything else, a
+    bool or string component or an integer too large for a float too, is a
+    ValueError."""
+    if not isinstance(components, list) or any(type(x) not in (int, float) for x in components):
+        raise ValueError("a vector is not an array of numbers")
+    try:
+        vec = np.array(components, dtype=float)
+    except OverflowError as exc:
+        raise ValueError(f"a vector component is too large: {exc}") from None
+    if vec.size == 0 or not np.all(np.isfinite(vec)):
+        raise ValueError("a vector is empty or has a non-finite component")
+    return vec
+
+
 class HttpApiProvider:
     """Generic embeddings API: POST {"model": ..., "input": [...]} and read
     {"data": [{"index": i, "embedding": [...]}]}, re-ordered by index.
@@ -217,12 +232,7 @@ class HttpApiProvider:
                         f"embeddings API returned index {idx!r} for a batch of "
                         f"{len(batch)} values: not an integer, out of range or repeated"
                     )
-                vec = np.asarray(item["embedding"], dtype=float)
-                if vec.ndim != 1 or vec.size == 0 or not np.all(np.isfinite(vec)):
-                    raise ProviderError("embeddings API returned a malformed vector")
-                slots[idx] = vec
-        except ProviderError:
-            raise
+                slots[idx] = _vector(item["embedding"])
         except (KeyError, TypeError, IndexError, ValueError) as exc:
             raise ProviderError(f"malformed embeddings API response: {exc}") from exc
         missing = [batch[i] for i, v in enumerate(slots) if v is None]
@@ -263,8 +273,8 @@ def _load_cache(cache_path: str, provider_id: str) -> tuple[dict[str, np.ndarray
     if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
         raise ProviderError(f"embedding cache {cache_path}: dim {dim!r} is not a positive integer")
     try:
-        vectors = {key: np.asarray(vec, dtype=float) for key, vec in raw["vectors"].items()}
-    except (AttributeError, TypeError, ValueError) as exc:
+        vectors = {key: _vector(vec) for key, vec in raw["vectors"].items()}
+    except (AttributeError, ValueError) as exc:
         raise ProviderError(f"malformed embedding cache {cache_path}: {exc}") from exc
     if any(vec.shape != (dim,) for vec in vectors.values()):
         raise ProviderError(f"embedding cache {cache_path}: a vector is not of dimension {dim}")

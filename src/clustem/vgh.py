@@ -206,8 +206,10 @@ def read_hierarchy(path: str, attribute: str | None = None) -> Vgh:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
         raise InputError(f"cannot read hierarchy file {path}: {exc}") from exc
-    lines = text.splitlines()
-    if any(not line for line in lines) or not lines:
+    # Only "\n" ends a line (read_text turns "\r\n" and "\r" into it): a label
+    # may hold any other line boundary that str.splitlines knows.
+    lines = text.removesuffix("\n").split("\n")
+    if not all(lines):
         raise InputError(f"{path}: empty line in hierarchy file")
     rows = [line.split(FIELD_SEPARATOR) for line in lines]
     widths = {len(r) for r in rows}

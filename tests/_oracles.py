@@ -1,6 +1,6 @@
 """Independent brute-force references for the lattice search and metrics tests,
 and frozen copies of the former k-means, word-vector parser, CSV reader,
-count matrix, fold and group ids for the bit-identity tests.
+count matrix, fold, group ids and lattice walk for the bit-identity tests.
 
 Everything here works on plain dicts and loops, deliberately sharing no code
 with the production search and metrics paths.
@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from clustem.anonymize import PrivacyParams
+from clustem.anonymize import _FAIL, _PASS, _UNKNOWN, PrivacyParams
 from clustem.cluster import KMEANS_MAX_ITER, KMEANS_RESTARTS, KMEANS_TOL, ClusterAssignment
 from clustem.embed import preprocess
 from clustem.errors import InputError, ProviderError
@@ -413,3 +413,56 @@ def reference_group_ids(table: Table, qi: Sequence[str]) -> np.ndarray:
         (-1 if key == suppressed else ids.setdefault(key, len(ids)) for key in zip(*columns)),
         dtype=np.int64,
     )
+
+
+def reference_chain(node, tops, state) -> list[tuple[int, ...]]:
+    """The former ``anonymize._chain``: a greedy upward chain from an untagged
+    node, raising the attribute with the most levels left (lowest index on
+    ties), stopping before the first tagged node or at the top."""
+    chain = [node]
+    current = list(node)
+    while True:
+        left = [t - v for t, v in zip(tops, current)]
+        j = left.index(max(left))
+        if left[j] == 0:
+            return chain
+        current[j] += 1
+        step = tuple(current)
+        if state[step] != _UNKNOWN:
+            return chain
+        chain.append(step)
+
+
+def reference_classify(lattice, params, chain, state) -> None:
+    """The former ``anonymize._classify``: binary-search the chain, its first
+    node first, tagging a whole cone at every check."""
+    lo, hi, mid = 0, len(chain), 0
+    while lo < hi:
+        node = chain[mid]
+        if lattice.check(node, params):
+            state[tuple(slice(v, None) for v in node)] = _PASS
+            hi = mid
+        else:
+            state[tuple(slice(0, v + 1) for v in node)] = _FAIL
+            lo = mid + 1
+        mid = (lo + hi) // 2
+
+
+def reference_walk(lattice, params, ranking) -> tuple[tuple[int, ...], bool]:
+    """The former walk of one sweep entry in ``anonymize.search`` over a full
+    ranking: the chosen node and whether it passes."""
+    level_counts = tuple(v.level_count for v in lattice.vghs)
+    tops = tuple(c - 1 for c in level_counts)
+    state = np.full(level_counts, _UNKNOWN, dtype=np.int8)
+    flat = state.reshape(-1)
+    for index in ranking:
+        if flat[index] == _FAIL:
+            continue
+        node = tuple(map(int, np.unravel_index(index, level_counts)))
+        if flat[index] == _UNKNOWN:
+            reference_classify(lattice, params, reference_chain(node, tops, state), state)
+        if flat[index] == _PASS:
+            return node, True
+        if state[tops] == _FAIL:
+            break
+    return tops, False

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 import math
@@ -15,7 +16,10 @@ from hypothesis import strategies as st
 import _datagen as datagen
 import _oracles as oracles
 from clustem.anonymize import (
+    _PASS,
+    _UNKNOWN,
     PrivacyParams,
+    _classify,
     _CodedLattice,
     _ranking,
     check_plan,
@@ -517,6 +521,64 @@ class TestSearch:
         # At k=200 the boundary is 69 minimal passing and 66 maximal failing
         # nodes, while 72,191 of the lattice's 116,960 nodes fail.
         assert counts == [1, 1, 83, 154]
+
+    @staticmethod
+    def walk_instances(seed):
+        """200 oracle-scale problems, each with a sweep of its params and two
+        more k values (up to 60, above the row count, so some fail)."""
+        rng = np.random.default_rng(seed)
+        for _ in range(200):
+            table, spec, vghs, params = oracles.random_instance(rng)
+            more = [dataclasses.replace(params, k=int(k)) for k in rng.integers(1, 61, size=2)]
+            yield table, spec, vghs, [params, *more]
+
+    def test_checks_the_nodes_of_the_reference_walk(self, monkeypatch):
+        checks = []
+        check = _CodedLattice.check
+
+        def recording_check(lattice, node, params):
+            checks.append(node)
+            return check(lattice, node, params)
+
+        monkeypatch.setattr(_CodedLattice, "check", recording_check)
+        outcomes = []
+        for table, spec, vghs, sweep in self.walk_instances(2611):
+            lattice = _CodedLattice(table, spec, vghs)
+            ranking = _ranking([v.level_count for v in lattice.vghs])
+            results = search(table, spec, vghs, sweep)
+            for params in sweep:
+                result = next(results)
+                walked = checks[:]
+                checks.clear()
+                expected = oracles.reference_walk(lattice, params, ranking)
+                assert walked == checks
+                assert (result.node, result.satisfied) == expected
+                checks.clear()
+                outcomes.append(result.satisfied)
+        assert any(outcomes) and not all(outcomes)
+
+    def test_one_classify_step_leaves_the_reference_state(self):
+        # Every untagged node in rank order, not only those a walk reaches, so
+        # the steps start from many tag states.
+        chains = []
+        for table, spec, vghs, sweep in self.walk_instances(2612):
+            lattice = _CodedLattice(table, spec, vghs)
+            counts = tuple(v.level_count for v in lattice.vghs)
+            tops = tuple(c - 1 for c in counts)
+            for params in sweep:
+                state = np.full(counts, _UNKNOWN, dtype=np.int8)
+                for index in _ranking(counts):
+                    if state.flat[index] != _UNKNOWN:
+                        continue
+                    node = tuple(map(int, np.unravel_index(index, counts)))
+                    mine = state.copy()
+                    passed = _classify(lattice, params, node, tops, mine)
+                    chain = oracles.reference_chain(node, tops, state)
+                    chains.append(len(chain))
+                    oracles.reference_classify(lattice, params, chain, state)
+                    assert (mine == state).all()
+                    assert passed == (state[node] == _PASS)
+        assert max(chains) >= 5
 
     def test_table_and_mask_match_dict_lookups(self):
         rng = np.random.default_rng(77)

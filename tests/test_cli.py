@@ -130,6 +130,23 @@ class TestVghBuild:
         assert code == 3
         assert "error" in capsys.readouterr().err
 
+    def test_header_only_input_is_a_config_error(self, small_inputs, capsys):
+        data = small_inputs["dir"] / "header-only.csv"
+        data.write_text("job,grade\n", encoding="utf-8")
+        out = small_inputs["dir"] / "h"
+        code = main(
+            [
+                "vgh", "build",
+                "--input", str(data),
+                "--columns", "job",
+                "--vectors", small_inputs["vectors"],
+                "--out-dir", str(out),
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "error: attribute 'job' has no values to generalize\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "values, bad", [(["a,b", "c"], "a,b"), (["{a,b}", "a", "b"], "{a,b}")]
     )
@@ -352,6 +369,29 @@ class TestVghBuild:
         assert code == 3
         err = capsys.readouterr().err
         assert f"embedding cache {cache}: dim 0 is not a positive integer" in err
+        assert not (out / "job.csv").exists()
+
+    def test_cached_integer_too_large_for_a_float_is_a_provider_error(self, small_inputs, capsys):
+        cache = small_inputs["dir"] / "cache.json"
+        stamp = f"wordvec:{os.path.realpath(small_inputs['vectors'])}"
+        cache.write_text(
+            '{"provider": %s, "dim": 1, "vectors": {"cook": [%s]}}' % (json.dumps(stamp), "9" * 400)
+        )
+        out = small_inputs["dir"] / "h"
+        code = main(
+            [
+                "vgh", "build",
+                "--input", small_inputs["csv"],
+                "--columns", "job",
+                "--vectors", small_inputs["vectors"],
+                "--cache", str(cache),
+                "--out-dir", str(out),
+            ]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"error: malformed embedding cache {cache}" in err
+        assert "Traceback" not in err
         assert not (out / "job.csv").exists()
 
 
@@ -1361,6 +1401,25 @@ def test_both_commands_write_the_same_hierarchies(small_inputs, method):
     for column in ("job", "grade"):
         written = (run / "hierarchies" / f"{column}.csv").read_bytes()
         assert written == (built / f"{column}.csv").read_bytes()
+
+
+def test_written_hierarchies_with_unicode_line_breaks_read_back(small_inputs):
+    # "\x85" and "\u2028" are line boundaries to str.splitlines, not to a
+    # hierarchy file.
+    csv_path = Path(small_inputs["csv"])
+    text = csv_path.read_text(encoding="utf-8")
+    csv_path.write_text(
+        text.replace("cook", "cook\x85chef").replace("nurse", "nurse\u2028aid"), encoding="utf-8"
+    )
+    generate = ["--seed", "7", "--vectors", small_inputs["vectors"]]
+    built, given, run = (small_inputs["dir"] / name for name in ("built", "given", "run"))
+    assert main(command_args("vgh", small_inputs, built) + generate) == 0
+    read_back = ["--hierarchies-dir", str(built)]
+    assert main(command_args("anonymize", small_inputs, given) + read_back) == 0
+    assert main(command_args("anonymize", small_inputs, run) + generate) == 0
+    written = (given / "anonymized.csv").read_bytes()
+    assert written == (run / "anonymized.csv").read_bytes()
+    assert "cook\x85chef".encode() in written
 
 
 def test_evaluate_out_naming_a_directory_exits_2_before_loading(small_inputs, capsys):

@@ -179,6 +179,28 @@ class TestKmeans:
             kmeans([[0.0], [1.0, 2.0]], 1, seed=0)  # ragged input
 
 
+class TestPoints:
+    """Both clusterings take their points through one shared check."""
+
+    def test_one_dimensional_points_are_one_feature(self):
+        assert sorted(kmeans([0.0, 1.0, 10.0, 11.0], 2, seed=0).centers.ravel()) == [0.5, 10.5]
+        assert partitions([0.0, 1.0, 10.0]) == partitions([[0.0], [1.0], [10.0]])
+
+    @pytest.mark.parametrize(
+        "cluster_points",
+        [lambda points: kmeans(points, 1, seed=0), agglomerate],
+        ids=["kmeans", "agglomerate"],
+    )
+    @pytest.mark.parametrize(
+        "points, message",
+        [([], "non-empty"), ([[0.0], [np.nan]], "finite"), ([[0.0, np.inf]], "finite")],
+        ids=["empty", "nan", "inf"],
+    )
+    def test_empty_or_non_finite_points_are_input_errors(self, cluster_points, points, message):
+        with pytest.raises(InputError, match=message):
+            cluster_points(points)
+
+
 class TestKmeansMatchesReference:
     """``kmeans`` shares distance rows across restarts and inlines the seeding
     draw; every output must stay bit-equal to the former code's."""

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clustem import efficacy
 from clustem.efficacy import (
     L2_STRENGTH,
+    TOLERANCE,
     FeatureMatrix,
     LogisticModel,
     encode,
@@ -148,6 +150,29 @@ class TestTrainClassifier:
         fm = FeatureMatrix(["f0", "f1"], x, y)
         model = train_classifier(fm)
         assert (model.predict(x) == y).mean() == 1.0
+
+    def test_halved_steps_never_raise_the_objective(self, monkeypatch):
+        # Separable, with features on a scale of 100: two of the Newton steps
+        # would raise the objective taken whole, so they are halved.
+        x = np.array(
+            [[-9.784, 113.51], [63.934, 6.287], [-46.961, 93.016], [-22.073, 7.265],
+             [-116.285, 33.18], [-58.698, 42.315], [33.84, 125.576], [98.13, -25.163],
+             [-59.371, -84.943]]
+        )
+        y = np.array([0, 1, 0, 0, 0, 0, 1, 1, 0])
+        fm = FeatureMatrix(["f0", "f1"], x, y)
+        assert (train_classifier(fm).predict(x) == y).all()
+        values = []
+        for steps in range(30):  # the model after each Newton step
+            monkeypatch.setattr(efficacy, "MAX_NEWTON_STEPS", steps)
+            model = train_classifier(fm)
+            u = (1 - 2 * y) * (x @ model.weights + model.bias)
+            penalty = 0.5 * L2_STRENGTH * (model.weights @ model.weights)
+            values.append(np.logaddexp(0.0, u).mean() + penalty)
+        # A step whose decrement is within the stopping resolution is taken
+        # unchecked, so the objective may rise by rounding there.
+        rises = [later - value for value, later in zip(values, values[1:])]
+        assert max(rises) <= TOLERANCE * values[-1]
 
     def test_constant_labels_warn_and_predict_the_constant(self):
         fm = FeatureMatrix(["f"], np.zeros((4, 1)), np.ones(4, dtype=int))

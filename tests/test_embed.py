@@ -242,9 +242,12 @@ class TestHttpApiProvider:
             b'{"data": [{"index": 0, "embedding": []}]}',
             b'{"data": [{"index": 0, "embedding": [[1.0]]}]}',
             b'{"data": [{"index": 0, "embedding": [NaN]}]}',
+            b'{"data": [{"index": 0, "embedding": [%s]}]}' % (b"9" * 400),
+            b'{"data": [{"index": 0, "embedding": ["1.5", 1.0]}]}',
+            b'{"data": [{"index": 0, "embedding": [true, 1.0]}]}',
         ],
         ids=["not-json", "not-utf8", "data-not-a-list", "no-embedding", "non-numeric",
-             "empty", "nested", "nan"],
+             "empty", "nested", "nan", "huge-int", "numeric-string", "bool"],
     )
     def test_malformed_replies_are_provider_errors(self, embeddings_api, body):
         embeddings_api.reply = lambda request: response(200, body)
@@ -395,8 +398,12 @@ class TestEmbedAll:
             {"provider": "counting", "dim": 2, "vectors": {"a": ["x", 1.0]}},
             {"provider": "counting", "dim": 2, "vectors": ["a"]},
             {"provider": "counting", "dim": True, "vectors": {"a": [1.0]}},
+            {"provider": "counting", "dim": 1, "vectors": {"a": [10**400 - 1]}},
+            {"provider": "counting", "dim": 2, "vectors": {"a": ["1.5", 1.0]}},
+            {"provider": "counting", "dim": 2, "vectors": {"a": [True, 1.0]}},
         ],
-        ids=["unstamped", "no-dim", "wrong-dim", "non-numeric", "not-a-map", "bool-dim"],
+        ids=["unstamped", "no-dim", "wrong-dim", "non-numeric", "not-a-map", "bool-dim",
+             "huge-int", "numeric-string", "bool"],
     )
     def test_malformed_cache_is_a_provider_error(self, tmp_path, content):
         cache = tmp_path / "cache.json"
