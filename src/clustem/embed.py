@@ -12,12 +12,9 @@ bit, and is refused when the stamp does not match.
 
 from __future__ import annotations
 
-import http.client
 import json
 import os
 import re
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -71,10 +68,14 @@ class ProviderConfig:
 
 # A component that float() reads as a finite number: ASCII digits, at most 100
 # before the point, and a negative exponent or one of at most 99 (below 1e200).
-_FINITE = r"[+-]?(?:[0-9]{1,100}(?:\.[0-9]*)?|\.[0-9]+)(?:[eE](?:-[0-9]+|\+?[0-9]{1,2}))?"
+# Every quantifier is possessive: a component ends at a space, a newline or the
+# end of the line, none of which can extend a sign, digit run, exponent or
+# token, so no match ever needs a backtrack, and the states a backtracking
+# quantifier saves cost about half of checking a file.
+_FINITE = r"[+-]?+(?:[0-9]{1,100}+(?:\.[0-9]*+)?+|\.[0-9]++)(?:[eE](?:-[0-9]++|\+?+[0-9]{1,2}+))?+"
 # A token, then components one space apart; their count is checked by counting
 # spaces, as a pattern holding a huge header dimension would not compile.
-_FINITE_LINE = re.compile(rf"(\S+)(?: {_FINITE})+\n?")
+_FINITE_LINE = re.compile(rf"(\S++)(?: {_FINITE})++\n?")
 
 
 def _components(line: str, dim: int, path: str, lineno: int) -> tuple[str, np.ndarray] | None:
@@ -195,6 +196,12 @@ class HttpApiProvider:
         return out
 
     def _post(self, batch: list[str]) -> list[np.ndarray]:
+        # Imported here: they cost about a third of the CLI's start-up, and only
+        # this provider uses them.
+        import http.client
+        import urllib.error
+        import urllib.request
+
         # urlopen would also read file: and data: URLs.
         if not self.endpoint.lower().startswith(("http://", "https://")):
             raise ProviderError(f"embeddings API endpoint {self.endpoint!r} is not an http(s) URL")

@@ -194,10 +194,13 @@ def build_vgh(
 
 
 def write_hierarchy(vgh: Vgh, path: str) -> None:
-    """Write one ";"-separated row per leaf, levels as columns, no header."""
-    lines = [FIELD_SEPARATOR.join(level[leaf] for level in vgh.levels) for leaf in vgh.leaves]
+    """Write one ";"-separated row per leaf, levels as columns, no header.
+
+    Rows are written one at a time: the file grows with the cube of the leaf
+    count, so it is never held whole in memory."""
     with atomic_write(path) as fh:
-        fh.write("\n".join(lines) + "\n")
+        for leaf in vgh.leaves:
+            fh.write(FIELD_SEPARATOR.join([level[leaf] for level in vgh.levels]) + "\n")
 
 
 def read_hierarchy(path: str, attribute: str | None = None) -> Vgh:

@@ -1,6 +1,7 @@
 """Independent brute-force references for the lattice search and metrics tests,
-and frozen copies of the former k-means, word-vector parser, CSV reader,
-count matrix, fold, group ids and lattice walk for the bit-identity tests.
+and frozen copies of the former k-means, word-vector parser and line pattern,
+CSV reader, count matrix, fold, group ids and lattice walk for the bit-identity
+tests.
 
 Everything here works on plain dicts and loops, deliberately sharing no code
 with the production search and metrics paths.
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import re
 from collections import Counter
 from typing import Sequence
 
@@ -325,6 +327,15 @@ class ReferenceWordVectorProvider:
                 raise ProviderError(f"no vector for any token of value {value!r}")
             out.append(np.mean(token_vecs, axis=0))
         return out
+
+
+# ``embed._FINITE`` and ``embed._FINITE_LINE`` as they were with backtracking
+# quantifiers, kept verbatim so that the possessive patterns can be checked to
+# read exactly the same lines and capture the same tokens.
+REFERENCE_FINITE = (
+    r"[+-]?(?:[0-9]{1,100}(?:\.[0-9]*)?|\.[0-9]+)(?:[eE](?:-[0-9]+|\+?[0-9]{1,2}))?"
+)
+REFERENCE_FINITE_LINE = re.compile(rf"(\S+)(?: {REFERENCE_FINITE})+\n?")
 
 
 # ``tabular.load_csv`` and ``metrics.count_matrix`` as they were before the

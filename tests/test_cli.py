@@ -1518,6 +1518,29 @@ def test_anonymize_and_evaluate_import_no_further_numpy_module(small_inputs):
     assert json.loads(proc.stdout.splitlines()[-1]) == {"codes": [0, 0], "added": []}
 
 
+def test_a_word_vector_build_imports_no_http_client(small_inputs):
+    # Only the HTTP provider needs the stdlib's HTTP stack, and it is slow to import.
+    out = small_inputs["dir"] / "out"
+    build = command_args("vgh", small_inputs, out) + ["--vectors", small_inputs["vectors"]]
+    script = (
+        "import json, sys\n"
+        "import clustem.cli\n"
+        f"code = clustem.cli.main({build!r})\n"
+        "http = ['ssl', 'http.client', 'urllib.request', 'email']\n"
+        "print(json.dumps({'code': code, 'loaded': [m for m in http if m in sys.modules]}))\n"
+    )
+    src = str(Path(clustem.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    )
+    assert json.loads(proc.stdout.splitlines()[-1]) == {"code": 0, "loaded": []}
+
+
 @pytest.mark.parametrize(
     "command, flag, name",
     [("anonymize", "--input", "missing.csv"), ("vgh", "--out-dir", "taken")],

@@ -11,9 +11,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _loopback import data_reply, indexed_vectors, response, vector_of
-from _oracles import ReferenceWordVectorProvider
+from _oracles import REFERENCE_FINITE, REFERENCE_FINITE_LINE, ReferenceWordVectorProvider
 from clustem.embed import (
     _FINITE,
+    _FINITE_LINE,
     API_BATCH_SIZE,
     HttpApiProvider,
     ProviderConfig,
@@ -186,6 +187,59 @@ class TestMatchesReferenceParser:
     def test_finite_pattern_reads_as_a_finite_float(self, text):
         assert re.fullmatch(_FINITE, text)
         assert math.isfinite(float(text))
+
+
+_DIGITS = "0123456789"
+
+
+def _digit_run(sizes):
+    return st.sampled_from(sizes).flatmap(lambda n: st.text(_DIGITS, min_size=n, max_size=n))
+
+
+# Numbers at the pattern's edges: 99 to 101 digits before the point, 0 to 3
+# exponent digits (0 leaves a lone "e"), and the bare points "." and "+.".
+_EDGE_NUMBER = st.builds(
+    lambda sign, whole, point, fraction, e, e_sign, e_digits: (
+        sign + whole + point + fraction + (e + e_sign + e_digits if e else "")
+    ),
+    st.sampled_from(["", "", "+", "-"]),
+    _digit_run([0, 1, 1, 2, 99, 100, 101]),
+    st.sampled_from(["", "."]),
+    _digit_run([0, 1, 3]),
+    st.sampled_from(["", "", "", "e", "E"]),
+    st.sampled_from(["", "+", "-"]),
+    _digit_run([0, 1, 1, 2, 3]),
+)
+_LINE_TOKEN = st.sampled_from(["a", "t00042", "1", "-1", "1e5", ".5", "9" * 101, "a1b2", ""])
+_LINE_SEPARATOR = st.sampled_from([" "] * 40 + ["  ", "\t", "\xa0", "\r"])
+_LINE_END = st.sampled_from(["\n"] * 8 + [""] * 4 + ["\r\n", "\r", " \n", "\n\n"])
+
+
+@st.composite
+def _lines(draw) -> str:
+    """One word-vector line, often well-formed, with components at the edges."""
+    text = draw(_LINE_TOKEN)
+    for _ in range(draw(st.sampled_from([0, 1, 1, 2, 2, 3, 4]))):
+        text += draw(_LINE_SEPARATOR) + draw(_EDGE_NUMBER | _COMPONENT)
+    return text + draw(_LINE_END)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(line=_lines())
+@example(line="a " + "9" * 100 + ".5e99\n")
+@example(line="a " + "9" * 101 + "\n")
+@example(line="a 1e100 2")
+@example(line="a 1e 2\n")
+@example(line="a . +.\n")
+@example(line="a 1  2\n")
+def test_possessive_line_pattern_reads_the_backtracking_language(line):
+    reference, match = REFERENCE_FINITE_LINE.fullmatch(line), _FINITE_LINE.fullmatch(line)
+    assert (match is None) == (reference is None)
+    if match:
+        assert match[1] == reference[1]
+    for component in line.split(" ")[1:]:
+        accepted = re.fullmatch(REFERENCE_FINITE, component) is not None
+        assert (re.fullmatch(_FINITE, component) is not None) == accepted, component
 
 
 class TestHttpApiProvider:
