@@ -5,10 +5,13 @@ leaf sets its own bit, a "{a,b}" set label sets every member's bit, and "*"
 sets the whole attribute block; ``vgh.label_leaves`` reads which leaves a
 label names. Numeric features are standardized with training statistics only.
 Their cells must be finite numbers or the missing marker "?"; any other cell
-(text, "nan", "inf", "1e999") is an input error (exit 2). The classifier is an
-L2-penalised logistic regression fitted by full-batch Newton steps to
-convergence. It has no shuffling and no seed, so the same tables always give
-the same model and the same scores.
+(text, "nan", "inf", "1e999") is an input error (exit 2), and so is a feature
+whose training mean or standard deviation overflows. The positive class must
+be one of the labels. The classifier is an L2-penalised logistic regression
+fitted by full-batch Newton steps to convergence, on the distinct (row, label)
+pairs of the training set, each weighted by its count: a generalized table
+repeats its rows. It has no shuffling and no seed, so the same tables always
+give the same model and the same scores.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import InputError
-from .tabular import MISSING, SUPPRESSED, Table
+from .tabular import MISSING, SUPPRESSED, Table, code_column, fold
 from .vgh import label_leaves
 
 logger = logging.getLogger(__name__)
@@ -158,6 +161,11 @@ def encode(
         raise InputError(
             f"label column {label_column!r} must be binary, found {sorted(observed)[:4]}"
         )
+    if positive_class not in observed:
+        raise InputError(
+            f"label column {label_column!r} holds no positive class {positive_class!r}, "
+            f"found {sorted(observed)}"
+        )
     sorted_leaves = {attr: sorted(leaves[attr]) for attr in qi}
     names = [f"{attr}={leaf}" for attr in qi for leaf in sorted_leaves[attr]]
     names += numeric_features
@@ -170,6 +178,13 @@ def encode(
             std = np.nanstd(train_numeric, axis=0)
         mean = np.where(np.isnan(mean), 0.0, mean)
         std = np.where((std == 0.0) | np.isnan(std), 1.0, std)
+        for name, centre, spread in zip(numeric_features, mean, std):
+            if not math.isfinite(centre) or not math.isfinite(spread):
+                raise InputError(
+                    f"training set, numeric feature {name!r}: the "
+                    f"{'mean' if not math.isfinite(centre) else 'standard deviation'} "
+                    "of its values overflows a float"
+                )
         train_numeric = (np.where(np.isnan(train_numeric), mean, train_numeric) - mean) / std
         test_numeric = (np.where(np.isnan(test_numeric), mean, test_numeric) - mean) / std
 
@@ -188,25 +203,35 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 def train_classifier(train: FeatureMatrix) -> LogisticModel:
     """Logistic regression: minimise mean(log(1+e^z) - y*z) + L2_STRENGTH/2*|w|^2
     over z = Xw + b (bias unpenalised) by full-batch Newton steps, each halved
-    until the objective does not rise. No shuffling, no seed: the same input
-    gives the same model. Single-class data yields a degenerate model that
-    predicts the sole class; no rows at all is an input error."""
+    until the objective does not rise. The steps run on the distinct (row,
+    label) pairs, each term weighted by the pair's count, which is the same
+    objective. No shuffling, no seed: the same input gives the same model.
+    Single-class data yields a degenerate model that predicts the sole class;
+    no rows at all is an input error."""
     if train.data.shape[0] == 0:
         raise InputError("training needs a non-empty training set")
     labels = train.labels
     if labels.min() == labels.max():
         warnings.warn("training data holds a single class; model predicts it everywhere")
         return LogisticModel(np.zeros(train.data.shape[1]), 0.0, int(labels[0]))
-    x = train.data
-    n, d = x.shape
-    # Per row, the margin u = (1 - 2y) z is exact in both the loss log(1+e^u)
+    n = train.data.shape[0]
+    # A generalized table repeats its rows, and equal (row, label) pairs enter
+    # every term alike, so each distinct pair is kept once, weighted by its
+    # count. Rows are equal when their bytes are.
+    codes, rows = code_column(list(map(bytes, train.data)))
+    pairs, _ = fold([codes, labels], [len(rows), 2])
+    _, first = np.unique(pairs, return_index=True)
+    counts = np.bincount(pairs)
+    x, labels = train.data[first], labels[first]
+    d = x.shape[1]
+    # Per pair, the margin u = (1 - 2y) z is exact in both the loss log(1+e^u)
     # and the residual p - y = (1 - 2y) sigmoid(u), with no cancellation.
     sign = 1.0 - 2.0 * labels
     centred = np.empty_like(x, dtype=float)  # refilled each step
 
     def objective(weights: np.ndarray, bias: float) -> float:
         u = sign * (x @ weights + bias)
-        return float(np.logaddexp(0.0, u).mean() + 0.5 * L2_STRENGTH * (weights @ weights))
+        return float(counts @ np.logaddexp(0.0, u) / n + 0.5 * L2_STRENGTH * (weights @ weights))
 
     weights = np.zeros(d)
     bias = 0.0
@@ -214,10 +239,10 @@ def train_classifier(train: FeatureMatrix) -> LogisticModel:
     previous = math.inf
     for _ in range(MAX_NEWTON_STEPS):
         z = x @ weights + bias
-        residual = sign * _sigmoid(sign * z)
-        curvature = _sigmoid(z) * _sigmoid(-z)
+        residual = counts * sign * _sigmoid(sign * z)
+        curvature = counts * _sigmoid(z) * _sigmoid(-z)
         grad_w = residual @ x / n + L2_STRENGTH * weights
-        grad_b = float(residual.mean())
+        grad_b = float(residual.sum() / n)
         # The bias is eliminated from the Newton system. What is left for the
         # weights is X'SX/n + L2 with X centred on its curvature-weighted
         # mean, so a constant column (an all-"*" block), which is collinear
@@ -228,7 +253,7 @@ def train_classifier(train: FeatureMatrix) -> LogisticModel:
         hess = centred.T @ centred / n
         np.fill_diagonal(hess, hess.diagonal() * (1.0 + DIAGONAL_LIFT) + L2_STRENGTH)
         step_w = np.linalg.solve(hess, mean * grad_b - grad_w)
-        step_b = float(-grad_b / curvature.mean() - mean @ step_w)
+        step_b = float(-grad_b / (curvature.sum() / n) - mean @ step_w)
         decrement = -float(grad_w @ step_w + grad_b * step_b)
         resolution = TOLERANCE * value
         if decrement <= resolution and decrement >= previous:

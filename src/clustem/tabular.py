@@ -21,8 +21,9 @@ one-column row is written as '""'. When any cell or column name holds a
 ``QUOTE_MINIMAL`` (``QUOTE_ALL`` when there is a "\r") and
 ``lineterminator="\n"``. ``write_csv`` works a block of rows at a time and
 joins each column's cells of the block once: that string tells whether the
-column needs the per-cell rule, and the block is then rendered in one join.
-The first "\r" makes it write the whole file again with every cell quoted.
+column needs the per-cell rule, which is then decided once per distinct cell
+of the block, and the block is rendered in one join. The first "\r" makes
+it write the whole file again with every cell quoted.
 
 String columns are grouped through integer codes. ``code_column`` codes a
 column once (``Column.coding`` keeps the result), numbering its distinct
@@ -243,10 +244,11 @@ def _write_rows(fh: TextIO, table: Table, quote_all: bool) -> bool:
                 return False
             # A one-column row of one empty cell would read back as a blank line.
             if quote_all or _needs_quotes(joined) or (lone and "" in col):
-                col = [
-                    _quote(c) if quote_all or _needs_quotes(c) or (lone and not c) else c
-                    for c in col
-                ]
+                rendered = {
+                    c: _quote(c) if quote_all or _needs_quotes(c) or (lone and not c) else c
+                    for c in dict.fromkeys(col)
+                }
+                col = list(map(rendered.__getitem__, col))
             cells.append(col)
         fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
     return True

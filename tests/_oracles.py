@@ -1,7 +1,7 @@
 """Independent brute-force references for the lattice search and metrics tests,
 and frozen copies of the former k-means, word-vector parser and line pattern,
 CSV reader, count matrix, fold, group ids and lattice walk for the bit-identity
-tests.
+tests, and of the former classifier fit.
 
 Everything here works on plain dicts and loops, deliberately sharing no code
 with the production search and metrics paths.
@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import csv
 import itertools
+import math
 import re
+import warnings
 from collections import Counter
 from typing import Sequence
 
@@ -19,6 +21,14 @@ import numpy as np
 
 from clustem.anonymize import _FAIL, _PASS, _UNKNOWN, PrivacyParams
 from clustem.cluster import KMEANS_MAX_ITER, KMEANS_RESTARTS, KMEANS_TOL, ClusterAssignment
+from clustem.efficacy import (
+    DIAGONAL_LIFT,
+    L2_STRENGTH,
+    MAX_NEWTON_STEPS,
+    TOLERANCE,
+    FeatureMatrix,
+    LogisticModel,
+)
 from clustem.embed import preprocess
 from clustem.errors import InputError, ProviderError
 from clustem.metrics import MetricReport
@@ -477,3 +487,65 @@ def reference_walk(lattice, params, ranking) -> tuple[tuple[int, ...], bool]:
         if state[tops] == _FAIL:
             break
     return tops, False
+
+
+def _ref_sigmoid(z: np.ndarray) -> np.ndarray:
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+
+
+def reference_train_classifier(train: FeatureMatrix) -> LogisticModel:
+    """The former ``efficacy.train_classifier``: the same Newton fit over
+    every training row, repeated rows included."""
+    if train.data.shape[0] == 0:
+        raise InputError("training needs a non-empty training set")
+    labels = train.labels
+    if labels.min() == labels.max():
+        warnings.warn("training data holds a single class; model predicts it everywhere")
+        return LogisticModel(np.zeros(train.data.shape[1]), 0.0, int(labels[0]))
+    x = train.data
+    n, d = x.shape
+    # Per row, the margin u = (1 - 2y) z is exact in both the loss log(1+e^u)
+    # and the residual p - y = (1 - 2y) sigmoid(u), with no cancellation.
+    sign = 1.0 - 2.0 * labels
+    centred = np.empty_like(x, dtype=float)  # refilled each step
+
+    def objective(weights: np.ndarray, bias: float) -> float:
+        u = sign * (x @ weights + bias)
+        return float(np.logaddexp(0.0, u).mean() + 0.5 * L2_STRENGTH * (weights @ weights))
+
+    weights = np.zeros(d)
+    bias = 0.0
+    value = objective(weights, bias)
+    previous = math.inf
+    for _ in range(MAX_NEWTON_STEPS):
+        z = x @ weights + bias
+        residual = sign * _ref_sigmoid(sign * z)
+        curvature = _ref_sigmoid(z) * _ref_sigmoid(-z)
+        grad_w = residual @ x / n + L2_STRENGTH * weights
+        grad_b = float(residual.mean())
+        # The bias is eliminated from the Newton system. What is left for the
+        # weights is X'SX/n + L2 with X centred on its curvature-weighted
+        # mean, so a constant column (an all-"*" block), which is collinear
+        # with the bias, cannot make the system singular.
+        mean = curvature @ x / curvature.sum()
+        np.subtract(x, mean, out=centred)
+        np.multiply(centred, np.sqrt(curvature)[:, None], out=centred)
+        hess = centred.T @ centred / n
+        np.fill_diagonal(hess, hess.diagonal() * (1.0 + DIAGONAL_LIFT) + L2_STRENGTH)
+        step_w = np.linalg.solve(hess, mean * grad_b - grad_w)
+        step_b = float(-grad_b / curvature.mean() - mean @ step_w)
+        decrement = -float(grad_w @ step_w + grad_b * step_b)
+        resolution = TOLERANCE * value
+        if decrement <= resolution and decrement >= previous:
+            break
+        length = 1.0
+        while length * decrement > resolution and (
+            objective(weights + length * step_w, bias + length * step_b) > value
+        ):
+            length /= 2.0
+        weights = weights + length * step_w
+        bias += length * step_b
+        value = objective(weights, bias)
+        previous = decrement
+    return LogisticModel(weights, bias)

@@ -1001,6 +1001,25 @@ class TestEvaluate:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_positive_class_no_label_holds_is_an_input_error(self, small_inputs, capsys):
+        # The labels are "<=50K" and ">50K"; the class differs in case only.
+        out = small_inputs["dir"] / "eval_positive.json"
+        code = main(
+            [
+                "evaluate",
+                "--train", small_inputs["csv"],
+                "--test", small_inputs["csv"],
+                "--qi", "job,grade",
+                "--sa", "salary-class",
+                "--positive-class", ">50k",
+                "--out", str(out),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "'salary-class'" in err and "'>50k'" in err and "'<=50K', '>50K'" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("missing_from", ["train", "test"])
     def test_numeric_feature_missing_from_one_table_is_an_input_error(
         self, small_inputs, capsys, missing_from

@@ -7,8 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _datagen as datagen
+import _oracles as oracles
 from clustem import efficacy
+from clustem.anonymize import PrivacyParams, generate_vghs, search
 from clustem.efficacy import (
+    DEFAULT_NUMERIC_FEATURES,
     L2_STRENGTH,
     TOLERANCE,
     FeatureMatrix,
@@ -18,7 +22,10 @@ from clustem.efficacy import (
     infer_leaves,
     train_classifier,
 )
+from clustem.embed import WordVectorProvider
 from clustem.errors import InputError
+from clustem.tabular import QiSpec, load_csv
+from clustem.vgh import WARD
 from conftest import make_table
 
 LEAVES = {"w": ["a", "b", "c"]}
@@ -99,6 +106,24 @@ class TestEncode:
         with pytest.raises(InputError, match="binary"):
             encode(train, train, ["w"], [], LEAVES, "y", "p")
 
+    def test_positive_class_no_label_holds_rejected(self):
+        train = tiny(["a", "b"], ["p", "n"])
+        test = tiny(["c"], ["n"])
+        message = r"'y' holds no positive class 'P', found \['n', 'p'\]"
+        with pytest.raises(InputError, match=message):
+            encode(train, test, ["w"], [], LEAVES, "y", "P")
+
+    @pytest.mark.parametrize(
+        "cells, stat",
+        [(["1.6e308", "1.7e308"], "mean"), (["2e154", "-2e154"], "standard deviation")],
+        ids=["mean", "spread"],
+    )
+    def test_numeric_statistics_must_be_finite(self, cells, stat):
+        train = make_table(w=["a"] * 20, h=cells * 10, y=["p", "n"] * 10)
+        good = make_table(w=["a"], h=["1"], y=["p"])
+        with pytest.raises(InputError, match=f"training set, .*'h': the {stat} "):
+            encode(train, good, ["w"], ["h"], LEAVES, "y", "p")
+
 
 class TestInferLeaves:
     def test_members_recovered_from_set_labels(self):
@@ -140,6 +165,22 @@ def _designs(draw):
     repeats = draw(st.lists(st.integers(0, width - 1), max_size=3)) if width else []
     ones = np.ones((n, draw(st.integers(0, 2))))
     return np.hstack([x, x[:, repeats], ones]) * scale, y
+
+
+@st.composite
+def _repeated_designs(draw):
+    """``_designs`` rows, each repeated 1 to 20 times. Unless the draw keeps
+    every copy's label, copies after a row's first take either label, so a
+    repeated row may hold both."""
+    x, y = draw(_designs())
+    repeats = draw(st.lists(st.integers(1, 20), min_size=len(y), max_size=len(y)))
+    rows = np.repeat(np.arange(len(y)), repeats)
+    labels = y[rows]
+    if draw(st.booleans()):
+        copies = np.flatnonzero(np.diff(rows, prepend=-1) == 0)
+        drawn = st.lists(st.integers(0, 1), min_size=len(copies), max_size=len(copies))
+        labels[copies] = draw(drawn)
+    return x[rows], labels
 
 
 class TestTrainClassifier:
@@ -201,6 +242,45 @@ class TestTrainClassifier:
         assert np.isfinite(model.weights).all()
         assert np.isfinite(model.bias)
         assert _max_abs_gradient(x, y, model) <= 1e-8
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(design=_repeated_designs())
+    def test_fit_on_distinct_pairs_matches_the_fit_on_every_row(self, design):
+        x, y = design
+        fm = FeatureMatrix([f"f{i}" for i in range(x.shape[1])], x, y)
+        model = train_classifier(fm)
+        assert _max_abs_gradient(x, y, model) <= 1e-8
+        reference = oracles.reference_train_classifier(fm)
+        margin = x @ reference.weights + reference.bias
+        clear = np.abs(margin) > 1e-6
+        assert (model.predict(x)[clear] == reference.predict(x)[clear]).all()
+
+    @pytest.mark.parametrize("k", [10, 200])
+    def test_fit_on_distinct_pairs_matches_on_the_adult_fixture(self, adult_models, k):
+        (model, reference), test = adult_models[k]
+        assert np.abs(model.weights - reference.weights).max() <= 1e-10
+        assert abs(model.bias - reference.bias) <= 1e-10
+        assert (model.predict(test.data) == reference.predict(test.data)).all()
+
+
+@pytest.fixture(scope="module")
+def adult_models(adult_paths):
+    """Per k in {10, 200}: the fitted and the reference model of the Adult
+    fixture's anonymized training table, with the encoded test rows."""
+    train = load_csv(adult_paths["train"])
+    test = load_csv(adult_paths["test"])
+    spec = QiSpec(list(datagen.QI), datagen.SA)
+    vghs = generate_vghs(train, spec.qi, WordVectorProvider(adult_paths["vectors"]), WARD, seed=42)
+    sweep = [PrivacyParams(k=k, l=2, sup_limit=0.5) for k in (10, 200)]
+    models = {}
+    for params, result in zip(sweep, search(train, spec, vghs, sweep)):
+        leaves = infer_leaves([result.table, test], spec.qi)
+        train_fm, test_fm = encode(
+            result.table, test, spec.qi, DEFAULT_NUMERIC_FEATURES, leaves, spec.sa, datagen.POSITIVE
+        )
+        fits = (train_classifier(train_fm), oracles.reference_train_classifier(train_fm))
+        models[params.k] = fits, test_fm
+    return models
 
 
 class TestEvaluate:
