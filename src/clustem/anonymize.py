@@ -23,13 +23,13 @@ generalized table at the chosen node are all computed from those codes, and
 the reports in ``metrics`` count over the same group ids and sensitive codes.
 Each QI and sensitive column is coded once (``Column.coding``), and the
 lattice groups rows by those codes: a hierarchy level becomes a lookup from
-value code to label code. Every grouping packs code columns into one
-mixed-radix int64 key per row (``tabular.pack``). Rows become combinations of
-QI value codes by ``np.unique``, once per sweep, which gives each
-combination's first row. A check's groups, and their distinct pairs with the
-sensitive value, need no first rows: ``tabular.fold`` numbers them, through a
-presence table when the key's range is small, and each distinct pair key
-names its group.
+value code to label code. Every grouping is one ``tabular.fold``, which packs
+code columns into one mixed-radix int64 key per row and numbers the keys,
+through a presence table when their range is small. Rows become combinations
+of QI value codes by one fold per sweep, and ``np.unique`` of the combination
+ids gives each combination's first row. A check's groups, and their distinct
+pairs with the sensitive value, need no first rows, and each distinct pair
+key names its group.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ import numpy as np
 
 from . import embed
 from .errors import InputError
-from .tabular import SUPPRESSED, Column, QiSpec, Table, code_column, fold, pack
+from .tabular import SUPPRESSED, Column, QiSpec, Table, code_column, fold
 from .vgh import Vgh, build_vgh, check_values
 
 MAX_LATTICE_NODES = 10_000_000
@@ -128,8 +128,8 @@ class _CodedLattice:
         check_lattice(table, self.qi, vghs)
 
         codings = [table.column(attr).coding for attr in self.qi]
-        key, _ = pack([codes for codes, _ in codings], [len(d) for _, d in codings])
-        _, first, self.row_combo = np.unique(key, return_index=True, return_inverse=True)
+        self.row_combo, _ = fold([codes for codes, _ in codings], [len(d) for _, d in codings])
+        _, first = np.unique(self.row_combo, return_index=True)
         # combos[j][c]: the code of attribute j's value in combination c
         self.combos = [codes[first] for codes, _ in codings]
         self.combo_counts = np.bincount(self.row_combo, minlength=len(first))

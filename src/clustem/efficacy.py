@@ -6,12 +6,13 @@ sets the whole attribute block; ``vgh.label_leaves`` reads which leaves a
 label names. Numeric features are standardized with training statistics only.
 Their cells must be finite numbers or the missing marker "?"; any other cell
 (text, "nan", "inf", "1e999") is an input error (exit 2), and so is a feature
-whose training mean or standard deviation overflows. The positive class must
-be one of the labels. The classifier is an L2-penalised logistic regression
-fitted by full-batch Newton steps to convergence, on the distinct (row, label)
-pairs of the training set, each weighted by its count: a generalized table
-repeats its rows. It has no shuffling and no seed, so the same tables always
-give the same model and the same scores.
+whose training mean or standard deviation overflows, or a test cell that
+overflows when standardized. The positive class must be one of the labels.
+The classifier is an L2-penalised logistic regression fitted by full-batch
+Newton steps to convergence, on the distinct (row, label) pairs of the
+training set, each weighted by its count: a generalized table repeats its
+rows. It has no shuffling and no seed, so the same tables always give the
+same model and the same scores.
 """
 
 from __future__ import annotations
@@ -186,7 +187,16 @@ def encode(
                     "of its values overflows a float"
                 )
         train_numeric = (np.where(np.isnan(train_numeric), mean, train_numeric) - mean) / std
-        test_numeric = (np.where(np.isnan(test_numeric), mean, test_numeric) - mean) / std
+        with np.errstate(over="ignore", invalid="ignore"):
+            test_numeric = (np.where(np.isnan(test_numeric), mean, test_numeric) - mean) / std
+        if not np.isfinite(test_numeric).all():
+            row, j = np.argwhere(~np.isfinite(test_numeric))[0]
+            codes, distinct = test.column(numeric_features[j]).coding
+            raise InputError(
+                f"test set, numeric feature {numeric_features[j]!r}, data row {row + 1}: "
+                f"{distinct[codes[row]]!r} overflows a float when standardized to the "
+                "training mean and standard deviation"
+            )
 
     out = []
     for table, numeric in ((train, train_numeric), (test, test_numeric)):

@@ -5,7 +5,7 @@ Cells are kept as strings so that a load/write cycle preserves files exactly.
 The missing-value marker is the literal "?" and is treated as an ordinary
 value when grouping. Tables are never mutated: every operation returns a new
 Table. Every file clustem writes goes through ``atomic_write``, so no output
-is ever left partly written.
+is ever left partly written, and ends its lines with "\n" on every OS.
 
 ``load_csv`` splits a file directly on "," and "\n" when it needs none of
 the csv module's rules: UTF-8 text with no '"', "\r", NUL or empty line,
@@ -27,9 +27,10 @@ it write the whole file again with every cell quoted.
 
 String columns are grouped through integer codes. ``code_column`` codes a
 column once (``Column.coding`` keeps the result), numbering its distinct
-values in order of first appearance. ``fold`` numbers the distinct rows of
-coded columns in lexicographic order, through a presence table when the
-packed key's range is small and through a sort otherwise.
+values in order of first appearance. ``fold`` is the only code that numbers
+rows: it numbers the distinct rows of coded columns in lexicographic order,
+through a presence table when the packed key's range is small and through a
+sort otherwise.
 """
 
 from __future__ import annotations
@@ -190,14 +191,14 @@ def _read_csv(path: str, stream: TextIO) -> Table:
 
 
 @contextmanager
-def atomic_write(path: str | Path, newline: str | None = None) -> Iterator[TextIO]:
-    """Open a UTF-8 temporary file next to ``path`` and move it onto ``path``
-    when the block completes; on any error the temporary file is removed and
-    ``path`` is left as it was."""
+def atomic_write(path: str | Path) -> Iterator[TextIO]:
+    """Open a UTF-8 temporary file next to ``path``, with no newline
+    translation, and move it onto ``path`` when the block completes; on any
+    error the temporary file is removed and ``path`` is left as it was."""
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", newline=newline, encoding="utf-8") as fh:
+        with open(tmp, "w", newline="", encoding="utf-8") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -221,7 +222,7 @@ def _quote(cell: str) -> str:
 def write_csv(table: Table, path: str) -> None:
     """Write ``table`` so that ``load_csv`` reads back an identical Table, by
     the quoting rules in the module docstring."""
-    with atomic_write(path, newline="") as fh:
+    with atomic_write(path) as fh:
         if not _write_rows(fh, table, quote_all=False):
             fh.seek(0)
             fh.truncate()
@@ -270,13 +271,13 @@ def code_column(values: Sequence[str]) -> tuple[np.ndarray, list[str]]:
 DENSE_RANGE_FACTOR = 8
 
 
-def pack(columns: Sequence[np.ndarray], radices: Sequence[int]) -> tuple[np.ndarray, int]:
-    """One int64 key per row of equal-length integer columns, and a bound on
-    the keys. Column j holds values in [0, radices[j]). Keys are mixed-radix
-    numbers, first column most significant, so their order is the rows'
-    lexicographic order; where the key could reach 2**62, the part packed so
-    far is first renumbered densely, which keeps its order. Radices and row
-    counts must stay below 2**31."""
+def fold(columns: Sequence[np.ndarray], radices: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Dense ids of the distinct rows of equal-length integer columns, in the
+    rows' lexicographic order, and the distinct row keys in ascending order
+    (id i has ``keys[i]``). Column j holds values in [0, radices[j]). A key
+    is the row's mixed-radix number, first column most significant; where it
+    could reach 2**62, the part packed so far is first renumbered densely,
+    which keeps its order. Radices and row counts must stay below 2**31."""
     key = np.zeros(len(columns[0]), dtype=np.int64)
     bound = 1
     for column, radix in zip(columns, radices):
@@ -285,15 +286,6 @@ def pack(columns: Sequence[np.ndarray], radices: Sequence[int]) -> tuple[np.ndar
             bound = len(distinct)
         key = key * radix + column
         bound *= radix
-    return key, bound
-
-
-def fold(columns: Sequence[np.ndarray], radices: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Dense ids of the distinct rows of ``pack``'s columns, in the rows'
-    lexicographic order, and the distinct packed keys in ascending order (id i
-    has ``keys[i]``). While the radices' product stays below 2**62, a key is
-    its row's mixed-radix number."""
-    key, bound = pack(columns, radices)
     if bound > DENSE_RANGE_FACTOR * len(key):
         keys, ids = np.unique(key, return_inverse=True)
         return ids, keys
@@ -316,8 +308,8 @@ def group_ids(table: Table, qi: Sequence[str]) -> np.ndarray:
     for codes, distinct in codings:
         suppressed &= codes == (distinct.index(SUPPRESSED) if SUPPRESSED in distinct else -1)
     kept = np.flatnonzero(~suppressed)
-    key, _ = pack([codes[kept] for codes, _ in codings], [len(d) for _, d in codings])
-    _, first, ids = np.unique(key, return_index=True, return_inverse=True)
+    ids, _ = fold([codes[kept] for codes, _ in codings], [len(d) for _, d in codings])
+    _, first = np.unique(ids, return_index=True)
     first_appearance = np.empty(len(first), dtype=np.int64)
     first_appearance[np.argsort(first)] = np.arange(len(first))
     out = np.full(table.row_count, -1, dtype=np.int64)

@@ -18,7 +18,7 @@ import clustem
 from _loopback import response, vector_of
 from clustem import tabular
 from clustem.anonymize import _CodedLattice
-from clustem.cli import main
+from clustem.cli import main, run
 from clustem.tabular import group_ids, load_csv
 from clustem.vgh import build_vgh, read_hierarchy, write_hierarchy
 from conftest import tree
@@ -982,6 +982,28 @@ class TestEvaluate:
         assert "not allowed with argument" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_test_cell_that_overflows_when_standardized_exits_2(self, tmp_path, capsys):
+        train = tmp_path / "train.csv"
+        train.write_text("w,h,y\na,0,p\na,1,n\na,0,p\na,1,n\n", encoding="utf-8")
+        test = tmp_path / "test.csv"
+        test.write_text("w,h,y\na,1.7e308,p\na,-1.7e308,n\na,0.5,p\n", encoding="utf-8")
+        out = tmp_path / "eval.json"
+        code = main(
+            [
+                "evaluate",
+                "--train", str(train),
+                "--test", str(test),
+                "--qi", "w",
+                "--sa", "y",
+                "--positive-class", "p",
+                "--numeric-features", "h",
+                "--out", str(out),
+            ]
+        )
+        assert code == 2
+        assert "numeric feature 'h', data row 1: '1.7e308' overflows" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_repeated_numeric_feature_is_an_input_error(self, small_inputs, capsys):
         out = small_inputs["dir"] / "eval_repeated.json"
         code = main(
@@ -1504,6 +1526,27 @@ def test_value_missing_from_a_hierarchy_file_exits_2_before_embedding(small_inpu
     err = capsys.readouterr().err
     assert err == "error: value 'pilot' in column 'job' is not a hierarchy leaf\n"
     assert not out.exists()
+
+
+def test_console_entry_point_exits_with_mains_code(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["clustem", "--help"])
+    with pytest.raises(SystemExit) as exc:
+        run()
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: clustem ")
+
+
+def test_module_runs_as_a_script():
+    src = str(Path(clustem.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "clustem.cli", "--help"],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: clustem ")
 
 
 def test_anonymize_and_evaluate_import_no_further_numpy_module(small_inputs):

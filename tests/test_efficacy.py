@@ -124,6 +124,17 @@ class TestEncode:
         with pytest.raises(InputError, match=f"training set, .*'h': the {stat} "):
             encode(train, good, ["w"], ["h"], LEAVES, "y", "p")
 
+    def test_test_cell_that_overflows_when_standardized_is_rejected(self):
+        # h has training mean 0.5 and spread 0.5, so 1.7e308 standardizes past
+        # the largest float; g is finite everywhere and is not named.
+        train = make_table(w=["a"] * 4, g=["1", "2"] * 2, h=["0", "1"] * 2, y=["p", "n"] * 2)
+        test = make_table(
+            w=["a"] * 3, g=["9", "9", "9"], h=["0.5", "1.7e308", "-1.7e308"], y=["p", "n", "p"]
+        )
+        message = "test set, numeric feature 'h', data row 2: '1.7e308' overflows a float"
+        with pytest.raises(InputError, match=message):
+            encode(train, test, ["w"], ["g", "h"], LEAVES, "y", "p")
+
 
 class TestInferLeaves:
     def test_members_recovered_from_set_labels(self):

@@ -523,6 +523,14 @@ class TestEmbedAll:
         with pytest.raises(ProviderError, match="dimension"):
             embed_all(["a", "b"], Mismatched())
 
+    def test_provider_returning_one_vector_fewer_rejected(self):
+        class Short(_CountingProvider):
+            def fetch(self, values):
+                return super().fetch(values)[1:]
+
+        with pytest.raises(ProviderError, match="^provider returned the wrong number of vectors$"):
+            embed_all(["a", "bb", "ccc"], Short())
+
 
 class TestProviderConfig:
     def test_wordvec_needs_path(self):

@@ -125,6 +125,14 @@ class TestCAvg:
     def test_zero_retained(self):
         assert c_avg(0, 0, 5) == 0.0
 
+    def test_retained_records_need_a_group(self):
+        with pytest.raises(ValueError, match="^retained records require at least one group$"):
+            c_avg(3, 0, 2)
+
+    def test_k_must_be_positive(self):
+        with pytest.raises(ValueError, match="^k must be at least 1$"):
+            c_avg(3, 1, 0)
+
 
 class TestTCloseness:
     def test_single_group_is_zero(self):

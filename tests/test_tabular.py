@@ -303,6 +303,14 @@ class TestInvariants:
         with pytest.raises(InputError):
             Table([Column("a", ["x"]), Column("b", ["x", "y"])])
 
+    def test_column_rejects_an_empty_name(self):
+        with pytest.raises(InputError, match="^column names must be non-empty$"):
+            Column("", ["x"])
+
+    def test_table_rejects_duplicate_column_names(self):
+        with pytest.raises(InputError, match="^duplicate column names$"):
+            Table([Column("a", ["x"]), Column("a", ["y"])])
+
     def test_qispec_rejects_sa_inside_qi(self):
         with pytest.raises(InputError):
             QiSpec(["a", "b"], sa="a")

@@ -15,6 +15,7 @@ from clustem.vgh import (
     WARD,
     Vgh,
     build_vgh,
+    check_values,
     get_categories,
     label_leaves,
     read_hierarchy,
@@ -179,6 +180,23 @@ class TestHierarchyFiles:
         path.write_text("a;g\nb;g\n", encoding="utf-8")
         with pytest.raises(InputError, match=r"\*"):
             read_hierarchy(str(path))
+
+    @pytest.mark.parametrize(
+        "leaves, levels, message",
+        [
+            ([], [{}], "has no leaves"),
+            (["a"], [], "has no levels"),
+            (["a", "b"], [{"a": "b", "b": "b"}, {"a": "*", "b": "*"}], "level 0 must be the identity"),
+        ],
+        ids=["no-leaves", "no-levels", "level-0-not-identity"],
+    )
+    def test_malformed_hierarchy_rejected_on_construction(self, leaves, levels, message):
+        with pytest.raises(InputError, match=f"^hierarchy for 'x'.* {message}$"):
+            Vgh("x", leaves, levels)
+
+    def test_check_values_rejects_a_repeated_value(self):
+        with pytest.raises(InputError, match="^the values of attribute 'x' must be distinct$"):
+            check_values(["a", "b", "a"], "x")
 
     def test_separator_inside_label_rejected_on_construction(self):
         # So no hierarchy whose file would not read back can be written.
