@@ -121,11 +121,9 @@ class _CodedLattice:
     """
 
     def __init__(self, table: Table, spec: QiSpec, vghs: Mapping[str, Vgh]) -> None:
-        spec.validate_against(table)
         self.n_rows = table.row_count
         self.qi = list(spec.qi)
         self.vghs = [_vgh_for(vghs, a) for a in self.qi]
-        check_lattice(table, self.qi, vghs)
 
         codings = [table.column(attr).coding for attr in self.qi]
         self.row_combo, _ = fold([codes for codes, _ in codings], [len(d) for _, d in codings])
@@ -247,29 +245,28 @@ def _ranking(level_counts: Sequence[int]) -> np.ndarray:
     return np.lexsort((heights.ravel(), losses.ravel()))
 
 
-def check_plan(spec: QiSpec, sweep: Sequence[PrivacyParams]) -> None:
-    """Reject a sweep that ``spec`` cannot serve, before any work is done:
-    l-diversity above 1 needs a sensitive attribute."""
+def check_plan(
+    table: Table, spec: QiSpec, vghs: Mapping[str, Vgh], sweep: Sequence[PrivacyParams]
+) -> None:
+    """Reject a run before any hierarchy is generated. Every QI and sensitive
+    column must be in the table, and l-diversity above 1 needs a sensitive
+    attribute. A QI column with a hierarchy in ``vghs`` counts its levels,
+    and every value in it must be one of its leaves; a column without one
+    counts n + 1 levels for its n distinct values, as ``build_vgh`` makes.
+    The lattice may hold at most ``MAX_LATTICE_NODES`` nodes."""
+    spec.validate_against(table)
     if spec.sa is None and any(params.l > 1 for params in sweep):
         raise InputError("l-diversity above 1 requires a sensitive attribute")
-
-
-def check_lattice(table: Table, qi: Sequence[str], vghs: Mapping[str, Vgh]) -> None:
-    """Reject a lattice before any hierarchy is generated. A QI column with a
-    hierarchy in ``vghs`` counts its levels, and every value in it must be one
-    of its leaves; a column without one counts n + 1 levels for its n distinct
-    values, as ``build_vgh`` makes. The lattice may hold at most
-    ``MAX_LATTICE_NODES`` nodes."""
-    distinct = {attr: table.column(attr).coding[1] for attr in qi}
+    distinct = {attr: table.column(attr).coding[1] for attr in spec.qi}
     total_nodes = math.prod(
-        vghs[a].level_count if a in vghs else len(distinct[a]) + 1 for a in qi
+        vghs[a].level_count if a in vghs else len(distinct[a]) + 1 for a in spec.qi
     )
     if total_nodes > MAX_LATTICE_NODES:
         raise InputError(
             f"generalization lattice has {total_nodes} nodes, above the "
             f"{MAX_LATTICE_NODES} limit"
         )
-    for attr in qi:
+    for attr in spec.qi:
         if attr in vghs:
             leaves = set(vghs[attr].leaves)
             for value in distinct[attr]:
@@ -282,7 +279,7 @@ def search(
 ) -> Iterator[AnonymizationResult]:
     """Yield, per sweep entry, the satisfying node of minimal loss (ties broken
     by level sum, then levels), else the all-top node flagged unsatisfied."""
-    check_plan(spec, sweep)
+    check_plan(table, spec, vghs, sweep)
     lattice = _CodedLattice(table, spec, vghs)
     level_counts = tuple(v.level_count for v in lattice.vghs)
     tops = tuple(c - 1 for c in level_counts)

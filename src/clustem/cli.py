@@ -15,7 +15,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import efficacy, metrics
-from .anonymize import PrivacyParams, check_lattice, check_plan, generate_vghs, search
+from .anonymize import PrivacyParams, check_plan, generate_vghs, search
 from .embed import (
     DEFAULT_API_KEY_ENV,
     HTTP_API,
@@ -281,8 +281,6 @@ def _cmd_anonymize(args) -> int:
 
     table = load_csv(args.input)
     spec = QiSpec(list(qi), sa)
-    spec.validate_against(table)
-    check_plan(spec, sweep)
     out_root = _output_dir(args.out)
 
     vghs = {}
@@ -297,7 +295,7 @@ def _cmd_anonymize(args) -> int:
     for attr, path in file_overrides.items():
         if attr in spec.qi:
             vghs[attr] = read_hierarchy(path, attribute=attr)
-    check_lattice(table, spec.qi, vghs)
+    check_plan(table, spec, vghs, sweep)
 
     out_dirs = [out_root / f"k{params.k}" if len(sweep) > 1 else out_root for params in sweep]
     outputs = [out_dir / name for out_dir in out_dirs for name in ("anonymized.csv", "report.json")]

@@ -160,9 +160,9 @@ class TestCheckPrivacy:
         # check_plan owns the rule; search applies it before its first result.
         table, spec = abc_table_spec
         sweep = [PrivacyParams(k=1), PrivacyParams(k=1, l=2)]
-        check_plan(spec, sweep)
+        check_plan(table, spec, {"q": ab_vgh}, sweep)
         with pytest.raises(InputError, match="sensitive"):
-            check_plan(QiSpec(["q"]), sweep)
+            check_plan(table, QiSpec(["q"]), {"q": ab_vgh}, sweep)
         for rows in (table, make_table(q=[])):
             with pytest.raises(InputError, match="sensitive"):
                 next(search(rows, QiSpec(["q"]), {"q": ab_vgh}, sweep))
