@@ -13,9 +13,14 @@ checked; when it fails, a greedy upward chain from it is binary-searched for
 its first passing node. Each such step then tags at most two cones, downward
 from the last failing chain node and upward from the first passing one (the
 chain search of OLA and Flash), so most nodes are decided by a tag, and a walk
-ends once the all-top node fails. The order is one sort of the lattice, made
-once a walk goes beyond the bottom node: about 1.1 s and 225 MiB of memory at
-9.8M nodes.
+ends once the all-top node fails. The order is one sort of the lattice's N
+nodes, made once a walk goes beyond the bottom node: O(N log N) time and O(N)
+memory.
+
+A run is refused before any work by one gate, ``check_plan``: the QI and
+sensitive columns exist, l > 1 has a sensitive attribute, each given
+hierarchy holds its column's values, and the lattice fits the node cap. The
+CLI calls it before generating any hierarchy, and ``search`` before coding.
 
 Cells are mapped through the hierarchies once per sweep, into integer codes;
 the privacy check, each row's group id (-1 on suppressed rows) and the

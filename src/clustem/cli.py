@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -167,6 +168,14 @@ def _output_file(raw: str) -> Path:
     return out
 
 
+def _hierarchy_path(directory, attr: str) -> Path:
+    """``<directory>/<attr>.csv``; a column name holding a path separator
+    would name a file elsewhere, so it is refused."""
+    if os.sep in attr or (os.altsep and os.altsep in attr):
+        raise InputError(f"column name {attr!r} holds a path separator")
+    return Path(directory) / f"{attr}.csv"
+
+
 def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
@@ -182,7 +191,7 @@ def _build_hierarchies(args, table, columns, out_dir: Path, method, seed, output
     provider flags are judged; the flags are judged even when no column is
     left to generate. Writes one hierarchy file per column and returns the
     hierarchies and the provider id ("hierarchy-files" when none is made)."""
-    for path in [out_dir / f"{attr}.csv" for attr in columns] + list(outputs):
+    for path in [_hierarchy_path(out_dir, attr) for attr in columns] + list(outputs):
         _output_file(str(path))
     if columns or args.vectors or args.api_endpoint or args.api_model:
         provider = _provider_from_args(args)
@@ -191,7 +200,7 @@ def _build_hierarchies(args, table, columns, out_dir: Path, method, seed, output
     vghs = generate_vghs(table, columns, provider, method, seed, args.cache)
     out_dir.mkdir(parents=True, exist_ok=True)
     for attr, hierarchy in vghs.items():
-        write_hierarchy(hierarchy, str(out_dir / f"{attr}.csv"))
+        write_hierarchy(hierarchy, str(_hierarchy_path(out_dir, attr)))
     return vghs, provider.provider_id
 
 
@@ -266,7 +275,7 @@ def _cmd_anonymize(args) -> int:
         value = getattr(args, key)
         return value if value is not None else config.get(key, default)
 
-    qi = _parse_names(args.qi) if args.qi else config.get("qi")
+    qi = _parse_names(args.qi) if args.qi is not None else config.get("qi")
     if not qi:
         raise InputError("the quasi-identifier is required (--qi or config 'qi')")
     k_raw = setting("k")
@@ -289,9 +298,10 @@ def _cmd_anonymize(args) -> int:
         if not Path(args.hierarchies_dir).is_dir():
             raise InputError(f"--hierarchies-dir {args.hierarchies_dir} is not a directory")
         for attr in spec.qi:
-            candidate = Path(args.hierarchies_dir) / f"{attr}.csv"
-            if candidate.exists():
-                file_overrides.setdefault(attr, str(candidate))
+            if attr not in file_overrides:
+                candidate = _hierarchy_path(args.hierarchies_dir, attr)
+                if candidate.exists():
+                    file_overrides[attr] = str(candidate)
     for attr, path in file_overrides.items():
         if attr in spec.qi:
             vghs[attr] = read_hierarchy(path, attribute=attr)

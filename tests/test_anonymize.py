@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import _datagen as datagen
 import _oracles as oracles
+from clustem import anonymize
 from clustem.anonymize import (
     _PASS,
     _UNKNOWN,
@@ -166,6 +167,38 @@ class TestCheckPrivacy:
         for rows in (table, make_table(q=[])):
             with pytest.raises(InputError, match="sensitive"):
                 next(search(rows, QiSpec(["q"]), {"q": ab_vgh}, sweep))
+
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            ("qi", "quasi-identifier column 'nope' not in table"),
+            ("sa", "sensitive attribute 'nope' not in table"),
+            ("l", "l-diversity above 1 requires a sensitive attribute"),
+            ("leaf", "value 'pilot' in column 'job' is not a hierarchy leaf"),
+            ("cap", "generalization lattice has 4 nodes, above the 3 limit"),
+        ],
+    )
+    def test_search_refuses_each_plan_fault_with_the_cli_message(
+        self, monkeypatch, fault, message
+    ):
+        table = make_table(job=["cook", "nurse", "pilot"], s=["x", "y", "x"])
+        values = ["cook", "nurse"] if fault == "leaf" else ["cook", "nurse", "pilot"]
+        embeddings = {v: np.array([float(i)]) for i, v in enumerate(values)}
+        vghs = {"job": build_vgh(values, embeddings, WARD, attribute="job")}
+        spec, sweep = QiSpec(["job"], "s"), [PrivacyParams(k=1)]
+        if fault == "qi":
+            spec = QiSpec(["nope"], "s")
+        elif fault == "sa":
+            spec = QiSpec(["job"], "nope")
+        elif fault == "l":
+            spec, sweep = QiSpec(["job"]), [PrivacyParams(k=1, l=2)]
+        elif fault == "cap":
+            monkeypatch.setattr(anonymize, "MAX_LATTICE_NODES", 3)  # the hierarchy has 4 levels
+        with pytest.raises(InputError) as checked:
+            check_plan(table, spec, vghs, sweep)
+        with pytest.raises(InputError) as searched:
+            next(search(table, spec, vghs, sweep))
+        assert str(checked.value) == str(searched.value) == message
 
 
 RADICES = [1, 2, 3, 7, 2**20, 2**31]

@@ -1433,6 +1433,85 @@ def test_malformed_column_list_exits_2_and_writes_nothing(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("config", [None, {"qi": ["job"], "k": 2}], ids=["flags", "config"])
+def test_empty_qi_flag_is_a_malformed_column_list(small_inputs, capsys, config):
+    out = small_inputs["dir"] / "out"
+    args = command_args("anonymize", small_inputs, out)
+    args[args.index("--qi") + 1] = ""
+    if config is not None:
+        path = small_inputs["dir"] / "run.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        args += ["--config", str(path)]
+    assert main(args + ["--vectors", small_inputs["vectors"]]) == 2
+    assert capsys.readouterr().err == "error: malformed column list ''\n"
+    assert not out.exists()
+
+
+def _rename_columns(small_inputs, job, grade):
+    data = Path(small_inputs["csv"])
+    text = data.read_text(encoding="utf-8").replace("job,grade,", f"{job},{grade},", 1)
+    data.write_text(text, encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "command, names, flags",
+    [
+        ("vgh", "../edu", []),
+        ("anonymize", "../edu", []),
+        ("anonymize", "work/class,../edu", []),
+        ("anonymize", "../edu", ["--hierarchies-dir", "given"]),
+    ],
+    ids=["vgh", "anonymize", "anonymize-two", "hierarchies-dir"],
+)
+def test_column_name_holding_a_path_separator_exits_2_and_writes_nothing(
+    small_inputs, capsys, command, names, flags
+):
+    root = small_inputs["dir"]
+    _rename_columns(small_inputs, "work/class", "../edu")
+    (root / "given").mkdir()
+    args = command_args(command, small_inputs, root / "out")
+    args[args.index("--columns" if command == "vgh" else "--qi") + 1] = names
+    flags = [str(root / flag) if flag == "given" else flag for flag in flags]
+    vectors = root / "deleted.txt"  # the provider must not be reached
+    before = tree(root)
+    assert main(args + ["--vectors", str(vectors), *flags]) == 2
+    first = names.split(",")[0]
+    assert capsys.readouterr().err == f"error: column name {first!r} holds a path separator\n"
+    assert tree(root) == before
+
+
+@pytest.mark.parametrize("command", ["vgh", "anonymize"])
+def test_column_name_holding_the_alternative_separator_exits_2(
+    small_inputs, capsys, monkeypatch, command
+):
+    monkeypatch.setattr(os, "altsep", "\\")
+    root = small_inputs["dir"]
+    _rename_columns(small_inputs, "job", "..\\edu")
+    args = command_args(command, small_inputs, root / "out")
+    args[args.index("--columns" if command == "vgh" else "--qi") + 1] = "..\\edu"
+    before = tree(root)
+    assert main(args + ["--vectors", small_inputs["vectors"]]) == 2
+    assert capsys.readouterr().err == "error: column name '..\\\\edu' holds a path separator\n"
+    assert tree(root) == before
+
+
+def test_hierarchies_dir_is_not_searched_for_a_column_the_config_names(small_inputs):
+    # The config names a hierarchy for "../edu", so no "<dir>/../edu.csv" is formed.
+    root = small_inputs["dir"]
+    _rename_columns(small_inputs, "job", "../edu")
+    values = ["high", "low", "mid"]
+    _write_hierarchy_of(values, root / "edu.csv", "../edu")
+    config = root / "run.json"
+    config.write_text(json.dumps({"hierarchies": {"../edu": str(root / "edu.csv")}}), "utf-8")
+    (root / "given").mkdir()
+    out = root / "out"
+    args = command_args("anonymize", small_inputs, out)
+    args[args.index("--qi") + 1] = "../edu"
+    flags = ["--config", str(config), "--hierarchies-dir", str(root / "given")]
+    assert main(args + flags + ["--vectors", small_inputs["vectors"]]) == 0
+    assert json.loads((out / "report.json").read_text())["meta"]["provider"] == "hierarchy-files"
+
+
 @pytest.mark.parametrize("method", ["ward", "kmeans"])
 def test_both_commands_write_the_same_hierarchies(small_inputs, method):
     flags = ["--method", method, "--seed", "7", "--vectors", small_inputs["vectors"]]
