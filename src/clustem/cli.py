@@ -168,11 +168,12 @@ def _output_file(raw: str) -> Path:
     return out
 
 
-def _hierarchy_path(directory, attr: str) -> Path:
+def _hierarchy_path(directory: str | Path, attr: str) -> Path:
     """``<directory>/<attr>.csv``; a column name holding a path separator
-    would name a file elsewhere, so it is refused."""
-    if os.sep in attr or (os.altsep and os.altsep in attr):
-        raise InputError(f"column name {attr!r} holds a path separator")
+    would name a file elsewhere, and one holding NUL no file, so both are
+    refused."""
+    if any(char and char in attr for char in (os.sep, os.altsep, "\0")):
+        raise InputError(f"column name {attr!r} holds a path separator or NUL")
     return Path(directory) / f"{attr}.csv"
 
 

@@ -1447,9 +1447,10 @@ def test_empty_qi_flag_is_a_malformed_column_list(small_inputs, capsys, config):
     assert not out.exists()
 
 
-def _rename_columns(small_inputs, job, grade):
+def _rename_columns(small_inputs, job, grade, hours="hours"):
     data = Path(small_inputs["csv"])
-    text = data.read_text(encoding="utf-8").replace("job,grade,", f"{job},{grade},", 1)
+    text = data.read_text(encoding="utf-8")
+    text = text.replace("job,grade,salary-class,hours", f"{job},{grade},salary-class,{hours}", 1)
     data.write_text(text, encoding="utf-8")
 
 
@@ -1460,14 +1461,16 @@ def _rename_columns(small_inputs, job, grade):
         ("anonymize", "../edu", []),
         ("anonymize", "work/class,../edu", []),
         ("anonymize", "../edu", ["--hierarchies-dir", "given"]),
+        ("vgh", "ho\0urs", []),
+        ("anonymize", "ho\0urs", []),
     ],
-    ids=["vgh", "anonymize", "anonymize-two", "hierarchies-dir"],
+    ids=["vgh", "anonymize", "anonymize-two", "hierarchies-dir", "vgh-nul", "anonymize-nul"],
 )
-def test_column_name_holding_a_path_separator_exits_2_and_writes_nothing(
+def test_column_name_holding_a_path_separator_or_nul_exits_2_and_writes_nothing(
     small_inputs, capsys, command, names, flags
 ):
     root = small_inputs["dir"]
-    _rename_columns(small_inputs, "work/class", "../edu")
+    _rename_columns(small_inputs, "work/class", "../edu", "ho\0urs")
     (root / "given").mkdir()
     args = command_args(command, small_inputs, root / "out")
     args[args.index("--columns" if command == "vgh" else "--qi") + 1] = names
@@ -1476,7 +1479,8 @@ def test_column_name_holding_a_path_separator_exits_2_and_writes_nothing(
     before = tree(root)
     assert main(args + ["--vectors", str(vectors), *flags]) == 2
     first = names.split(",")[0]
-    assert capsys.readouterr().err == f"error: column name {first!r} holds a path separator\n"
+    message = f"column name {first!r} holds a path separator or NUL"
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert tree(root) == before
 
 
@@ -1491,7 +1495,8 @@ def test_column_name_holding_the_alternative_separator_exits_2(
     args[args.index("--columns" if command == "vgh" else "--qi") + 1] = "..\\edu"
     before = tree(root)
     assert main(args + ["--vectors", small_inputs["vectors"]]) == 2
-    assert capsys.readouterr().err == "error: column name '..\\\\edu' holds a path separator\n"
+    message = "column name '..\\\\edu' holds a path separator or NUL"
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert tree(root) == before
 
 
