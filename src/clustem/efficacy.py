@@ -8,11 +8,14 @@ Their cells must be finite numbers or the missing marker "?"; any other cell
 (text, "nan", "inf", "1e999") is an input error (exit 2), and so is a feature
 whose training mean or standard deviation overflows, or a test cell that
 overflows when standardized. The positive class must be one of the labels.
-The classifier is an L2-penalised logistic regression fitted by full-batch
-Newton steps to convergence, on the distinct (row, label) pairs of the
-training set, each weighted by its count: a generalized table repeats its
-rows. It has no shuffling and no seed, so the same tables always give the
-same model and the same scores.
+A generalized table repeats its rows, so ``encode`` builds features for its
+distinct rows only (distinct in their QI, numeric and label cells), and each
+``FeatureMatrix`` row carries in ``counts`` how many table rows it stands
+for. The classifier is an L2-penalised logistic regression fitted by
+full-batch Newton steps to convergence, on the distinct (feature row, label)
+pairs, each weighted by its count; the scores weight each test row by its
+count too. It has no shuffling and no seed, so the same tables always give
+the same model and the same scores.
 """
 
 from __future__ import annotations
@@ -49,9 +52,19 @@ DEFAULT_NUMERIC_FEATURES = ["capital-gain", "capital-loss", "hours-per-week"]
 
 @dataclass
 class FeatureMatrix:
+    """One feature row and label per data row; ``counts[i]`` is how many table
+    rows data row i stands for (one per row when omitted)."""
+
     feature_names: list[str]
     data: np.ndarray
     labels: np.ndarray
+    counts: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        if self.counts is None:
+            self.counts = np.ones(len(self.labels), dtype=np.int64)
+        elif np.shape(self.counts) != (len(self.labels),) or np.any(np.asarray(self.counts) < 1):
+            raise InputError("counts must hold one count of at least 1 per data row")
 
 
 @dataclass
@@ -92,13 +105,24 @@ def _labels(table: Table, label_column: str, positive_class: str) -> np.ndarray:
     return np.array([cell == positive_class for cell in distinct], dtype=int)[codes]
 
 
+def _distinct_rows(table: Table, names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The first row of each distinct combination of the named columns' cells,
+    in order of first appearance, and how many rows share it."""
+    codings = [table.column(name).coding for name in names]
+    ids, _ = fold([codes for codes, _ in codings], [len(d) for _, d in codings])
+    _, first, counts = np.unique(ids, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    return first[order], counts[order]
+
+
 def _multi_hot(
-    table: Table, qi: Sequence[str], leaves: Mapping[str, Sequence[str]]
+    table: Table, qi: Sequence[str], leaves: Mapping[str, Sequence[str]], rows: np.ndarray
 ) -> np.ndarray:
+    """The multi-hot blocks of the given rows."""
     blocks = []
     for attr in qi:
         leaf_index = {leaf: i for i, leaf in enumerate(leaves[attr])}
-        rows, distinct = table.column(attr).coding
+        codes, distinct = table.column(attr).coding
         encoded = np.zeros((len(distinct), len(leaf_index)))
         unseen: set[str] = set()
         for i, cell in enumerate(distinct):
@@ -111,8 +135,8 @@ def _multi_hot(
                 elif leaf not in unseen:
                     unseen.add(leaf)
                     logger.warning("unseen leaf %r in %r for %r encoded as zero", leaf, cell, attr)
-        blocks.append(encoded[rows])
-    return np.hstack(blocks) if blocks else np.zeros((table.row_count, 0))
+        blocks.append(encoded[codes[rows]])
+    return np.hstack(blocks) if blocks else np.zeros((len(rows), 0))
 
 
 def _number(cell: str) -> float | None:
@@ -156,7 +180,10 @@ def encode(
 ) -> tuple[FeatureMatrix, FeatureMatrix]:
     """Encode train and test with one shared feature layout: multi-hot blocks
     in QI order (leaves lexicographic), then numerics standardized to the
-    training mean and variance (missing numerics land on the mean)."""
+    training mean and variance (missing numerics land on the mean). Each
+    matrix holds one data row per distinct combination of QI, numeric and
+    label cells, in order of first appearance, with ``counts`` the number of
+    table rows it stands for. The statistics are taken over every row."""
     observed = set(train.column(label_column).coding[1] + test.column(label_column).coding[1])
     if len(observed) > 2:
         raise InputError(
@@ -200,8 +227,10 @@ def encode(
 
     out = []
     for table, numeric in ((train, train_numeric), (test, test_numeric)):
-        data = np.hstack([_multi_hot(table, qi, sorted_leaves), numeric])
-        out.append(FeatureMatrix(names, data, _labels(table, label_column, positive_class)))
+        rows, counts = _distinct_rows(table, [*qi, *numeric_features, label_column])
+        data = np.hstack([_multi_hot(table, qi, sorted_leaves, rows), numeric[rows]])
+        labels = _labels(table, label_column, positive_class)[rows]
+        out.append(FeatureMatrix(names, data, labels, counts))
     return out[0], out[1]
 
 
@@ -224,14 +253,15 @@ def train_classifier(train: FeatureMatrix) -> LogisticModel:
     if labels.min() == labels.max():
         warnings.warn("training data holds a single class; model predicts it everywhere")
         return LogisticModel(np.zeros(train.data.shape[1]), 0.0, int(labels[0]))
-    n = train.data.shape[0]
-    # A generalized table repeats its rows, and equal (row, label) pairs enter
-    # every term alike, so each distinct pair is kept once, weighted by its
-    # count. Rows are equal when their bytes are.
+    n = int(train.counts.sum())
+    # Equal (row, label) pairs enter every term alike, so each distinct pair
+    # is kept once, weighted by its count. Rows are equal when their bytes
+    # are: distinct cells can encode alike ("1" and "1.0", or "*" and a set
+    # label naming every leaf).
     codes, rows = code_column(list(map(bytes, train.data)))
     pairs, _ = fold([codes, labels], [len(rows), 2])
     _, first = np.unique(pairs, return_index=True)
-    counts = np.bincount(pairs)
+    counts = np.bincount(pairs, weights=train.counts)
     x, labels = train.data[first], labels[first]
     d = x.shape[1]
     # Per pair, the margin u = (1 - 2y) z is exact in both the loss log(1+e^u)
@@ -286,10 +316,11 @@ def evaluate(model: LogisticModel, test: FeatureMatrix, positive_class: str) -> 
     if test.data.shape[0] == 0:
         raise InputError("evaluation needs a non-empty test set")
     predictions = model.predict(test.data)
-    accuracy = float((predictions == test.labels).mean())
-    tp = int(((predictions == 1) & (test.labels == 1)).sum())
-    fp = int(((predictions == 1) & (test.labels == 0)).sum())
-    fn = int(((predictions == 0) & (test.labels == 1)).sum())
+    weights = test.counts
+    accuracy = float(weights[predictions == test.labels].sum() / weights.sum())
+    tp = int(weights[(predictions == 1) & (test.labels == 1)].sum())
+    fp = int(weights[(predictions == 1) & (test.labels == 0)].sum())
+    fn = int(weights[(predictions == 0) & (test.labels == 1)].sum())
     denom = 2 * tp + fp + fn
     f1 = 2 * tp / denom if denom else 0.0
     return EfficacyReport(accuracy=accuracy, f1=float(f1), positive_class=positive_class)

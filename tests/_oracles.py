@@ -1,7 +1,7 @@
 """Independent brute-force references for the lattice search and metrics tests,
 and frozen copies of the former k-means, word-vector parser and line pattern,
 CSV reader, count matrix, fold, group ids and lattice walk for the bit-identity
-tests, and of the former classifier fit.
+tests, and of the former classifier fit and feature encoding.
 
 Everything here works on plain dicts and loops, deliberately sharing no code
 with the production search and metrics paths.
@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import csv
 import itertools
+import logging
 import math
 import re
 import warnings
 from collections import Counter
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -32,8 +33,10 @@ from clustem.efficacy import (
 from clustem.embed import preprocess
 from clustem.errors import InputError, ProviderError
 from clustem.metrics import MetricReport
-from clustem.tabular import SUPPRESSED, Column, QiSpec, Table
-from clustem.vgh import Vgh
+from clustem.tabular import MISSING, SUPPRESSED, Column, QiSpec, Table
+from clustem.vgh import Vgh, label_leaves
+
+_logger = logging.getLogger(__name__)
 
 
 def random_vgh(rng: np.random.Generator, attr: str, n_values: int, max_levels: int = 4) -> Vgh:
@@ -549,3 +552,127 @@ def reference_train_classifier(train: FeatureMatrix) -> LogisticModel:
         value = objective(weights, bias)
         previous = decrement
     return LogisticModel(weights, bias)
+
+
+# ``efficacy.encode`` and its helpers as they were before it encoded each
+# distinct table row once.
+
+
+def _ref_labels(table: Table, label_column: str, positive_class: str) -> np.ndarray:
+    codes, distinct = table.column(label_column).coding
+    return np.array([cell == positive_class for cell in distinct], dtype=int)[codes]
+
+
+def _ref_multi_hot(
+    table: Table, qi: Sequence[str], leaves: Mapping[str, Sequence[str]]
+) -> np.ndarray:
+    blocks = []
+    for attr in qi:
+        leaf_index = {leaf: i for i, leaf in enumerate(leaves[attr])}
+        rows, distinct = table.column(attr).coding
+        encoded = np.zeros((len(distinct), len(leaf_index)))
+        unseen: set[str] = set()
+        for i, cell in enumerate(distinct):
+            if cell == SUPPRESSED:
+                encoded[i] = 1.0
+                continue
+            for leaf in [cell] if cell in leaf_index else label_leaves(cell):
+                if leaf in leaf_index:
+                    encoded[i, leaf_index[leaf]] = 1.0
+                elif leaf not in unseen:
+                    unseen.add(leaf)
+                    _logger.warning("unseen leaf %r in %r for %r encoded as zero", leaf, cell, attr)
+        blocks.append(encoded[rows])
+    return np.hstack(blocks) if blocks else np.zeros((table.row_count, 0))
+
+
+def _ref_number(cell: str) -> float | None:
+    """A numeric feature cell as a float, NaN for the missing marker, None
+    for any other cell that is not a finite number."""
+    if cell == MISSING:
+        return math.nan
+    try:
+        value = float(cell)
+    except ValueError:
+        return None
+    return value if math.isfinite(value) else None
+
+
+def _ref_numeric_matrix(table: Table, names: Sequence[str], role: str) -> np.ndarray:
+    """The numeric columns, each distinct cell parsed once; an unparsable cell
+    is reported at the first data row that holds it."""
+    cols = []
+    for name in names:
+        codes, distinct = table.column(name).coding
+        values = [_ref_number(cell) for cell in distinct]
+        if None in values:
+            bad = values.index(None)
+            raise InputError(
+                f"{role} set, numeric feature {name!r}, data row "
+                f"{int(np.argmax(codes == bad)) + 1}: {distinct[bad]!r} is "
+                f"neither a finite number nor the missing marker {MISSING!r}"
+            )
+        cols.append(np.array(values, dtype=float)[codes])
+    return np.stack(cols, axis=1) if names else np.zeros((table.row_count, 0))
+
+
+def reference_encode(
+    train: Table,
+    test: Table,
+    qi: Sequence[str],
+    numeric_features: Sequence[str],
+    leaves: Mapping[str, Sequence[str]],
+    label_column: str,
+    positive_class: str,
+) -> tuple[FeatureMatrix, FeatureMatrix]:
+    """The former ``efficacy.encode``: one feature row per table row, repeated
+    rows included. Encode train and test with one shared feature layout:
+    multi-hot blocks in QI order (leaves lexicographic), then numerics
+    standardized to the training mean and variance (missing numerics land on
+    the mean)."""
+    observed = set(train.column(label_column).coding[1] + test.column(label_column).coding[1])
+    if len(observed) > 2:
+        raise InputError(
+            f"label column {label_column!r} must be binary, found {sorted(observed)[:4]}"
+        )
+    if positive_class not in observed:
+        raise InputError(
+            f"label column {label_column!r} holds no positive class {positive_class!r}, "
+            f"found {sorted(observed)}"
+        )
+    sorted_leaves = {attr: sorted(leaves[attr]) for attr in qi}
+    names = [f"{attr}={leaf}" for attr in qi for leaf in sorted_leaves[attr]]
+    names += numeric_features
+    train_numeric = _ref_numeric_matrix(train, numeric_features, "training")
+    test_numeric = _ref_numeric_matrix(test, numeric_features, "test")
+    if train_numeric.shape[1]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # all-missing columns
+            mean = np.nanmean(train_numeric, axis=0)
+            std = np.nanstd(train_numeric, axis=0)
+        mean = np.where(np.isnan(mean), 0.0, mean)
+        std = np.where((std == 0.0) | np.isnan(std), 1.0, std)
+        for name, centre, spread in zip(numeric_features, mean, std):
+            if not math.isfinite(centre) or not math.isfinite(spread):
+                raise InputError(
+                    f"training set, numeric feature {name!r}: the "
+                    f"{'mean' if not math.isfinite(centre) else 'standard deviation'} "
+                    "of its values overflows a float"
+                )
+        train_numeric = (np.where(np.isnan(train_numeric), mean, train_numeric) - mean) / std
+        with np.errstate(over="ignore", invalid="ignore"):
+            test_numeric = (np.where(np.isnan(test_numeric), mean, test_numeric) - mean) / std
+        if not np.isfinite(test_numeric).all():
+            row, j = np.argwhere(~np.isfinite(test_numeric))[0]
+            codes, distinct = test.column(numeric_features[j]).coding
+            raise InputError(
+                f"test set, numeric feature {numeric_features[j]!r}, data row {row + 1}: "
+                f"{distinct[codes[row]]!r} overflows a float when standardized to the "
+                "training mean and standard deviation"
+            )
+
+    out = []
+    for table, numeric in ((train, train_numeric), (test, test_numeric)):
+        data = np.hstack([_ref_multi_hot(table, qi, sorted_leaves), numeric])
+        out.append(FeatureMatrix(names, data, _ref_labels(table, label_column, positive_class)))
+    return out[0], out[1]

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -194,6 +195,29 @@ def _repeated_designs(draw):
     return x[rows], labels
 
 
+@st.composite
+def _alike_tables(draw):
+    """A train and a test table over ``LEAVES`` drawn from a few distinct rows,
+    so rows repeat, whose cells encode alike: "1", "1.0" and "01" in the
+    numeric column h, "*" and the full set label "{a,b,c}", and the unseen
+    leaves "x" and "y", in the QI column w. The training labels hold the
+    positive class "p", and also "n" unless the draw says otherwise."""
+    cells = st.tuples(
+        st.sampled_from(["a", "b", "*", "{a,b,c}", "{a,b}", "x", "y"]),
+        st.sampled_from(["1", "1.0", "01", "2", "?"]),
+        st.sampled_from(["p", "n"]),
+    )
+    pool = draw(st.lists(cells, min_size=1, max_size=6))
+    tables = []
+    for size in (draw(st.integers(2, 30)), draw(st.integers(1, 30))):
+        rows = draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size))
+        tables.append([list(column) for column in zip(*rows)])
+    tables[0][2][0] = "p"
+    if draw(st.booleans()):
+        tables[0][2][1] = "n"
+    return tuple(make_table(w=w, h=h, y=y) for w, h, y in tables)
+
+
 class TestTrainClassifier:
     def test_separable_data_reaches_training_accuracy_one(self):
         rng = np.random.default_rng(0)
@@ -267,31 +291,82 @@ class TestTrainClassifier:
         assert (model.predict(x)[clear] == reference.predict(x)[clear]).all()
 
     @pytest.mark.parametrize("k", [10, 200])
-    def test_fit_on_distinct_pairs_matches_on_the_adult_fixture(self, adult_models, k):
-        (model, reference), test = adult_models[k]
+    def test_fit_on_distinct_pairs_matches_on_the_adult_fixture(self, adult_encodings, k):
+        (train_fm, _), (every_row, test) = adult_encodings[k]
+        model = train_classifier(train_fm)
+        reference = oracles.reference_train_classifier(every_row)
         assert np.abs(model.weights - reference.weights).max() <= 1e-10
         assert abs(model.bias - reference.bias) <= 1e-10
         assert (model.predict(test.data) == reference.predict(test.data)).all()
 
 
 @pytest.fixture(scope="module")
-def adult_models(adult_paths):
-    """Per k in {10, 200}: the fitted and the reference model of the Adult
-    fixture's anonymized training table, with the encoded test rows."""
+def adult_encodings(adult_paths):
+    """Per k in {10, 200}: the Adult fixture's anonymized training table and
+    its test table, as (train, test) matrices from ``encode`` and from the
+    every-row ``reference_encode``."""
     train = load_csv(adult_paths["train"])
     test = load_csv(adult_paths["test"])
     spec = QiSpec(list(datagen.QI), datagen.SA)
     vghs = generate_vghs(train, spec.qi, WordVectorProvider(adult_paths["vectors"]), WARD, seed=42)
     sweep = [PrivacyParams(k=k, l=2, sup_limit=0.5) for k in (10, 200)]
-    models = {}
+    encodings = {}
     for params, result in zip(sweep, search(train, spec, vghs, sweep)):
         leaves = infer_leaves([result.table, test], spec.qi)
-        train_fm, test_fm = encode(
+        args = (
             result.table, test, spec.qi, DEFAULT_NUMERIC_FEATURES, leaves, spec.sa, datagen.POSITIVE
         )
-        fits = (train_classifier(train_fm), oracles.reference_train_classifier(train_fm))
-        models[params.k] = fits, test_fm
-    return models
+        encodings[params.k] = encode(*args), oracles.reference_encode(*args)
+    return encodings
+
+
+def _expanded(fm, model=None):
+    """The matrix's (row bytes, label, prediction) triples, each counted as
+    often as the table rows it stands for; prediction 0 without a model."""
+    predictions = model.predict(fm.data) if model else np.zeros(len(fm.labels), dtype=int)
+    triples = Counter()
+    for row, label, prediction, count in zip(fm.data, fm.labels, predictions, fm.counts):
+        triples[bytes(row), int(label), int(prediction)] += int(count)
+    return triples
+
+
+def _assert_same_fit(model, reference):
+    assert model.weights.tobytes() == reference.weights.tobytes()
+    assert np.float64(model.bias).tobytes() == np.float64(reference.bias).tobytes()
+    assert model.constant_label == reference.constant_label
+
+
+class TestDistinctRows:
+    @pytest.mark.parametrize("k", [10, 200])
+    def test_matches_the_every_row_encoding_on_the_adult_fixture(self, adult_encodings, k):
+        (train_fm, test_fm), (every_train, every_test) = adult_encodings[k]
+        assert len(train_fm.labels) < len(every_train.labels)
+        model, reference = train_classifier(train_fm), train_classifier(every_train)
+        _assert_same_fit(model, reference)
+        assert _expanded(test_fm, model) == _expanded(every_test, reference)
+        positive = datagen.POSITIVE
+        assert evaluate(model, test_fm, positive) == evaluate(reference, every_test, positive)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(tables=_alike_tables())
+    def test_matches_the_every_row_encoding_on_cells_that_encode_alike(self, tables):
+        train, test = tables
+        args = (train, test, ["w"], ["h"], LEAVES, "y", "p")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # unseen leaves, a single class
+            encoded, every_row = encode(*args), oracles.reference_encode(*args)
+            fits = [train_classifier(train_fm) for train_fm, _ in (encoded, every_row)]
+        for fm, table, reference in zip(encoded, tables, every_row):
+            assert int(fm.counts.sum()) == table.row_count
+            assert _expanded(fm) == _expanded(reference)
+        _assert_same_fit(*fits)
+
+    @pytest.mark.parametrize(
+        "counts", [[1], [1, 1, 1], [1, 0], [2, -1]], ids=["short", "long", "zero", "negative"]
+    )
+    def test_feature_matrix_refuses_bad_counts(self, counts):
+        with pytest.raises(InputError, match="counts"):
+            FeatureMatrix(["f"], np.zeros((2, 1)), np.array([0, 1]), np.array(counts))
 
 
 class TestEvaluate:
