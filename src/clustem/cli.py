@@ -359,7 +359,9 @@ def _cmd_evaluate(args) -> int:
     elif args.numeric_features is not None:
         numeric = _parse_names(args.numeric_features)
     else:
-        numeric = [n for n in efficacy.DEFAULT_NUMERIC_FEATURES if train.has_column(n)]
+        numeric = [
+            n for n in efficacy.DEFAULT_NUMERIC_FEATURES if train.has_column(n) and n != args.sa
+        ]
     leaves = efficacy.infer_leaves([train, test], spec.qi)
     train_fm, test_fm = efficacy.encode(
         train, test, spec.qi, numeric, leaves, args.sa, args.positive_class

@@ -184,6 +184,8 @@ def encode(
     matrix holds one data row per distinct combination of QI, numeric and
     label cells, in order of first appearance, with ``counts`` the number of
     table rows it stands for. The statistics are taken over every row."""
+    if label_column in numeric_features:
+        raise InputError(f"label column {label_column!r} cannot also be a numeric feature")
     observed = set(train.column(label_column).coding[1] + test.column(label_column).coding[1])
     if len(observed) > 2:
         raise InputError(

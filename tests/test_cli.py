@@ -1023,6 +1023,47 @@ class TestEvaluate:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_label_named_as_a_numeric_feature_is_an_input_error(self, tmp_path, capsys):
+        # Fed to the classifier, the label column would predict itself.
+        data = tmp_path / "data.csv"
+        data.write_text("w,y\na,0\na,1\nb,0\nb,1\nb,1\n", encoding="utf-8")
+        before = tree(tmp_path)
+        code = main(
+            [
+                "evaluate",
+                "--train", str(data),
+                "--test", str(data),
+                "--qi", "w",
+                "--sa", "y",
+                "--positive-class", "1",
+                "--numeric-features", "y",
+                "--out", str(tmp_path / "out" / "eval.json"),
+            ]
+        )
+        assert code == 2
+        assert "label column 'y' cannot also be a numeric feature" in capsys.readouterr().err
+        assert tree(tmp_path) == before
+
+    def test_default_numeric_features_leave_out_the_label(self, tmp_path):
+        data = tmp_path / "data.csv"
+        data.write_text("w,capital-loss\na,0\na,1\nb,0\nb,1\nb,1\n", encoding="utf-8")
+        out = tmp_path / "eval.json"
+        code = main(
+            [
+                "evaluate",
+                "--train", str(data),
+                "--test", str(data),
+                "--qi", "w",
+                "--sa", "capital-loss",
+                "--positive-class", "1",
+                "--out", str(out),
+            ]
+        )
+        assert code == 0
+        report = json.loads(out.read_text())
+        assert report["meta"]["features"] == []
+        assert report["efficacy"]["accuracy"] == 0.6
+
     def test_positive_class_no_label_holds_is_an_input_error(self, small_inputs, capsys):
         # The labels are "<=50K" and ">50K"; the class differs in case only.
         out = small_inputs["dir"] / "eval_positive.json"
