@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import faulthandler
+import os
 from collections import Counter
 from pathlib import Path
 
@@ -9,6 +11,34 @@ import _datagen as datagen
 from _loopback import EmbeddingsApi
 from clustem import tabular
 from clustem.tabular import Column, Table
+
+
+# The slowest test takes about 5 s; one that runs this long has hung.
+HANG_SECONDS = 120
+_STDERR = pytest.StashKey[int]()
+
+
+def pytest_configure(config):
+    # A copy of the run's stderr: inside a test, output to file descriptor 2
+    # is captured, and a dump written there is lost when the guard ends the run.
+    config.stash[_STDERR] = os.dup(2)
+
+
+def pytest_unconfigure(config):
+    os.close(config.stash[_STDERR])
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_protocol(item):
+    """End the run, printing every thread's stack to stderr, if a test runs
+    past HANG_SECONDS, so that a hang fails instead of stalling the suite. The
+    time includes the set-up of the module and session fixtures the test is
+    the first to use, which an autouse fixture would not cover."""
+    faulthandler.dump_traceback_later(HANG_SECONDS, exit=True, file=item.config.stash[_STDERR])
+    try:
+        yield
+    finally:
+        faulthandler.cancel_dump_traceback_later()
 
 
 @pytest.fixture(scope="session")
