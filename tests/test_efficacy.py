@@ -353,7 +353,7 @@ class TestDistinctRows:
         train, test = tables
         args = (train, test, ["w"], ["h"], LEAVES, "y", "p")
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # unseen leaves, a single class
+            warnings.simplefilter("ignore")  # a training set of a single class
             encoded, every_row = encode(*args), oracles.reference_encode(*args)
             fits = [train_classifier(train_fm) for train_fm, _ in (encoded, every_row)]
         for fm, table, reference in zip(encoded, tables, every_row):

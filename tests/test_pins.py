@@ -149,7 +149,8 @@ def observe(root: Path) -> dict:
     for k in ks:
         code = main(
             ["evaluate", "--train", str(root / method / f"k{k}" / "anonymized.csv")]
-            + ["--test", str(test), "--qi", qi, "--sa", datagen.SA, "--out", str(root / "eval.json")]
+            + ["--test", str(test), "--qi", qi, "--sa", datagen.SA]
+            + ["--out", str(root / "eval.json")]
             + ["--k", str(k), "--l", "2", "--sup-limit", "0.5", "--seed", "42"]
         )
         assert code == 0
