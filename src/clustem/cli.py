@@ -362,10 +362,7 @@ def _cmd_evaluate(args) -> int:
         numeric = [
             n for n in efficacy.DEFAULT_NUMERIC_FEATURES if train.has_column(n) and n != args.sa
         ]
-    leaves = efficacy.infer_leaves([train, test], spec.qi)
-    train_fm, test_fm = efficacy.encode(
-        train, test, spec.qi, numeric, leaves, args.sa, args.positive_class
-    )
+    train_fm, test_fm = efficacy.encode(train, test, spec.qi, numeric, args.sa, args.positive_class)
     model = efficacy.train_classifier(train_fm)
     efficacy_report = efficacy.evaluate(model, test_fm, args.positive_class)
 

@@ -1,13 +1,14 @@
 """Downstream classification check on (generalized) tables.
 
-Nominal QI cells are multi-hot encoded against the hierarchy leaves: a plain
-leaf sets its own bit, a "{a,b}" set label sets every member's bit, and "*"
-sets the whole attribute block; ``vgh.label_leaves`` reads which leaves a
-label names. Numeric features are standardized with training statistics only.
-Their cells must be finite numbers or the missing marker "?"; any other cell
-(text, "nan", "inf", "1e999") is an input error (exit 2), and so is a feature
-whose training mean or standard deviation overflows, or a test cell that
-overflows when standardized. The positive class must be one of the labels.
+Nominal QI cells are multi-hot encoded against the leaves that the cells of
+either table name (``infer_leaves``): a plain leaf sets its own bit, a "{a,b}"
+set label sets every member's bit, and "*" sets the whole attribute block;
+``vgh.label_leaves`` reads which leaves a label names. Numeric features are
+standardized with training statistics only. Their cells must be finite numbers
+or the missing marker "?"; any other cell (text, "nan", "inf", "1e999") is an
+input error (exit 2), and so is a feature whose training mean or standard
+deviation overflows, a test cell that overflows when standardized, or the
+label column as a feature. The positive class must be one of the labels.
 A generalized table repeats its rows, so ``encode`` builds features for its
 distinct rows only (distinct in their QI, numeric and label cells), and each
 ``FeatureMatrix`` row carries in ``counts`` how many table rows it stands
@@ -20,7 +21,6 @@ the same model and the same scores.
 
 from __future__ import annotations
 
-import logging
 import math
 import warnings
 from dataclasses import asdict, dataclass
@@ -31,8 +31,6 @@ import numpy as np
 from .errors import InputError
 from .tabular import MISSING, SUPPRESSED, Table, code_column, fold
 from .vgh import label_leaves
-
-logger = logging.getLogger(__name__)
 
 L2_STRENGTH = 1e-4
 # A Newton step is halved while it raises the objective, but not below a
@@ -124,17 +122,11 @@ def _multi_hot(
         leaf_index = {leaf: i for i, leaf in enumerate(leaves[attr])}
         codes, distinct = table.column(attr).coding
         encoded = np.zeros((len(distinct), len(leaf_index)))
-        unseen: set[str] = set()
         for i, cell in enumerate(distinct):
             if cell == SUPPRESSED:
                 encoded[i] = 1.0
-                continue
-            for leaf in [cell] if cell in leaf_index else label_leaves(cell):
-                if leaf in leaf_index:
-                    encoded[i, leaf_index[leaf]] = 1.0
-                elif leaf not in unseen:
-                    unseen.add(leaf)
-                    logger.warning("unseen leaf %r in %r for %r encoded as zero", leaf, cell, attr)
+            else:
+                encoded[i, [leaf_index[leaf] for leaf in label_leaves(cell)]] = 1.0
         blocks.append(encoded[codes[rows]])
     return np.hstack(blocks) if blocks else np.zeros((len(rows), 0))
 
@@ -174,18 +166,18 @@ def encode(
     test: Table,
     qi: Sequence[str],
     numeric_features: Sequence[str],
-    leaves: Mapping[str, Sequence[str]],
     label_column: str,
     positive_class: str,
 ) -> tuple[FeatureMatrix, FeatureMatrix]:
-    """Encode train and test with one shared feature layout: multi-hot blocks
-    in QI order (leaves lexicographic), then numerics standardized to the
-    training mean and variance (missing numerics land on the mean). Each
-    matrix holds one data row per distinct combination of QI, numeric and
-    label cells, in order of first appearance, with ``counts`` the number of
-    table rows it stands for. The statistics are taken over every row."""
-    if label_column in numeric_features:
-        raise InputError(f"label column {label_column!r} cannot also be a numeric feature")
+    """Encode train and test with one shared layout: multi-hot blocks in QI
+    order over the sorted leaves that either table names, then numerics
+    standardized to the training mean and variance (missing ones land on the
+    mean). Each matrix holds one data row per distinct combination of QI,
+    numeric and label cells, in order of first appearance, with ``counts`` the
+    number of table rows it stands for. The statistics span every row."""
+    for kind, features in (("QI", qi), ("numeric", numeric_features)):
+        if label_column in features:
+            raise InputError(f"label column {label_column!r} cannot also be a {kind} feature")
     observed = set(train.column(label_column).coding[1] + test.column(label_column).coding[1])
     if len(observed) > 2:
         raise InputError(
@@ -196,8 +188,8 @@ def encode(
             f"label column {label_column!r} holds no positive class {positive_class!r}, "
             f"found {sorted(observed)}"
         )
-    sorted_leaves = {attr: sorted(leaves[attr]) for attr in qi}
-    names = [f"{attr}={leaf}" for attr in qi for leaf in sorted_leaves[attr]]
+    leaves = infer_leaves([train, test], qi)
+    names = [f"{attr}={leaf}" for attr in qi for leaf in leaves[attr]]
     names += numeric_features
     train_numeric = _numeric_matrix(train, numeric_features, "training")
     test_numeric = _numeric_matrix(test, numeric_features, "test")
@@ -230,7 +222,7 @@ def encode(
     out = []
     for table, numeric in ((train, train_numeric), (test, test_numeric)):
         rows, counts = _distinct_rows(table, [*qi, *numeric_features, label_column])
-        data = np.hstack([_multi_hot(table, qi, sorted_leaves, rows), numeric[rows]])
+        data = np.hstack([_multi_hot(table, qi, leaves, rows), numeric[rows]])
         labels = _labels(table, label_column, positive_class)[rows]
         out.append(FeatureMatrix(names, data, labels, counts))
     return out[0], out[1]

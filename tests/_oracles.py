@@ -626,10 +626,11 @@ def reference_encode(
     positive_class: str,
 ) -> tuple[FeatureMatrix, FeatureMatrix]:
     """The former ``efficacy.encode``: one feature row per table row, repeated
-    rows included. Encode train and test with one shared feature layout:
-    multi-hot blocks in QI order (leaves lexicographic), then numerics
-    standardized to the training mean and variance (missing numerics land on
-    the mean)."""
+    rows included, over the leaf vocabulary that the caller passes (today's
+    ``encode`` takes ``infer_leaves`` of the two tables). Encode train and
+    test with one shared feature layout: multi-hot blocks in QI order (leaves
+    lexicographic), then numerics standardized to the training mean and
+    variance (missing numerics land on the mean)."""
     observed = set(train.column(label_column).coding[1] + test.column(label_column).coding[1])
     if len(observed) > 2:
         raise InputError(

@@ -144,11 +144,10 @@ def test_criterion_5_efficacy_declines_gently_then_further(adult, adult_runs):
     with criterion(5, "accuracy at k=10 near baseline, not recovered at k=200"):
         spec, test = adult["spec"], adult["test"]
         numeric = [n for n in efficacy.DEFAULT_NUMERIC_FEATURES if test.has_column(n)]
-        leaves = {attr: vgh.leaves for attr, vgh in adult["vghs"].items()}
 
         def accuracy_of(train_table):
             train_fm, test_fm = efficacy.encode(
-                train_table, test, spec.qi, numeric, leaves, spec.sa, datagen.POSITIVE
+                train_table, test, spec.qi, numeric, spec.sa, datagen.POSITIVE
             )
             model = efficacy.train_classifier(train_fm)
             return efficacy.evaluate(model, test_fm, datagen.POSITIVE).accuracy

@@ -5,7 +5,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _datagen as datagen
@@ -29,8 +29,6 @@ from clustem.tabular import QiSpec, load_csv
 from clustem.vgh import WARD
 from conftest import make_table
 
-LEAVES = {"w": ["a", "b", "c"]}
-
 
 def tiny(cells, labels):
     return make_table(w=cells, y=labels)
@@ -39,57 +37,79 @@ def tiny(cells, labels):
 class TestEncode:
     def test_plain_leaf_sets_one_bit(self):
         train = tiny(["a"], ["pos"])
-        fm, _ = encode(train, train, ["w"], [], LEAVES, "y", "pos")
+        fm, _ = encode(train, tiny(["{b,c}"], ["pos"]), ["w"], [], "y", "pos")
         assert fm.feature_names[:3] == ["w=a", "w=b", "w=c"]
         assert fm.data[0].tolist() == [1.0, 0.0, 0.0]
         assert fm.labels.tolist() == [1]
 
     def test_star_sets_every_bit_of_the_attribute(self):
         train = tiny(["*"], ["pos"])
-        fm, _ = encode(train, train, ["w"], [], LEAVES, "y", "pos")
+        fm, _ = encode(train, tiny(["{a,b,c}"], ["pos"]), ["w"], [], "y", "pos")
         assert fm.data[0].tolist() == [1.0, 1.0, 1.0]
 
     def test_set_label_sets_member_bits(self):
         train = tiny(["{a,b}"], ["pos"])
-        fm, _ = encode(train, train, ["w"], [], LEAVES, "y", "pos")
+        fm, _ = encode(train, tiny(["c"], ["pos"]), ["w"], [], "y", "pos")
         assert fm.data[0].tolist() == [1.0, 1.0, 0.0]
 
-    def test_unseen_leaf_encodes_to_zero_bits_and_logs(self, caplog):
-        train = tiny(["a"], ["pos"])
+    def test_leaf_named_only_by_the_test_table_gets_its_own_column(self):
+        train = tiny(["a", "{a,b}"], ["pos", "neg"])
         test = tiny(["mystery"], ["neg"])
-        with caplog.at_level("WARNING"):
-            _, test_fm = encode(train, test, ["w"], [], LEAVES, "y", "pos")
-        assert test_fm.data[0].tolist() == [0.0, 0.0, 0.0]
-        assert "mystery" in caplog.text
+        train_fm, test_fm = encode(train, test, ["w"], [], "y", "pos")
+        assert train_fm.feature_names == ["w=a", "w=b", "w=mystery"]
+        assert train_fm.data[:, 2].tolist() == [0.0, 0.0]
+        assert test_fm.data[0].tolist() == [0.0, 0.0, 1.0]
+
+    @pytest.mark.parametrize(
+        "qi, numeric, kind", [(["w", "y"], [], "QI"), (["w"], ["y"], "numeric")]
+    )
+    def test_label_column_cannot_be_a_feature(self, qi, numeric, kind):
+        train = make_table(w=["a", "b"], y=["1", "0"])
+        message = f"label column 'y' cannot also be a {kind} feature"
+        with pytest.raises(InputError, match=message):
+            encode(train, train, qi, numeric, "y", "1")
 
     def test_width_identical_for_train_and_test(self):
         train = tiny(["a", "b"], ["pos", "neg"])
         test = tiny(["{a,c}"], ["pos"])
-        train_fm, test_fm = encode(train, test, ["w"], [], LEAVES, "y", "pos")
+        train_fm, test_fm = encode(train, test, ["w"], [], "y", "pos")
         assert train_fm.data.shape[1] == test_fm.data.shape[1]
         assert train_fm.feature_names == test_fm.feature_names
 
     def test_numeric_standardization_uses_train_stats_only(self):
         train = make_table(w=["a", "a"], h=["0", "2"], y=["p", "n"])
         test = make_table(w=["a"], h=["1"], y=["p"])
-        train_fm, test_fm = encode(train, test, ["w"], ["h"], LEAVES, "y", "p")
+        train_fm, test_fm = encode(train, test, ["w"], ["h"], "y", "p")
         assert train_fm.data[:, -1].tolist() == [-1.0, 1.0]
         # 1 is the train mean, so it must standardize to exactly 0.
         assert test_fm.data[0, -1] == 0.0
 
+    def test_numeric_features_without_qi(self):
+        train = make_table(h=["0", "2"], y=["p", "n"])
+        fm, _ = encode(train, train, [], ["h"], "y", "p")
+        assert fm.feature_names == ["h"]
+        assert fm.data.tolist() == [[-1.0], [1.0]]
+
     def test_missing_numeric_lands_on_the_mean(self):
         train = make_table(w=["a", "a", "a"], h=["0", "2", "?"], y=["p", "n", "p"])
-        fm, _ = encode(train, train, ["w"], ["h"], LEAVES, "y", "p")
+        fm, _ = encode(train, train, ["w"], ["h"], "y", "p")
         assert fm.data[2, -1] == 0.0
+
+    @pytest.mark.parametrize("cells", [[], ["?", "?"]], ids=["no-rows", "all-missing"])
+    def test_numeric_without_training_values_has_mean_0_and_spread_1(self, cells):
+        train = make_table(w=["a"] * len(cells), h=cells, y=["p"] * len(cells))
+        test = make_table(w=["a", "a"], h=["?", "2"], y=["p", "n"])
+        _, test_fm = encode(train, test, ["w"], ["h"], "y", "p")
+        assert test_fm.data[:, -1].tolist() == [0.0, 2.0]
 
     @pytest.mark.parametrize("cell", ["foo", "nan", "inf", "1e999"])
     def test_numeric_cell_must_be_finite_or_missing(self, cell):
         train = make_table(w=["a", "a", "a"], h=["0", cell, "2"], y=["p", "n", "p"])
         good = make_table(w=["a"], h=["1"], y=["p"])
         with pytest.raises(InputError, match=f"training set, .*'h', data row 2: '{cell}'"):
-            encode(train, good, ["w"], ["h"], LEAVES, "y", "p")
+            encode(train, good, ["w"], ["h"], "y", "p")
         with pytest.raises(InputError, match=f"test set, .*'h', data row 2: '{cell}'"):
-            encode(good, train, ["w"], ["h"], LEAVES, "y", "p")
+            encode(good, train, ["w"], ["h"], "y", "p")
 
     def test_repeated_bad_cell_is_reported_at_its_first_row(self):
         # Each distinct cell is parsed once; the message still names the
@@ -100,19 +120,20 @@ class TestEncode:
             w=["a"] * 6, h=["1", "1", "?", "x", "y", "x"], y=["p", "n", "p", "n", "p", "n"]
         )
         with pytest.raises(InputError, match="'h', data row 4: 'x'"):
-            encode(train, train, ["w"], ["h"], LEAVES, "y", "p")
+            encode(train, train, ["w"], ["h"], "y", "p")
 
     def test_non_binary_label_rejected(self):
-        train = tiny(["a", "b", "c"], ["p", "n", "maybe"])
-        with pytest.raises(InputError, match="binary"):
-            encode(train, train, ["w"], [], LEAVES, "y", "p")
+        # The message lists the first four labels in sorted order.
+        train = tiny(["a", "b", "c", "a", "b"], ["p", "n", "maybe", "q", "r"])
+        with pytest.raises(InputError, match=r"binary, found \['maybe', 'n', 'p', 'q'\]$"):
+            encode(train, train, ["w"], [], "y", "p")
 
     def test_positive_class_no_label_holds_rejected(self):
         train = tiny(["a", "b"], ["p", "n"])
         test = tiny(["c"], ["n"])
         message = r"'y' holds no positive class 'P', found \['n', 'p'\]"
         with pytest.raises(InputError, match=message):
-            encode(train, test, ["w"], [], LEAVES, "y", "P")
+            encode(train, test, ["w"], [], "y", "P")
 
     @pytest.mark.parametrize(
         "cells, stat",
@@ -123,7 +144,7 @@ class TestEncode:
         train = make_table(w=["a"] * 20, h=cells * 10, y=["p", "n"] * 10)
         good = make_table(w=["a"], h=["1"], y=["p"])
         with pytest.raises(InputError, match=f"training set, .*'h': the {stat} "):
-            encode(train, good, ["w"], ["h"], LEAVES, "y", "p")
+            encode(train, good, ["w"], ["h"], "y", "p")
 
     def test_test_cell_that_overflows_when_standardized_is_rejected(self):
         # h has training mean 0.5 and spread 0.5, so 1.7e308 standardizes past
@@ -134,7 +155,7 @@ class TestEncode:
         )
         message = "test set, numeric feature 'h', data row 2: '1.7e308' overflows a float"
         with pytest.raises(InputError, match=message):
-            encode(train, test, ["w"], ["g", "h"], LEAVES, "y", "p")
+            encode(train, test, ["w"], ["g", "h"], "y", "p")
 
 
 class TestInferLeaves:
@@ -197,11 +218,12 @@ def _repeated_designs(draw):
 
 @st.composite
 def _alike_tables(draw):
-    """A train and a test table over ``LEAVES`` drawn from a few distinct rows,
-    so rows repeat, whose cells encode alike: "1", "1.0" and "01" in the
-    numeric column h, "*" and the full set label "{a,b,c}", and the unseen
-    leaves "x" and "y", in the QI column w. The training labels hold the
-    positive class "p", and also "n" unless the draw says otherwise."""
+    """A train and a test table drawn from a few distinct rows, so rows
+    repeat, whose cells encode alike: "1", "1.0" and "01" in the numeric
+    column h, and "*" and the set label "{a,b,c}" in the QI column w, which
+    also holds the leaves "x" and "y" that no set label names. Either table
+    alone may name a leaf. The training labels hold the positive class "p",
+    and also "n" unless the draw says otherwise."""
     cells = st.tuples(
         st.sampled_from(["a", "b", "*", "{a,b,c}", "{a,b}", "x", "y"]),
         st.sampled_from(["1", "1.0", "01", "2", "?"]),
@@ -250,6 +272,16 @@ class TestTrainClassifier:
         rises = [later - value for value, later in zip(values, values[1:])]
         assert max(rises) <= TOLERANCE * values[-1]
 
+    def test_fit_stops_once_the_decrement_stops_falling(self, monkeypatch):
+        # One row per label and no features: the first step lands on bias 0,
+        # where every later decrement is 0, so the next step ends the fit.
+        calls = []
+        sigmoid = efficacy._sigmoid
+        monkeypatch.setattr(efficacy, "_sigmoid", lambda z: calls.append(z) or sigmoid(z))
+        model = train_classifier(FeatureMatrix([], np.zeros((2, 0)), np.array([0, 1])))
+        assert model.bias == 0.0
+        assert len(calls) <= 3 * 3  # three calls per Newton step
+
     def test_constant_labels_warn_and_predict_the_constant(self):
         fm = FeatureMatrix(["f"], np.zeros((4, 1)), np.ones(4, dtype=int))
         with pytest.warns(UserWarning, match="single class"):
@@ -268,6 +300,15 @@ class TestTrainClassifier:
 
     @settings(max_examples=200, deadline=None)
     @given(design=_designs())
+    # Three copies of one column on a scale of 1000: the Hessian's diagonal
+    # must be raised, since lowering it by DIAGONAL_LIFT leaves a
+    # negative eigenvalue and the steps diverge.
+    @example(
+        design=(
+            np.array([[-1.5], [-3.0], [0.5], [2.5]]).repeat(3, 1) * 1e3,
+            np.array([0, 1, 0, 1]),
+        )
+    )
     def test_converges_on_degenerate_designs(self, design):
         x, y = design
         fm = FeatureMatrix([f"f{i}" for i in range(x.shape[1])], x, y)
@@ -313,10 +354,9 @@ def adult_encodings(adult_paths):
     encodings = {}
     for params, result in zip(sweep, search(train, spec, vghs, sweep)):
         leaves = infer_leaves([result.table, test], spec.qi)
-        args = (
-            result.table, test, spec.qi, DEFAULT_NUMERIC_FEATURES, leaves, spec.sa, datagen.POSITIVE
-        )
-        encodings[params.k] = encode(*args), oracles.reference_encode(*args)
+        args = (result.table, test, spec.qi, DEFAULT_NUMERIC_FEATURES)
+        label = (spec.sa, datagen.POSITIVE)
+        encodings[params.k] = encode(*args, *label), oracles.reference_encode(*args, leaves, *label)
     return encodings
 
 
@@ -351,10 +391,11 @@ class TestDistinctRows:
     @given(tables=_alike_tables())
     def test_matches_the_every_row_encoding_on_cells_that_encode_alike(self, tables):
         train, test = tables
-        args = (train, test, ["w"], ["h"], LEAVES, "y", "p")
+        leaves = infer_leaves(tables, ["w"])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # a training set of a single class
-            encoded, every_row = encode(*args), oracles.reference_encode(*args)
+            encoded = encode(train, test, ["w"], ["h"], "y", "p")
+            every_row = oracles.reference_encode(train, test, ["w"], ["h"], leaves, "y", "p")
             fits = [train_classifier(train_fm) for train_fm, _ in (encoded, every_row)]
         for fm, table, reference in zip(encoded, tables, every_row):
             assert int(fm.counts.sum()) == table.row_count
@@ -370,6 +411,10 @@ class TestDistinctRows:
 
 
 class TestEvaluate:
+    def test_zero_margin_predicts_the_positive_class(self):
+        model = LogisticModel(np.array([1.0]), -1.0)
+        assert model.predict(np.array([[1.0], [0.5], [2.0]])).tolist() == [1, 0, 1]
+
     def test_perfect_predictions(self):
         fm = FeatureMatrix(["f"], np.array([[-1.0], [1.0]]), np.array([0, 1]))
         model = LogisticModel(np.array([5.0]), 0.0)

@@ -39,6 +39,8 @@ def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
     vectors = {tuple(v) for v in embeddings.values()}
     assert len(vectors) == len(embeddings) > 1
     assert str(result.node) in capsys.readouterr().out
+    scores = namespace["scores"]
+    assert 0.0 <= scores.f1 <= 1.0 and 0.5 <= scores.accuracy <= 1.0
 
 
 def test_readme_commands_and_config_parse(tmp_path):

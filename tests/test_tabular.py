@@ -74,7 +74,7 @@ class TestLoadCsv:
         # encoded as a numeric feature; the missing row lands on the mean.
         table = load_csv(_write(tmp_path / "t.csv", "x,w,y\n1,a,p\n?,a,n\n3,a,p\n"))
         assert table.column("x").values == ["1", "?", "3"]
-        fm, _ = encode(table, table, ["w"], ["x"], {"w": ["a"]}, "y", "p")
+        fm, _ = encode(table, table, ["w"], ["x"], "y", "p")
         assert fm.data[:, -1].tolist() == [-1.0, 0.0, 1.0]
 
     def test_ragged_row_reports_line(self, tmp_path):
@@ -297,7 +297,7 @@ class TestInvariants:
         # with an input error naming the column, the data row and the cell.
         table = load_csv(_write(tmp_path / "t.csv", "x,w,y\n1,a,p\nfoo,a,n\n"))
         with pytest.raises(InputError, match="'x', data row 2: 'foo'"):
-            encode(table, table, ["w"], ["x"], {"w": ["a"]}, "y", "p")
+            encode(table, table, ["w"], ["x"], "y", "p")
 
     def test_table_rejects_ragged_columns(self):
         with pytest.raises(InputError):

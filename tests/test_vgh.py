@@ -172,7 +172,7 @@ class TestHierarchyFiles:
         # Level 1 groups a/b, level 2 splits them again.
         path = tmp_path / "bad.csv"
         path.write_text("a;g;u;*\nb;g;v;*\n", encoding="utf-8")
-        with pytest.raises(InputError, match="splits"):
+        with pytest.raises(InputError, match=r"level 2 splits a level-1 block \('g'\)$"):
             read_hierarchy(str(path))
 
     def test_top_level_must_be_star(self, tmp_path):
