@@ -31,10 +31,10 @@ lattice groups rows by those codes: a hierarchy level becomes a lookup from
 value code to label code. Every grouping is one ``tabular.fold``, which packs
 code columns into one mixed-radix int64 key per row and numbers the keys,
 through a presence table when their range is small. Rows become combinations
-of QI value codes by one fold per sweep, and ``np.unique`` of the combination
-ids gives each combination's first row. A check's groups, and their distinct
-pairs with the sensitive value, need no first rows, and each distinct pair
-key names its group.
+of QI value codes once per sweep, by ``tabular.distinct_rows``, which also
+gives each combination's first row and row count. A check's groups, and their
+distinct pairs with the sensitive value, need no first rows, and each
+distinct pair key names its group.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ import numpy as np
 
 from . import embed
 from .errors import InputError
-from .tabular import SUPPRESSED, Column, QiSpec, Table, code_column, fold
+from .tabular import SUPPRESSED, Column, QiSpec, Table, code_column, distinct_rows, fold
 from .vgh import Vgh, build_vgh, check_values
 
 MAX_LATTICE_NODES = 10_000_000
@@ -117,12 +117,13 @@ def _vgh_for(vghs: Mapping[str, Vgh], attribute: str) -> Vgh:
 class _CodedLattice:
     """Row data coded once through the hierarchies.
 
-    Rows are collapsed to distinct combinations of their QI value codes
-    (``Column.coding``) with multiplicities; each (attribute, level) gets a
-    lookup table from value code to label code, over the labels some row
-    holds, so grouping at a node is one ``fold`` of the combinations' label
-    codes, and the generalized table is one label lookup per cell. An empty
-    table has no combinations and no groups, and passes every check.
+    ``distinct_rows`` collapses rows to distinct combinations of their QI
+    value codes (``Column.coding``) with multiplicities. Each (attribute,
+    level) gets a lookup table from value code to label code, over the labels
+    some row holds, so grouping at a node is one ``fold`` of the
+    combinations' label codes (a combination's number does not matter), and
+    the generalized table is one label lookup per cell. An empty table has
+    no combinations and no groups, and passes every check.
     """
 
     def __init__(self, table: Table, spec: QiSpec, vghs: Mapping[str, Vgh]) -> None:
@@ -131,11 +132,9 @@ class _CodedLattice:
         self.vghs = [_vgh_for(vghs, a) for a in self.qi]
 
         codings = [table.column(attr).coding for attr in self.qi]
-        self.row_combo, _ = fold([codes for codes, _ in codings], [len(d) for _, d in codings])
-        _, first = np.unique(self.row_combo, return_index=True)
+        self.row_combo, first, self.combo_counts = distinct_rows(codings)
         # combos[j][c]: the code of attribute j's value in combination c
         self.combos = [codes[first] for codes, _ in codings]
-        self.combo_counts = np.bincount(self.row_combo, minlength=len(first))
 
         # luts[j][v]: value code -> label code at level v; labels[j][v]: code -> string
         self.luts: list[list[np.ndarray]] = []

@@ -348,12 +348,7 @@ def _cmd_evaluate(args) -> int:
     train = load_csv(args.train)
     test = load_csv(args.test)
     spec = QiSpec(_parse_names(args.qi), args.sa)
-    spec.validate_against(train)
-    spec.validate_against(test)
     params = PrivacyParams(k=args.k, l=args.l, sup_limit=args.sup_limit)
-
-    report = metrics.compute_report(group_ids(train, spec.qi), train.column(args.sa), params)
-
     if args.qi_only:
         numeric = []
     elif args.numeric_features is not None:
@@ -362,6 +357,15 @@ def _cmd_evaluate(args) -> int:
         numeric = [
             n for n in efficacy.DEFAULT_NUMERIC_FEATURES if train.has_column(n) and n != args.sa
         ]
+    for role, path, table in (("training", args.train, train), ("test", args.test, test)):
+        try:
+            spec.validate_against(table)
+            for name in numeric:
+                table.column(name)
+        except InputError as exc:
+            raise InputError(f"{role} set {path}: {exc}") from None
+
+    report = metrics.compute_report(group_ids(train, spec.qi), train.column(args.sa), params)
     train_fm, test_fm = efficacy.encode(train, test, spec.qi, numeric, args.sa, args.positive_class)
     model = efficacy.train_classifier(train_fm)
     efficacy_report = efficacy.evaluate(model, test_fm, args.positive_class)

@@ -29,7 +29,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import InputError
-from .tabular import MISSING, SUPPRESSED, Table, code_column, fold
+from .tabular import MISSING, SUPPRESSED, Table, code_column, distinct_rows, fold
 from .vgh import label_leaves
 
 L2_STRENGTH = 1e-4
@@ -101,16 +101,6 @@ def infer_leaves(tables: Sequence[Table], qi: Sequence[str]) -> dict[str, list[s
 def _labels(table: Table, label_column: str, positive_class: str) -> np.ndarray:
     codes, distinct = table.column(label_column).coding
     return np.array([cell == positive_class for cell in distinct], dtype=int)[codes]
-
-
-def _distinct_rows(table: Table, names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """The first row of each distinct combination of the named columns' cells,
-    in order of first appearance, and how many rows share it."""
-    codings = [table.column(name).coding for name in names]
-    ids, _ = fold([codes for codes, _ in codings], [len(d) for _, d in codings])
-    _, first, counts = np.unique(ids, return_index=True, return_counts=True)
-    order = np.argsort(first)
-    return first[order], counts[order]
 
 
 def _multi_hot(
@@ -221,7 +211,9 @@ def encode(
 
     out = []
     for table, numeric in ((train, train_numeric), (test, test_numeric)):
-        rows, counts = _distinct_rows(table, [*qi, *numeric_features, label_column])
+        _, rows, counts = distinct_rows(
+            [table.column(name).coding for name in [*qi, *numeric_features, label_column]]
+        )
         data = np.hstack([_multi_hot(table, qi, leaves, rows), numeric[rows]])
         labels = _labels(table, label_column, positive_class)[rows]
         out.append(FeatureMatrix(names, data, labels, counts))

@@ -27,10 +27,10 @@ it write the whole file again with every cell quoted.
 
 String columns are grouped through integer codes. ``code_column`` codes a
 column once (``Column.coding`` keeps the result), numbering its distinct
-values in order of first appearance. ``fold`` is the only code that numbers
-rows: it numbers the distinct rows of coded columns in lexicographic order,
-through a presence table when the packed key's range is small and through a
-sort otherwise.
+values in order of first appearance. ``fold`` numbers rows: it numbers the
+distinct rows of coded columns in lexicographic order, through a presence
+table when the packed key's range is small and through a sort otherwise.
+``distinct_rows`` numbers them by first appearance on top of ``fold``.
 """
 
 from __future__ import annotations
@@ -297,6 +297,18 @@ def fold(columns: Sequence[np.ndarray], radices: Sequence[int]) -> tuple[np.ndar
     return slot[key], keys
 
 
+def distinct_rows(codings: Sequence[tuple[np.ndarray, list[str]]]) -> tuple[np.ndarray, ...]:
+    """The distinct rows of coded columns (``Column.coding`` pairs): each
+    row's id, numbered from 0 in order of first appearance, each id's first
+    row (so these ascend) and each id's row count."""
+    ids, _ = fold([codes for codes, _ in codings], [len(d) for _, d in codings])
+    _, first, counts = np.unique(ids, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    renumbered = np.empty(len(order), dtype=np.int64)
+    renumbered[order] = np.arange(len(order))
+    return renumbered[ids], first[order], counts[order]
+
+
 def group_ids(table: Table, qi: Sequence[str]) -> np.ndarray:
     """One int64 id per row, shared by the rows with equal QI cells (ids count
     up from 0 in order of first appearance); -1 on rows whose QI cells are all
@@ -308,10 +320,6 @@ def group_ids(table: Table, qi: Sequence[str]) -> np.ndarray:
     for codes, distinct in codings:
         suppressed &= codes == (distinct.index(SUPPRESSED) if SUPPRESSED in distinct else -1)
     kept = np.flatnonzero(~suppressed)
-    ids, _ = fold([codes[kept] for codes, _ in codings], [len(d) for _, d in codings])
-    _, first = np.unique(ids, return_index=True)
-    first_appearance = np.empty(len(first), dtype=np.int64)
-    first_appearance[np.argsort(first)] = np.arange(len(first))
     out = np.full(table.row_count, -1, dtype=np.int64)
-    out[kept] = first_appearance[ids]
+    out[kept] = distinct_rows([(codes[kept], distinct) for codes, distinct in codings])[0]
     return out

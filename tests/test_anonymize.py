@@ -30,7 +30,16 @@ from clustem.anonymize import (
 )
 from clustem.embed import HttpApiProvider, WordVectorProvider, embed_all
 from clustem.errors import InputError, ProviderError
-from clustem.tabular import DENSE_RANGE_FACTOR, Column, QiSpec, Table, fold, group_ids, load_csv
+from clustem.tabular import (
+    DENSE_RANGE_FACTOR,
+    Column,
+    QiSpec,
+    Table,
+    distinct_rows,
+    fold,
+    group_ids,
+    load_csv,
+)
 from clustem.vgh import METHODS, WARD, Vgh, build_vgh
 from conftest import make_table
 
@@ -245,6 +254,9 @@ class TestFold:
     @given(drawn=code_columns())
     @example(drawn=([np.array([2**31 - 1, 0, 2**31 - 1, 5])] * 3, [2**31] * 3))
     @example(drawn=([np.zeros(0, dtype=np.int64)] * 2, [2**31, 2**31]))
+    # Products of 3 * 2**60, which packs as is, and 7 * 2**60, which renumbers.
+    @example(drawn=([np.array([2**20 - 1, 0, 1])] * 3 + [np.array([2, 0, 1])], [2**20] * 3 + [3]))
+    @example(drawn=([np.array([2**20 - 1, 0, 1])] * 3 + [np.array([6, 0, 1])], [2**20] * 3 + [7]))
     def test_matches_unique_rows(self, drawn):
         columns, radices = drawn
         ids, keys = fold(columns, radices)
@@ -252,6 +264,7 @@ class TestFold:
         distinct, expected_ids = np.unique(stacked, axis=0, return_inverse=True)
         assert ids.tolist() == expected_ids.reshape(-1).tolist()
         assert len(keys) == len(distinct) and (np.diff(keys) > 0).all()
+        assert keys.max(initial=0) < 2**62
         if math.prod(radices) < 2**62:
             assert keys.tolist() == [_mixed_radix(row, radices) for row in distinct.tolist()]
 
@@ -260,6 +273,7 @@ class TestFold:
     @example(drawn=([np.zeros(0, dtype=np.int64)] * 2, [3, 5]))
     @example(drawn=([np.zeros(6, dtype=np.int64), np.arange(6)], [1, 6]))
     @example(drawn=([np.arange(5), np.arange(5)], [5, DENSE_RANGE_FACTOR]))  # at the switch
+    @example(drawn=([np.array([2**31 - 1, 0, 2**31 - 1, 5])] * 3, [2**31] * 3))  # renumbers
     def test_ids_and_pair_counts_match_the_reference_fold(self, drawn):
         # The per-check folds on both sides of the presence-table switch,
         # against the frozen sort-based fold: the same ids, and the same
@@ -268,6 +282,18 @@ class TestFold:
         ids, _ = fold(columns, radices)
         expected_ids, _ = oracles.reference_fold(columns, radices)
         assert ids.tolist() == expected_ids.tolist()
+
+        # distinct_rows against a dict over the row tuples, in first-appearance order.
+        rows = list(zip(*(column.tolist() for column in columns)))
+        number: dict[tuple, int] = {}
+        for row in rows:
+            number.setdefault(row, len(number))
+        got = distinct_rows([(column, range(r)) for column, r in zip(columns, radices)])
+        assert [part.tolist() for part in got] == [
+            [number[row] for row in rows],
+            [rows.index(row) for row in number],
+            [rows.count(row) for row in number],
+        ]
 
         groups, n_last = len(set(ids.tolist())), radices[-1]
         _, pairs = fold([ids, columns[-1]], [groups, n_last])

@@ -1108,6 +1108,44 @@ class TestEvaluate:
         assert "unknown column 'hours'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("missing_from", ["train", "test"])
+    @pytest.mark.parametrize(
+        "column, message",
+        [
+            ("job", "quasi-identifier column 'job' not in table"),
+            ("salary-class", "sensitive attribute 'salary-class' not in table"),
+            ("hours", "unknown column 'hours'"),
+        ],
+        ids=["qi", "sa", "numeric"],
+    )
+    def test_a_column_missing_from_one_table_is_named_with_that_table(
+        self, small_inputs, capsys, missing_from, column, message
+    ):
+        text = Path(small_inputs["csv"]).read_text(encoding="utf-8")
+        rows = [line.split(",") for line in text.splitlines()]
+        drop = rows[0].index(column)
+        lacking = small_inputs["dir"] / f"no-{column}.csv"
+        kept = [",".join(row[:drop] + row[drop + 1 :]) + "\n" for row in rows]
+        lacking.write_text("".join(kept), encoding="utf-8")
+        paths = {"train": small_inputs["csv"], "test": small_inputs["csv"]}
+        paths[missing_from] = str(lacking)
+        out = small_inputs["dir"] / "eval_missing.json"
+        code = main(
+            [
+                "evaluate",
+                "--train", paths["train"],
+                "--test", paths["test"],
+                "--qi", "job,grade",
+                "--sa", "salary-class",
+                "--numeric-features", "hours",
+                "--out", str(out),
+            ]
+        )
+        role = {"train": "training", "test": "test"}[missing_from]
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {role} set {lacking}: {message}\n"
+        assert not out.exists()
+
     def test_evaluates_an_anonymized_output(self, small_inputs):
         code, run_dir = run_anonymize(
             small_inputs, "for_eval", "--k", "2", "--l", "2", "--sup-limit", "0.2"

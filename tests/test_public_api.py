@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import os
 import re
 import shlex
@@ -14,6 +15,7 @@ import clustem
 from clustem import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+SRC = Path(clustem.__file__).resolve().parent
 
 
 def test_every_exported_name_resolves():
@@ -76,3 +78,43 @@ def test_numpy_is_the_only_runtime_dependency():
         "import numpy"
     )
     assert added - set(sys.stdlib_module_names) == {"clustem"}
+
+
+def _leftovers(path: Path) -> list[str]:
+    """The imports that a module never uses, and its module-level ``_`` names
+    (functions, classes, constants) that it never reads. The package
+    ``__init__`` uses what its ``__all__`` lists."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    if path.name == "__init__.py":
+        read |= set(clustem.__all__)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (
+            isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        ):
+            for alias in node.names:
+                bound = alias.asname or alias.name.partition(".")[0]
+                if bound not in read:
+                    found.append(f"{path.name}:{node.lineno}: import {bound!r} is unused")
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.endswith("__") and name not in read:
+                found.append(f"{path.name}:{node.lineno}: {name!r} is never read")
+    return found
+
+
+def test_no_unused_import_or_private_name():
+    found = [fault for path in sorted(SRC.glob("*.py")) for fault in _leftovers(path)]
+    assert found == []

@@ -299,6 +299,10 @@ class TestInvariants:
         with pytest.raises(InputError, match="'x', data row 2: 'foo'"):
             encode(table, table, ["w"], ["x"], "y", "p")
 
+    def test_column_codes_number_values_by_first_appearance(self):
+        codes, distinct = Column("a", ["b", "a", "b", "c", "a"]).coding
+        assert (codes.tolist(), distinct) == ([0, 1, 0, 2, 1], ["b", "a", "c"])
+
     def test_table_rejects_ragged_columns(self):
         with pytest.raises(InputError):
             Table([Column("a", ["x"]), Column("b", ["x", "y"])])
