@@ -2,12 +2,13 @@
 
 Two sources are supported: a word-vector text file (a value embeds as the
 mean of its tokens' vectors; each fetch reads the file once, checks every line
-and converts only the lines of tokens that its values name) and a generic HTTP
-embeddings API over the stdlib's ``urllib.request`` (the whole value string is
-embedded at once). Results can be cached on disk as a JSON object stamped with
-the provider id and the vector dimension, plus a map of value -> array of
-numbers; the cache is written atomically, reproduces provider output bit for
-bit, and is refused when the stamp does not match.
+with one pattern compiled for the file's dimension, which counts the
+components too, and converts only the lines of tokens that its values name)
+and a generic HTTP embeddings API over the stdlib's ``urllib.request`` (the
+whole value string is embedded at once). Results can be cached on disk as a
+JSON object stamped with the provider id and the vector dimension, plus a map
+of value -> array of numbers; the cache is written atomically, reproduces
+provider output bit for bit, and is refused when the stamp does not match.
 """
 
 from __future__ import annotations
@@ -73,9 +74,18 @@ class ProviderConfig:
 # token, so no match ever needs a backtrack, and the states a backtracking
 # quantifier saves cost about half of checking a file.
 _FINITE = r"[+-]?+(?:[0-9]{1,100}+(?:\.[0-9]*+)?+|\.[0-9]++)(?:[eE](?:-[0-9]++|\+?+[0-9]{1,2}+))?+"
-# A token, then components one space apart; their count is checked by counting
-# spaces, as a pattern holding a huge header dimension would not compile.
-_FINITE_LINE = re.compile(rf"(\S++)(?: {_FINITE})++\n?")
+
+
+def _line_pattern(dim: int) -> re.Pattern[str]:
+    """One pattern per file, which counts the components too: a token, then
+    exactly ``dim`` components one space apart, so a line it matches needs no
+    further check. A repeat count from 2**32 - 1 up does not compile; then the
+    pattern matches nothing, and ``_components`` rejects every line that is
+    not blank."""
+    try:
+        return re.compile(rf"(\S++)(?: {_FINITE}){{{dim}}}+\n?")
+    except OverflowError:
+        return re.compile("(?!)")
 
 
 def _components(line: str, dim: int, path: str, lineno: int) -> tuple[str, np.ndarray] | None:
@@ -128,9 +138,9 @@ class WordVectorProvider:
                     raise ProviderError(f"{path}: malformed '<count> <dim>' header") from None
                 if dim < 1:
                     raise ProviderError(f"{path}: dimension must be positive")
+                fullmatch = _line_pattern(dim).fullmatch
                 for lineno, line in enumerate(fh, start=2):
-                    match = _FINITE_LINE.fullmatch(line)
-                    if match and line.count(" ") == dim:
+                    if match := fullmatch(line):
                         token = match[1]
                     elif parsed := _components(line, dim, path, lineno):
                         token = parsed[0]

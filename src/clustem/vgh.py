@@ -5,8 +5,11 @@ generalized label: level 0 is the identity, the top level maps everything to
 "*", and each level's partition coarsens the previous one. Hierarchy files
 use the ";"-separated one-row-per-leaf layout common to lattice anonymizers,
 so generalized set labels use "," inside braces (";" would break the file
-format). This module owns that label grammar: ``get_categories`` writes
-labels, a ``Vgh`` checks them on construction and ``label_leaves`` reads them.
+format). This module owns that label grammar: ``_set_label`` is the one
+writer of set labels, for ``get_categories`` and for ``build_vgh``'s levels,
+a ``Vgh`` checks labels on construction and ``label_leaves`` reads them. Each
+generated level merges exactly two blocks of the level below, so it is built
+from that level by relabelling only its merged block.
 """
 
 from __future__ import annotations
@@ -97,6 +100,11 @@ class Vgh:
                     seen[label] = coarse[leaf]
 
 
+def _set_label(members: Sequence[str]) -> str:
+    """The label of one block, as ``get_categories`` describes it."""
+    return members[0] if len(members) == 1 else "{" + ",".join(sorted(members)) + "}"
+
+
 def get_categories(values: Sequence[str], labels: Sequence[int]) -> dict[str, str]:
     """Label each value by its cluster: singletons keep their raw value, larger
     clusters get "{" + members sorted lexicographically, comma-joined + "}"."""
@@ -107,14 +115,33 @@ def get_categories(values: Sequence[str], labels: Sequence[int]) -> dict[str, st
         members.setdefault(int(label), []).append(value)
     out: dict[str, str] = {}
     for group in members.values():
-        label_str = group[0] if len(group) == 1 else "{" + ",".join(sorted(group)) + "}"
-        for value in group:
-            out[value] = label_str
+        out.update(dict.fromkeys(group, _set_label(group)))
     return out
 
 
+def _merged_levels(values: list[str], partitions: Sequence[Sequence[int]]) -> list[dict[str, str]]:
+    """``get_categories(values, p)`` for each partition p of a merge sequence.
+
+    Each partition joins exactly two blocks of the one before (the first, two
+    singletons) and may number its blocks afresh. A block is named by its first
+    member's index; the later of the two blocks whose members now share an id
+    joins the earlier, and only the joined block is relabelled.
+    """
+    blocks = {i: [value] for i, value in enumerate(values)}
+    level = {value: value for value in values}
+    levels = []
+    for ids in partitions:
+        owner: dict[int, int] = {}
+        moved = next(first for first in blocks if owner.setdefault(ids[first], first) != first)
+        block = blocks[owner[ids[moved]]]
+        block += blocks.pop(moved)
+        level = level | dict.fromkeys(block, _set_label(block))
+        levels.append(level)
+    return levels
+
+
 def label_leaves(label: str) -> list[str]:
-    """The leaves a label names, as ``get_categories`` writes it: the members
+    """The leaves a label names, as ``_set_label`` writes it: the members
     of a "{a,b}" set label (empty members dropped), none for the top label
     "*" (which stands for every leaf), and otherwise the label itself."""
     if label == TOP:
@@ -173,12 +200,12 @@ def build_vgh(
     if missing:
         raise InputError(f"missing embeddings for values: {missing[:5]!r}")
 
-    levels: list[dict[str, str]] = [{v: v for v in values}]
+    partitions: list[list[int]] = []
     repairs = 0
     if len(values) > 1:
         points = np.stack([np.asarray(embeddings[v], dtype=float) for v in values])
         if method == WARD:
-            levels += [get_categories(values, labels) for labels in cluster.agglomerate(points)]
+            partitions = [labels.tolist() for labels in cluster.agglomerate(points)]
         else:
             centers = points.copy()
             assign = list(range(len(values)))
@@ -187,8 +214,8 @@ def build_vgh(
                 repairs += fit.repairs
                 assign = [int(fit.labels[a]) for a in assign]
                 centers = fit.centers
-                levels.append(get_categories(values, assign))
-    levels.append({v: TOP for v in values})
+                partitions.append(assign)
+    levels = [{v: v for v in values}, *_merged_levels(values, partitions), {v: TOP for v in values}]
 
     return Vgh(attribute=attribute, leaves=values, levels=levels, kmeans_repairs=repairs)
 

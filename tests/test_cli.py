@@ -350,6 +350,38 @@ class TestVghBuild:
         assert "Traceback" not in err
         assert not (out / "job.csv").exists()
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1 4294967295\ncook 1\n", "{path}: line 2: expected 4294967295 components, got 1"),
+            (
+                "1 99999999999999999999\ncook 1\n",
+                "{path}: line 2: expected 99999999999999999999 components, got 1",
+            ),
+            ("0 4294967295\n\n\n", "no vector for any token of value 'cook'"),
+        ],
+        ids=["repeat-limit", "beyond-int64", "blank-lines"],
+    )
+    def test_header_dimension_beyond_a_counted_repeat_is_a_provider_error(
+        self, small_inputs, capsys, text, message
+    ):
+        # A regular expression cannot repeat a group 2**32 - 1 times or more.
+        vectors = small_inputs["dir"] / "wide.txt"
+        vectors.write_text(text, encoding="utf-8")
+        out = small_inputs["dir"] / "h"
+        code = main(
+            [
+                "vgh", "build",
+                "--input", small_inputs["csv"],
+                "--columns", "job",
+                "--vectors", str(vectors),
+                "--out-dir", str(out),
+            ]
+        )
+        assert code == 3
+        assert capsys.readouterr().err == f"error: {message.format(path=vectors)}\n"
+        assert not (out / "job.csv").exists()
+
     def test_zero_dimension_cache_is_a_provider_error(self, small_inputs, capsys):
         cache = small_inputs["dir"] / "cache.json"
         stamp = f"wordvec:{os.path.realpath(small_inputs['vectors'])}"

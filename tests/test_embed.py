@@ -14,11 +14,11 @@ from _loopback import data_reply, indexed_vectors, response, vector_of
 from _oracles import REFERENCE_FINITE, REFERENCE_FINITE_LINE, ReferenceWordVectorProvider
 from clustem.embed import (
     _FINITE,
-    _FINITE_LINE,
     API_BATCH_SIZE,
     HttpApiProvider,
     ProviderConfig,
     WordVectorProvider,
+    _line_pattern,
     create_provider,
     embed_all,
     preprocess,
@@ -232,11 +232,18 @@ def _lines(draw) -> str:
 @example(line="a 1e 2\n")
 @example(line="a . +.\n")
 @example(line="a 1  2\n")
+@example(line="a\n")
+@example(line="a 1 2 3 4\n")
+@example(line="a 1 2 3 4 5 6\n")
 def test_possessive_line_pattern_reads_the_backtracking_language(line):
-    reference, match = REFERENCE_FINITE_LINE.fullmatch(line), _FINITE_LINE.fullmatch(line)
-    assert (match is None) == (reference is None)
-    if match:
-        assert match[1] == reference[1]
+    # Dimensions 1 to 5 around lines of 0 to 4 components (6 in an example):
+    # every line is read at its own count and at one fewer and one more.
+    reference = REFERENCE_FINITE_LINE.fullmatch(line)
+    for dim in range(1, 6):
+        match = _line_pattern(dim).fullmatch(line)
+        assert (match is None) == (reference is None or line.count(" ") != dim), dim
+        if match:
+            assert match[1] == reference[1]
     for component in line.split(" ")[1:]:
         accepted = re.fullmatch(REFERENCE_FINITE, component) is not None
         assert (re.fullmatch(_FINITE, component) is not None) == accepted, component
@@ -280,6 +287,19 @@ class TestHttpApiProvider:
             HttpApiProvider(embeddings_api.url, "m").fetch(["a"])
         assert str(info.value) == f"embeddings API returned 500: {body[:200]}"
 
+    @pytest.mark.parametrize(
+        "status, accepted", [(199, False), (200, True), (299, True), (300, False)]
+    )
+    def test_only_a_2xx_reply_is_read(self, embeddings_api, status, accepted):
+        body = json.dumps({"data": [{"index": 0, "embedding": [1.0, 2.0]}]}).encode()
+        embeddings_api.reply = lambda request: response(status, body)
+        provider = HttpApiProvider(embeddings_api.url, "m")
+        if accepted:
+            assert [vec.tolist() for vec in provider.fetch(["a"])] == [[1.0, 2.0]]
+        else:
+            with pytest.raises(ProviderError, match=f"returned {status}: "):
+                provider.fetch(["a"])
+
     def test_malformed_response(self, embeddings_api):
         embeddings_api.reply = lambda request: response(200, b'{"nope": 1}')
         with pytest.raises(ProviderError, match="malformed"):
@@ -310,15 +330,22 @@ class TestHttpApiProvider:
 
     @pytest.mark.parametrize(
         "indices",
-        [[0, 1, -1], [0, 1, 1], [1, 1], [0, True], [0, 2], [0, 1.0], [0, "1"], [0]],
-        ids=["extra-negative", "duplicate", "duplicate-only", "bool", "out-of-range",
-             "float", "string", "missing"],
+        [[0, 1, -1], [-1, 0], [0, 1, 1], [1, 1], [0, True], [0, 2], [0, 1.0], [0, "1"], [0]],
+        ids=["extra-negative", "negative", "duplicate", "duplicate-only", "bool",
+             "out-of-range", "float", "string", "missing"],
     )
     def test_rejects_bad_indices(self, embeddings_api, indices):
         data = [{"index": i, "embedding": [float(n), 1.0]} for n, i in enumerate(indices)]
         embeddings_api.reply = lambda request: data_reply(data)
-        with pytest.raises(ProviderError, match="index|missing"):
+        with pytest.raises(ProviderError, match="returned index|missing vectors"):
             HttpApiProvider(embeddings_api.url, "m").fetch(["a", "b"])
+
+    def test_names_the_first_five_values_left_without_a_vector(self, embeddings_api):
+        embeddings_api.reply = lambda request: data_reply([])
+        with pytest.raises(ProviderError) as info:
+            HttpApiProvider(embeddings_api.url, "m").fetch([f"v{i}" for i in range(7)])
+        expected = "['v0', 'v1', 'v2', 'v3', 'v4']"
+        assert str(info.value) == f"embeddings API response missing vectors for {expected}"
 
     @pytest.mark.parametrize(
         "raw, message",

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _oracles as oracles
+from clustem import cluster
 from clustem.anonymize import _CodedLattice
 from clustem.efficacy import infer_leaves
 from clustem.errors import InputError
@@ -14,6 +15,7 @@ from clustem.vgh import (
     KMEANS,
     WARD,
     Vgh,
+    _merged_levels,
     build_vgh,
     check_values,
     get_categories,
@@ -118,6 +120,46 @@ class TestBuildVgh:
         assert_valid_structure(vgh)
         if method == WARD and n >= 2:
             assert vgh.level_count == n + 1
+
+
+# Distinct values in any order, so that a set label's sorted members often
+# differ from their order of appearance.
+_VALUES = st.lists(st.text("abcz", min_size=1, max_size=3), min_size=2, max_size=10, unique=True)
+
+
+class TestMergedLevels:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        values=_VALUES,
+        coords=st.lists(st.integers(0, 2), min_size=20, max_size=20),
+        dim=st.integers(1, 2),
+    )
+    def test_ward_partitions_label_as_get_categories(self, values, coords, dim):
+        # Coordinates on a small grid, so points repeat and distances tie.
+        points = np.array(coords[: len(values) * dim], dtype=float).reshape(len(values), dim)
+        partitions = [p.tolist() for p in cluster.agglomerate(points)]
+        expected = [get_categories(values, p) for p in partitions]
+        assert _merged_levels(values, partitions) == expected
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(values=_VALUES, data=st.data())
+    def test_renumbered_merges_label_as_get_categories(self, values, data):
+        # Each level joins two blocks and numbers the blocks afresh, as the
+        # k-means levels do.
+        blocks = [[i] for i in range(len(values))]
+        partitions = []
+        while len(blocks) > 1:
+            pair = st.lists(st.sampled_from(range(len(blocks))), min_size=2, max_size=2, unique=True)
+            a, b = sorted(data.draw(pair))
+            blocks[a] += blocks.pop(b)
+            ids = data.draw(st.permutations(range(len(blocks))))
+            partition = [0] * len(values)
+            for block, block_id in zip(blocks, ids):
+                for i in block:
+                    partition[i] = block_id
+            partitions.append(partition)
+        expected = [get_categories(values, p) for p in partitions]
+        assert _merged_levels(values, partitions) == expected
 
 
 class TestHierarchyFiles:
