@@ -21,7 +21,7 @@ from .embed import (
 from .errors import InputError, ProviderError
 from .metrics import MetricReport, achieved_privacy, c_avg, perc_recs, t_closeness
 from .tabular import Column, QiSpec, Table, group_ids, load_csv, write_csv
-from .vgh import Vgh, build_vgh, get_categories, read_hierarchy, write_hierarchy
+from .vgh import Vgh, build_vgh, read_hierarchy, write_hierarchy
 
 __version__ = "0.1.0"
 
@@ -51,7 +51,6 @@ __all__ = [
     "encode",
     "evaluate",
     "generate_vghs",
-    "get_categories",
     "group_ids",
     "kmeans",
     "load_csv",

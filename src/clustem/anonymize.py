@@ -140,9 +140,12 @@ class _CodedLattice:
         self.luts: list[list[np.ndarray]] = []
         self.labels: list[list[list[str]]] = []
         for vgh, (_, distinct) in zip(self.vghs, codings):
-            coded = [code_column([level[v] for v in distinct]) for level in vgh.levels]
-            self.luts.append([lut for lut, _ in coded])
-            self.labels.append([labels for _, labels in coded])
+            position = {leaf: i for i, leaf in enumerate(vgh.leaves)}
+            levels = vgh.codes[:, [position[v] for v in distinct]].tolist()
+            # Each level's blocks, renumbered in order of first appearance here.
+            luts, seen = zip(*map(code_column, levels))
+            self.luts.append(list(luts))
+            self.labels.append([[names[b] for b in kept] for names, kept in zip(vgh.labels, seen)])
 
         # The distinct (combination, sensitive value) pairs.
         self.pair_sa: np.ndarray | None = None

@@ -1,20 +1,20 @@
 """Value generalization hierarchies built by clustering value embeddings.
 
-A hierarchy is a list of levels, each a total mapping from leaf value to a
-generalized label: level 0 is the identity, the top level maps everything to
-"*", and each level's partition coarsens the previous one. Hierarchy files
-use the ";"-separated one-row-per-leaf layout common to lattice anonymizers,
-so generalized set labels use "," inside braces (";" would break the file
-format). This module owns that label grammar: ``_set_label`` is the one
-writer of set labels, for ``get_categories`` and for ``build_vgh``'s levels,
-a ``Vgh`` checks labels on construction and ``label_leaves`` reads them. Each
-generated level merges exactly two blocks of the level below, so it is built
-from that level by relabelling only its merged block.
+A hierarchy is a list of levels, each a partition of the leaf values into
+labelled blocks: level 0 is the identity, the top level is one block "*", and
+each level's partition coarsens the previous one. Hierarchy files use the
+";"-separated one-row-per-leaf layout common to lattice anonymizers, so
+generalized set labels use "," inside braces (";" would break the file
+format). This module owns that label grammar: ``_merged_levels`` writes the
+set labels of ``build_vgh``'s levels, a ``Vgh`` checks labels on construction
+and ``label_leaves`` reads them. Each generated level merges exactly two
+blocks of the level below, so it is built from that level by relabelling
+only its merged block.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -22,7 +22,7 @@ import numpy as np
 
 from . import cluster
 from .errors import InputError
-from .tabular import SUPPRESSED, atomic_write
+from .tabular import SUPPRESSED, atomic_write, code_column
 
 # The top label is the suppression mark: a written table marks a suppressed
 # row by it too, and readers of that table take both as "any value".
@@ -34,10 +34,12 @@ METHODS = (KMEANS, WARD)
 FIELD_SEPARATOR = ";"
 
 
-@dataclass
+@dataclass(eq=False)
 class Vgh:
     """A full-domain generalization hierarchy for one nominal attribute.
 
+    ``codes[i, j]`` (int32) is leaf j's block at level i, blocks numbered in
+    order of first appearance, and ``labels[i][b]`` is block b's label.
     Construction raises ``InputError`` unless the levels have the structure
     the module docstring describes. ``kmeans_repairs`` counts empty-cluster
     repairs that occurred while the hierarchy was built; it is diagnostic
@@ -46,102 +48,101 @@ class Vgh:
 
     attribute: str
     leaves: list[str]
-    levels: list[dict[str, str]]
-    kmeans_repairs: int = field(default=0, compare=False)
+    codes: np.ndarray
+    labels: list[list[str]]
+    kmeans_repairs: int = 0
+
+    @classmethod
+    def from_levels(cls, attribute: str, leaves: list[str], levels: list[dict]) -> Vgh:
+        """The hierarchy whose level i maps each leaf to ``levels[i][leaf]``."""
+        for i, level in enumerate(levels):
+            if set(level) != set(leaves):
+                raise InputError(f"hierarchy for {attribute!r}: level {i} does not map every leaf")
+        return cls(attribute, leaves, *_coded([level[leaf] for leaf in leaves] for level in levels))
 
     @property
     def level_count(self) -> int:
-        return len(self.levels)
+        return len(self.labels)
+
+    def __eq__(self, other: object) -> bool:
+        # Blocks are numbered canonically, so equal levels have equal codes.
+        return isinstance(other, Vgh) and (self.attribute, self.leaves, self.labels) == (
+            other.attribute, other.leaves, other.labels
+        ) and np.array_equal(self.codes, other.codes)
 
     def __post_init__(self) -> None:
+        name, codes = f"hierarchy for {self.attribute!r}", self.codes
         if not self.leaves:
-            raise InputError(f"hierarchy for {self.attribute!r} has no leaves")
+            raise InputError(f"{name} has no leaves")
         if len(set(self.leaves)) != len(self.leaves):
-            raise InputError(f"hierarchy for {self.attribute!r} has duplicate leaves")
+            raise InputError(f"{name} has duplicate leaves")
         if any(leaf in ("", TOP) for leaf in self.leaves):
-            raise InputError(f"hierarchy for {self.attribute!r} has an empty or {TOP!r} leaf")
-        if not self.levels:
-            raise InputError(f"hierarchy for {self.attribute!r} has no levels")
-        leaf_set = set(self.leaves)
-        for i, level in enumerate(self.levels):
-            if set(level) != leaf_set:
-                raise InputError(
-                    f"hierarchy for {self.attribute!r}: level {i} does not map every leaf"
-                )
-            labels = set(level.values())
-            if TOP in labels and i < len(self.levels) - 1:
-                raise InputError(
-                    f"hierarchy for {self.attribute!r}: level {i} has the suppression mark {TOP!r}"
-                )
-            for label in labels:
-                if FIELD_SEPARATOR in label or "\n" in label or "\r" in label:
-                    raise InputError(f"label {label!r} holds the field separator or a newline")
-        for leaf in self.leaves:
-            if self.levels[0][leaf] != leaf:
-                raise InputError(
-                    f"hierarchy for {self.attribute!r}: level 0 must be the identity"
-                )
-            if self.levels[-1][leaf] != TOP:
-                raise InputError(
-                    f"hierarchy for {self.attribute!r}: top level must map everything to {TOP!r}"
-                )
-        for i in range(len(self.levels) - 1):
-            fine, coarse = self.levels[i], self.levels[i + 1]
-            seen: dict[str, str] = {}
-            for leaf in self.leaves:
-                label = fine[leaf]
-                if label in seen:
-                    if seen[label] != coarse[leaf]:
-                        raise InputError(
-                            f"hierarchy for {self.attribute!r}: level {i + 1} splits a "
-                            f"level-{i} block ({label!r})"
-                        )
-                else:
-                    seen[label] = coarse[leaf]
+            raise InputError(f"{name} has an empty or {TOP!r} leaf")
+        if not self.labels:
+            raise InputError(f"{name} has no levels")
+        # Numbered in order of first appearance: no code is more than one above
+        # every code before it, and a level's highest code is its last label.
+        highest = np.maximum.accumulate(codes, axis=-1)
+        counts = [len(level) for level in self.labels]
+        if codes.shape != (len(counts), len(self.leaves)) or codes.min() < 0 or (
+            (np.diff(highest, prepend=-1) > 1).any() or (highest[:, -1] + 1).tolist() != counts
+        ):
+            raise InputError(f"{name}: codes must be levels x leaves, numbered by first appearance")
+        for i, level in enumerate(self.labels):
+            if TOP in level and i < len(self.labels) - 1:
+                raise InputError(f"{name}: level {i} has the suppression mark {TOP!r}")
+            if len(set(level)) != len(level):
+                raise InputError(f"{name}: level {i} gives two blocks one label")
+        for label in set().union(*self.labels):
+            if FIELD_SEPARATOR in label or "\n" in label or "\r" in label:
+                raise InputError(f"label {label!r} holds the field separator or a newline")
+        if self.labels[0] != self.leaves:
+            raise InputError(f"{name}: level 0 must be the identity")
+        if self.labels[-1] != [TOP]:
+            raise InputError(f"{name}: top level must map everything to {TOP!r}")
+        for i in range(len(codes) - 1):
+            # A leaf's block first appears where the running highest code reaches it.
+            split = codes[i + 1] != codes[i + 1][np.searchsorted(highest[i], codes[i])]
+            if split.any():
+                block = self.labels[i][codes[i, split.argmax()]]
+                raise InputError(f"{name}: level {i + 1} splits a level-{i} block ({block!r})")
 
 
-def _set_label(members: Sequence[str]) -> str:
-    """The label of one block, as ``get_categories`` describes it."""
-    return members[0] if len(members) == 1 else "{" + ",".join(sorted(members)) + "}"
+def _coded(columns) -> tuple[np.ndarray, list[list[str]]]:
+    """The codes and labels of levels given as one label per leaf each."""
+    coded = [code_column(column) for column in columns]
+    return np.array([codes for codes, _ in coded], np.int32), [labels for _, labels in coded]
 
 
-def get_categories(values: Sequence[str], labels: Sequence[int]) -> dict[str, str]:
-    """Label each value by its cluster: singletons keep their raw value, larger
-    clusters get "{" + members sorted lexicographically, comma-joined + "}"."""
-    if len(values) != len(labels):
-        raise InputError("labels must parallel values")
-    members: dict[int, list[str]] = {}
-    for value, label in zip(values, labels):
-        members.setdefault(int(label), []).append(value)
-    out: dict[str, str] = {}
-    for group in members.values():
-        out.update(dict.fromkeys(group, _set_label(group)))
-    return out
-
-
-def _merged_levels(values: list[str], partitions: Sequence[Sequence[int]]) -> list[dict[str, str]]:
-    """``get_categories(values, p)`` for each partition p of a merge sequence.
+def _merged_levels(values: list[str], partitions: Sequence[Sequence[int]]) -> tuple:
+    """The codes and labels of a merge sequence's levels: the identity, one
+    per partition, and the top. A singleton block keeps its value as label, a
+    larger one gets "{" + its members sorted lexicographically, comma-joined + "}".
 
     Each partition joins exactly two blocks of the one before (the first, two
-    singletons) and may number its blocks afresh. A block is named by its first
-    member's index; the later of the two blocks whose members now share an id
-    joins the earlier, and only the joined block is relabelled.
+    singletons) and may number its blocks afresh. Blocks are kept in order of
+    their first members; the later of the two blocks whose members now share
+    an id joins the earlier, and only the joined block is relabelled.
     """
-    blocks = {i: [value] for i, value in enumerate(values)}
-    level = {value: value for value in values}
-    levels = []
-    for ids in partitions:
+    codes = np.zeros((len(partitions) + 2, len(values)), dtype=np.int32)
+    codes[0] = np.arange(len(values))
+    blocks = [[value] for value in values]
+    firsts = list(range(len(values)))  # each block's first member
+    labels = [list(values)]
+    for i, ids in enumerate(partitions, 1):
         owner: dict[int, int] = {}
-        moved = next(first for first in blocks if owner.setdefault(ids[first], first) != first)
-        block = blocks[owner[ids[moved]]]
-        block += blocks.pop(moved)
-        level = level | dict.fromkeys(block, _set_label(block))
-        levels.append(level)
-    return levels
+        moved = next(b for b, first in enumerate(firsts) if owner.setdefault(ids[first], b) != b)
+        kept = owner[ids[firsts.pop(moved)]]
+        blocks[kept] += blocks.pop(moved)
+        labels.append(labels[-1][:moved] + labels[-1][moved + 1 :])
+        labels[-1][kept] = "{" + ",".join(sorted(blocks[kept])) + "}"
+        codes[i] = np.where(codes[i - 1] == moved, kept, codes[i - 1] - (codes[i - 1] > moved))
+    labels.append([TOP])
+    return codes, labels
 
 
 def label_leaves(label: str) -> list[str]:
-    """The leaves a label names, as ``_set_label`` writes it: the members
+    """The leaves a label names, as ``_merged_levels`` writes it: the members
     of a "{a,b}" set label (empty members dropped), none for the top label
     "*" (which stands for every leaf), and otherwise the label itself."""
     if label == TOP:
@@ -215,9 +216,7 @@ def build_vgh(
                 assign = [int(fit.labels[a]) for a in assign]
                 centers = fit.centers
                 partitions.append(assign)
-    levels = [{v: v for v in values}, *_merged_levels(values, partitions), {v: TOP for v in values}]
-
-    return Vgh(attribute=attribute, leaves=values, levels=levels, kmeans_repairs=repairs)
+    return Vgh(attribute, values, *_merged_levels(values, partitions), kmeans_repairs=repairs)
 
 
 def write_hierarchy(vgh: Vgh, path: str) -> None:
@@ -226,8 +225,8 @@ def write_hierarchy(vgh: Vgh, path: str) -> None:
     Rows are written one at a time: the file grows with the cube of the leaf
     count, so it is never held whole in memory."""
     with atomic_write(path) as fh:
-        for leaf in vgh.leaves:
-            fh.write(FIELD_SEPARATOR.join([level[leaf] for level in vgh.levels]) + "\n")
+        for row in vgh.codes.T.tolist():
+            fh.write(FIELD_SEPARATOR.join([labels[c] for labels, c in zip(vgh.labels, row)]) + "\n")
 
 
 def read_hierarchy(path: str, attribute: str | None = None) -> Vgh:
@@ -245,9 +244,5 @@ def read_hierarchy(path: str, attribute: str | None = None) -> Vgh:
     widths = {len(r) for r in rows}
     if len(widths) != 1:
         raise InputError(f"{path}: rows have unequal column counts {sorted(widths)}")
-    levels = [{row[0]: row[j] for row in rows} for j in range(widths.pop())]
-    return Vgh(
-        attribute=attribute if attribute is not None else Path(path).stem,
-        leaves=[row[0] for row in rows],
-        levels=levels,
-    )
+    name = attribute if attribute is not None else Path(path).stem
+    return Vgh(name, [row[0] for row in rows], *_coded(zip(*rows)))

@@ -1,7 +1,9 @@
 """Independent brute-force references for the lattice search and metrics tests,
-and frozen copies of the former k-means, word-vector parser and line pattern,
-CSV reader, count matrix, fold, group ids and lattice walk for the bit-identity
-tests, and of the former classifier fit and feature encoding.
+random hierarchies (with generated or hand-written labels) and their levels as
+leaf -> label dicts, and frozen copies of the former k-means, word-vector
+parser and line pattern, CSV reader, count matrix, fold, group ids, set
+labelling (``get_categories``), lattice lookups and lattice walk for the
+bit-identity tests, and of the former classifier fit and feature encoding.
 
 Everything here works on plain dicts and loops, deliberately sharing no code
 with the production search and metrics paths.
@@ -39,13 +41,13 @@ from clustem.vgh import Vgh, label_leaves
 _logger = logging.getLogger(__name__)
 
 
-def random_vgh(rng: np.random.Generator, attr: str, n_values: int, max_levels: int = 4) -> Vgh:
-    """A random valid hierarchy: identity, up to (max_levels - 2) merge levels, "*"."""
-    leaves = [f"{attr}{i}" for i in range(n_values)]
-    blocks: list[list[str]] = [[leaf] for leaf in leaves]
-    levels: list[dict[str, str]] = [{leaf: leaf for leaf in leaves}]
+def _random_blocks(rng: np.random.Generator, n_values: int, max_levels: int) -> list[list[list]]:
+    """The blocks of up to (max_levels - 2) random merge levels over n_values
+    leaves, as lists of leaf indices."""
+    blocks: list[list[int]] = [[i] for i in range(n_values)]
+    levels: list[list[list[int]]] = []
     for _ in range(int(rng.integers(0, max_levels - 1))):
-        if len(blocks) <= 1 or len(levels) >= max_levels - 1:
+        if len(blocks) <= 1 or len(levels) >= max_levels - 2:
             break
         for _ in range(int(rng.integers(1, len(blocks)))):
             if len(blocks) == 1:
@@ -53,21 +55,94 @@ def random_vgh(rng: np.random.Generator, attr: str, n_values: int, max_levels: i
             i, j = sorted(rng.choice(len(blocks), size=2, replace=False))
             blocks[i] = blocks[i] + blocks[j]
             del blocks[j]
-        level = {}
-        for block in blocks:
-            label = block[0] if len(block) == 1 else "{" + ",".join(sorted(block)) + "}"
-            for leaf in block:
-                level[leaf] = label
-        levels.append(level)
-    levels.append({leaf: "*" for leaf in leaves})
-    return Vgh(attr, leaves, levels)
+        levels.append([list(block) for block in blocks])
+    return levels
 
 
-def random_instance(rng: np.random.Generator):
-    """A random (table, spec, vghs, params) search problem at oracle scale."""
+def _labelled_vgh(attr: str, leaves: list[str], levels: list[list[list[int]]], name_blocks) -> Vgh:
+    """Identity, one level per blocks list with ``name_blocks(blocks)``
+    labelling its blocks, then "*"."""
+    dicts = [{leaf: leaf for leaf in leaves}]
+    for blocks in levels:
+        names = name_blocks(blocks)
+        dicts.append({leaves[m]: name for block, name in zip(blocks, names) for m in block})
+    dicts.append({leaf: "*" for leaf in leaves})
+    return Vgh.from_levels(attr, leaves, dicts)
+
+
+def random_vgh(rng: np.random.Generator, attr: str, n_values: int, max_levels: int = 4) -> Vgh:
+    """A random valid hierarchy: identity, up to (max_levels - 2) merge levels,
+    "*", with set labels as generated hierarchies write them."""
+    leaves = [f"{attr}{i}" for i in range(n_values)]
+
+    def grammar(blocks):
+        names = [sorted(leaves[m] for m in block) for block in blocks]
+        return [b[0] if len(b) == 1 else "{" + ",".join(b) + "}" for b in names]
+
+    return _labelled_vgh(attr, leaves, _random_blocks(rng, n_values, max_levels), grammar)
+
+
+# Labels a hand-written file may use: none follows the "{a,b}" grammar, and
+# some hold line boundaries other than "\n" and "\r".
+HANDWRITTEN_LABELS = ["g", "h\x85", "\u2028", "x\u2028y", "{", "{a}", "a,b", "\x85\x85"]
+
+
+def random_handwritten_vgh(
+    rng: np.random.Generator, attr: str, n_values: int, max_levels: int = 4
+) -> Vgh:
+    """``random_vgh``'s shape with labels drawn from the leaf names and
+    ``HANDWRITTEN_LABELS``: a block may carry another block's leaf name, and
+    one string may label different blocks at different levels."""
+    leaves = [f"{attr}{i}" for i in range(n_values)]
+    pool = leaves + HANDWRITTEN_LABELS
+
+    def drawn(blocks):
+        return [pool[i] for i in rng.choice(len(pool), size=len(blocks), replace=False)]
+
+    return _labelled_vgh(attr, leaves, _random_blocks(rng, n_values, max_levels), drawn)
+
+
+def level_dicts(vgh: Vgh) -> list[dict[str, str]]:
+    """Each level of ``vgh`` as a leaf -> label mapping."""
+    return [
+        {leaf: labels[code] for leaf, code in zip(vgh.leaves, row)}
+        for row, labels in zip(vgh.codes.tolist(), vgh.labels)
+    ]
+
+
+def get_categories(values: Sequence[str], labels: Sequence[int]) -> dict[str, str]:
+    """Label each value by its cluster: singletons keep their raw value, larger
+    clusters get "{" + members sorted lexicographically, comma-joined + "}"."""
+    if len(values) != len(labels):
+        raise InputError("labels must parallel values")
+    members: dict[int, list[str]] = {}
+    for value, label in zip(values, labels):
+        members.setdefault(int(label), []).append(value)
+    out: dict[str, str] = {}
+    for group in members.values():
+        name = group[0] if len(group) == 1 else "{" + ",".join(sorted(group)) + "}"
+        out.update(dict.fromkeys(group, name))
+    return out
+
+
+def reference_lattice_codes(vgh: Vgh, distinct: Sequence[str]):
+    """The former ``_CodedLattice`` lookups: per level, the label code of each
+    distinct value (labels numbered in order of first appearance among
+    ``distinct``) and the labels."""
+    luts, labels = [], []
+    for level in level_dicts(vgh):
+        index: dict[str, int] = {}
+        luts.append([index.setdefault(level[v], len(index)) for v in distinct])
+        labels.append(list(index))
+    return luts, labels
+
+
+def random_instance(rng: np.random.Generator, make_vgh=random_vgh):
+    """A random (table, spec, vghs, params) search problem at oracle scale,
+    its hierarchies drawn by ``make_vgh``."""
     m = int(rng.integers(2, 4))
     attrs = [f"q{j}" for j in range(m)]
-    vghs = {a: random_vgh(rng, a, int(rng.integers(2, 6))) for a in attrs}
+    vghs = {a: make_vgh(rng, a, int(rng.integers(2, 6))) for a in attrs}
     n_rows = int(rng.integers(1, 51))
     columns = [
         Column(a, [str(rng.choice(vghs[a].leaves)) for _ in range(n_rows)])
@@ -89,11 +164,10 @@ def naive_suppressed(table, spec, vghs, node, params) -> list[bool]:
     n = table.row_count
     qi_cols = [table.column(a).values for a in spec.qi]
     sa_col = table.column(spec.sa).values if spec.sa else None
+    levels = [level_dicts(vghs[a])[node[j]] for j, a in enumerate(spec.qi)]
     groups: dict[tuple, list[int]] = {}
     for i in range(n):
-        key = tuple(
-            vghs[a].levels[node[j]][qi_cols[j][i]] for j, a in enumerate(spec.qi)
-        )
+        key = tuple(level[column[i]] for level, column in zip(levels, qi_cols))
         groups.setdefault(key, []).append(i)
     mask = [False] * n
     for rows in groups.values():
@@ -122,7 +196,7 @@ def naive_generalize(table, spec, vghs, node, mask) -> Table:
         if column.name not in spec.qi:
             columns.append(column)
             continue
-        level = vghs[column.name].levels[node[spec.qi.index(column.name)]]
+        level = level_dicts(vghs[column.name])[node[spec.qi.index(column.name)]]
         values = ["*" if mask[i] else level[cell] for i, cell in enumerate(column.values)]
         columns.append(Column(column.name, values))
     return Table(columns)

@@ -53,23 +53,25 @@ def adult_runs(adult):
 
 
 def test_criterion_1_search_matches_exhaustive_enumeration():
-    with criterion(1, "lattice search equals the exhaustive optimum on 100 instances"):
+    with criterion(1, "lattice search equals the exhaustive optimum on 200 instances"):
         rng = np.random.default_rng(20250810)
         started = time.monotonic()
-        satisfied_count = 0
-        for _ in range(100):
-            table, spec, vghs, params = oracles.random_instance(rng)
-            [result] = search(table, spec, vghs, [params])
-            satisfying = oracles.exhaustive_satisfying(table, spec, vghs, params)
-            if satisfying:
-                assert result.satisfied
-                assert result.loss == min(loss for loss, _ in satisfying)
-                satisfied_count += 1
-            else:
-                assert not result.satisfied
+        satisfied_count = {oracles.random_vgh: 0, oracles.random_handwritten_vgh: 0}
+        for make_vgh in satisfied_count:
+            for _ in range(100):
+                table, spec, vghs, params = oracles.random_instance(rng, make_vgh)
+                [result] = search(table, spec, vghs, [params])
+                satisfying = oracles.exhaustive_satisfying(table, spec, vghs, params)
+                if satisfying:
+                    assert result.satisfied
+                    assert result.loss == min(loss for loss, _ in satisfying)
+                    satisfied_count[make_vgh] += 1
+                else:
+                    assert not result.satisfied
         elapsed = time.monotonic() - started
         assert elapsed < 60.0, f"took {elapsed:.1f}s"
-        assert satisfied_count > 0  # the draw must exercise the satisfiable path
+        # Each generator's draws must exercise the satisfiable path.
+        assert all(satisfied_count.values())
 
 
 KMEANS_FIXTURES = [
@@ -104,7 +106,7 @@ def test_criterion_2_clustering_matches_brute_force():
 
 
 def test_criterion_3_vgh_structure_and_round_trip(tmp_path):
-    with criterion(3, "1000 random hierarchies keep every invariant and round-trip"):
+    with criterion(3, "1300 random hierarchies keep every invariant and round-trip"):
         rng = np.random.default_rng(99)
         path = tmp_path / "h.csv"
         second = tmp_path / "h2.csv"
@@ -115,6 +117,15 @@ def test_criterion_3_vgh_structure_and_round_trip(tmp_path):
             values = [f"v{i}" for i in range(n)]
             embeddings = {v: rng.normal(size=dim) for v in values}
             vgh = build_vgh(values, embeddings, method, seed=draw, attribute="h")
+            assert_valid_structure(vgh)
+            write_hierarchy(vgh, str(path))
+            assert read_hierarchy(str(path)) == vgh
+            write_hierarchy(read_hierarchy(str(path)), str(second))
+            assert path.read_bytes() == second.read_bytes()
+        # Hand-written labels: set labels of other blocks' leaf names, one
+        # string on several levels, and line boundaries other than "\n".
+        for _ in range(300):
+            vgh = oracles.random_handwritten_vgh(rng, "h", int(rng.integers(1, 11)), max_levels=6)
             assert_valid_structure(vgh)
             write_hierarchy(vgh, str(path))
             assert read_hierarchy(str(path)) == vgh

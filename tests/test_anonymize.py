@@ -79,7 +79,7 @@ class TestLoss:
     def test_single_level_hierarchy_contributes_zero(self):
         # A valid Vgh has at least two levels; loss only reads the level counts.
         flat = SimpleNamespace(attribute="c", level_count=1)
-        assert loss((0, 1), [flat, Vgh("q", ["a"], [{"a": "a"}, {"a": "*"}])]) == 0.5
+        assert loss((0, 1), [flat, Vgh.from_levels("q", ["a"], [{"a": "a"}, {"a": "*"}])]) == 0.5
 
     @pytest.mark.parametrize(
         "node, message",
@@ -139,6 +139,24 @@ class TestApplyNode:
         table = make_table(q=["zzz"])
         with pytest.raises(InputError, match=r"'zzz' in column 'q'"):
             list(search(table, QiSpec(["q"]), {"q": ab_vgh}, [PrivacyParams(k=1)]))
+
+
+class TestLatticeLookups:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        make_vgh=st.sampled_from([oracles.random_vgh, oracles.random_handwritten_vgh]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_lookups_are_the_per_level_label_coding(self, make_vgh, seed):
+        # A table holding some of the leaves, first seen in random order.
+        rng = np.random.default_rng(seed)
+        vgh = make_vgh(rng, "q", int(rng.integers(1, 9)), max_levels=6)
+        held = rng.permutation(vgh.leaves)[: int(rng.integers(1, len(vgh.leaves) + 1))]
+        table = make_table(q=[str(v) for v in rng.choice(held, size=int(rng.integers(1, 25)))])
+        lattice = _CodedLattice(table, QiSpec(["q"]), {"q": vgh})
+        luts, labels = oracles.reference_lattice_codes(vgh, table.column("q").coding[1])
+        assert [lut.tolist() for lut in lattice.luts[0]] == luts
+        assert lattice.labels[0] == labels
 
 
 class TestCheckPrivacy:
@@ -408,7 +426,7 @@ class TestSearch:
         rng = np.random.default_rng(0)
         big = build_vgh(values, {v: rng.normal(size=2) for v in values}, "ward", attribute="q")
         table = make_table(**{f"q{j}": ["v0"] for j in range(4)})
-        vghs = {f"q{j}": Vgh(f"q{j}", big.leaves, big.levels) for j in range(4)}
+        vghs = {f"q{j}": Vgh(f"q{j}", big.leaves, big.codes, big.labels) for j in range(4)}
         with pytest.raises(InputError, match="lattice"):
             list(search(table, QiSpec([f"q{j}" for j in range(4)]), vghs, [PrivacyParams(k=1)]))
 
@@ -432,7 +450,7 @@ class TestSearch:
         # a level missing a leaf ended it with a KeyError, a split went unseen.
         top = {leaf: "*" for leaf in "abc"}
         with pytest.raises(InputError, match=message):
-            Vgh("q", ["a", "b", "c"], [*levels, top])
+            Vgh.from_levels("q", ["a", "b", "c"], [*levels, top])
 
     def test_post_hoc_guarantee_on_satisfied_results(self):
         rng = np.random.default_rng(404)

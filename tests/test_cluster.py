@@ -229,7 +229,7 @@ class TestKmeansMatchesReference:
         embeddings = dict(zip(values, rng.normal(size=(30, 16))))
         built = build_vgh(values, embeddings, "kmeans", seed=42)
         monkeypatch.setattr(cluster, "kmeans", reference_kmeans)
-        assert built.levels == build_vgh(values, embeddings, "kmeans", seed=42).levels
+        assert built == build_vgh(values, embeddings, "kmeans", seed=42)
 
     def test_numpy_choice_is_one_uniform_and_a_cdf_search(self):
         """The seeding relies on this: after ``integers(n)``, successive

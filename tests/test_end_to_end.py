@@ -79,7 +79,7 @@ def hierarchy_text(leaves: list[str], seed: int) -> str:
     lines = []
     for leaf in shape.leaves:
         row = []
-        for level in shape.levels:
+        for level in oracles.level_dicts(shape):
             block = sorted(name[other] for other in shape.leaves if level[other] == level[leaf])
             label = level[leaf]
             if label != "*":

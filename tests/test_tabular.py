@@ -333,7 +333,7 @@ class TestAtomicWrite:
         "write",
         [
             lambda path: write_csv(make_table(c=["v"]), path),
-            lambda path: write_hierarchy(Vgh("c", ["v"], [{"v": "v"}, {"v": "*"}]), path),
+            lambda path: write_hierarchy(Vgh.from_levels("c", ["v"], [{"v": "v"}, {"v": "*"}]), path),
             lambda path: cli._write_json(Path(path), {"a": 1}),
             lambda path: embed._store_cache(path, "provider", {"v": np.zeros(2)}),
         ],

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,6 @@ from clustem.vgh import (
     _merged_levels,
     build_vgh,
     check_values,
-    get_categories,
     label_leaves,
     read_hierarchy,
     write_hierarchy,
@@ -32,11 +33,12 @@ def embeddings_1d(values, positions):
 def assert_valid_structure(vgh: Vgh):
     """Identity bottom, "*" top, totality, coarsening chain."""
     leaves = vgh.leaves
-    assert all(vgh.levels[0][leaf] == leaf for leaf in leaves)
-    assert all(vgh.levels[-1][leaf] == "*" for leaf in leaves)
-    for level in vgh.levels:
+    levels = oracles.level_dicts(vgh)
+    assert all(levels[0][leaf] == leaf for leaf in leaves)
+    assert all(levels[-1][leaf] == "*" for leaf in leaves)
+    for level in levels:
         assert set(level) == set(leaves)
-    for fine, coarse in zip(vgh.levels, vgh.levels[1:]):
+    for fine, coarse in zip(levels, levels[1:]):
         blocks = {}
         for leaf in leaves:
             blocks.setdefault(fine[leaf], set()).add(coarse[leaf])
@@ -45,31 +47,31 @@ def assert_valid_structure(vgh: Vgh):
 
 class TestGetCategories:
     def test_mixed_clusters(self):
-        out = get_categories(["a", "b", "c"], [0, 0, 1])
+        out = oracles.get_categories(["a", "b", "c"], [0, 0, 1])
         assert out == {"a": "{a,b}", "b": "{a,b}", "c": "c"}
 
     def test_all_singletons(self):
-        assert get_categories(["a", "b"], [0, 1]) == {"a": "a", "b": "b"}
+        assert oracles.get_categories(["a", "b"], [0, 1]) == {"a": "a", "b": "b"}
 
     def test_single_cluster(self):
-        out = get_categories(["b", "a", "c"], [7, 7, 7])
+        out = oracles.get_categories(["b", "a", "c"], [7, 7, 7])
         assert out == {"a": "{a,b,c}", "b": "{a,b,c}", "c": "{a,b,c}"}
 
     def test_parallel_lengths_enforced(self):
         with pytest.raises(InputError):
-            get_categories(["a"], [0, 1])
+            oracles.get_categories(["a"], [0, 1])
 
 
 class TestBuildVgh:
     def test_single_value(self):
         vgh = build_vgh(["v"], {"v": np.zeros(3)}, WARD, attribute="x")
-        assert vgh.levels == [{"v": "v"}, {"v": "*"}]
+        assert oracles.level_dicts(vgh) == [{"v": "v"}, {"v": "*"}]
         assert_valid_structure(vgh)
 
     def test_ward_groups_the_close_pair_first(self):
         vgh = build_vgh(["a", "b", "c"], embeddings_1d("abc", [0, 1, 10]), WARD)
-        assert vgh.levels[1] == {"a": "{a,b}", "b": "{a,b}", "c": "c"}
-        assert vgh.levels[2] == {v: "{a,b,c}" for v in "abc"}
+        assert oracles.level_dicts(vgh)[1] == {"a": "{a,b}", "b": "{a,b}", "c": "c"}
+        assert oracles.level_dicts(vgh)[2] == {v: "{a,b,c}" for v in "abc"}
         assert vgh.level_count == 4
         assert_valid_structure(vgh)
 
@@ -97,9 +99,31 @@ class TestBuildVgh:
         assert vgh.level_count == len(values) + 1
         assert_valid_structure(vgh)
 
+    def test_kmeans_seed_defaults_to_zero(self):
+        # Equal spacing ties the first merge, so the seed picks the pair.
+        values = ["a", "b", "c"]
+        embeddings = embeddings_1d(values, [0, 1, 2])
+        default = build_vgh(values, embeddings, KMEANS)
+        assert default == build_vgh(values, embeddings, KMEANS, seed=0)
+        assert default != build_vgh(values, embeddings, KMEANS, seed=1)
+
+    def test_kmeans_repairs_sum_those_of_the_fits(self, monkeypatch):
+        fits = []
+        kmeans = cluster.kmeans
+        monkeypatch.setattr(cluster, "kmeans", lambda *args: fits.append(kmeans(*args)) or fits[-1])
+        values = [f"v{i}" for i in range(6)]
+        embeddings = embeddings_1d(values, [0, 0, 0, 0, 5, 5])
+        assert build_vgh(values, embeddings, WARD).kmeans_repairs == 0 and not fits
+        vgh = build_vgh(values, embeddings, KMEANS, seed=3)
+        assert vgh.kmeans_repairs == sum(fit.repairs for fit in fits) > 0
+
     def test_missing_embedding(self):
         with pytest.raises(InputError, match="missing"):
             build_vgh(["a", "b"], {"a": np.zeros(2)}, WARD)
+        # At most five are named.
+        listed = r"\['v0', 'v1', 'v2', 'v3', 'v4'\]"
+        with pytest.raises(InputError, match=f"^missing embeddings for values: {listed}$"):
+            build_vgh([f"v{i}" for i in range(7)], {}, WARD)
 
     def test_unknown_method(self):
         with pytest.raises(InputError):
@@ -127,6 +151,16 @@ class TestBuildVgh:
 _VALUES = st.lists(st.text("abcz", min_size=1, max_size=3), min_size=2, max_size=10, unique=True)
 
 
+def merged_level_dicts(values, partitions):
+    return oracles.level_dicts(Vgh("q", values, *_merged_levels(values, partitions)))
+
+
+def expected_levels(values, partitions):
+    """The identity, ``get_categories`` of each partition, and the top."""
+    middle = [oracles.get_categories(values, p) for p in partitions]
+    return [dict(zip(values, values)), *middle, dict.fromkeys(values, "*")]
+
+
 class TestMergedLevels:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(
@@ -138,8 +172,7 @@ class TestMergedLevels:
         # Coordinates on a small grid, so points repeat and distances tie.
         points = np.array(coords[: len(values) * dim], dtype=float).reshape(len(values), dim)
         partitions = [p.tolist() for p in cluster.agglomerate(points)]
-        expected = [get_categories(values, p) for p in partitions]
-        assert _merged_levels(values, partitions) == expected
+        assert merged_level_dicts(values, partitions) == expected_levels(values, partitions)
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(values=_VALUES, data=st.data())
@@ -158,8 +191,10 @@ class TestMergedLevels:
                 for i in block:
                     partition[i] = block_id
             partitions.append(partition)
-        expected = [get_categories(values, p) for p in partitions]
-        assert _merged_levels(values, partitions) == expected
+        assert merged_level_dicts(values, partitions) == expected_levels(values, partitions)
+
+
+NUMBERING = "codes must be levels x leaves, numbered by first appearance"
 
 
 class TestHierarchyFiles:
@@ -202,7 +237,7 @@ class TestHierarchyFiles:
         vgh = read_hierarchy(str(path))
         assert vgh.attribute == "workclass"
         assert vgh.level_count == 3
-        assert vgh.levels[1]["Private"] == "Non-Government"
+        assert oracles.level_dicts(vgh)[1]["Private"] == "Non-Government"
 
     def test_unequal_column_counts(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -219,9 +254,10 @@ class TestHierarchyFiles:
 
     def test_top_level_must_be_star(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("a;g\nb;g\n", encoding="utf-8")
-        with pytest.raises(InputError, match=r"\*"):
-            read_hierarchy(str(path))
+        for text in ("a;g\nb;g\n", "a;*\nb;g\n"):
+            path.write_text(text, encoding="utf-8")
+            with pytest.raises(InputError, match=r"top level must map everything to '\*'$"):
+                read_hierarchy(str(path))
 
     @pytest.mark.parametrize(
         "leaves, levels, message",
@@ -229,12 +265,52 @@ class TestHierarchyFiles:
             ([], [{}], "has no leaves"),
             (["a"], [], "has no levels"),
             (["a", "b"], [{"a": "b", "b": "b"}, {"a": "*", "b": "*"}], "level 0 must be the identity"),
+            (["a"], [{"a": "a"}, {"a": "*", "b": "*"}], "level 1 does not map every leaf"),
         ],
-        ids=["no-leaves", "no-levels", "level-0-not-identity"],
+        ids=["no-leaves", "no-levels", "level-0-not-identity", "level-maps-a-stranger"],
     )
     def test_malformed_hierarchy_rejected_on_construction(self, leaves, levels, message):
         with pytest.raises(InputError, match=f"^hierarchy for 'x'.* {message}$"):
-            Vgh("x", leaves, levels)
+            Vgh.from_levels("x", leaves, levels)
+
+    def test_split_names_the_block_of_the_first_leaf_that_parts(self, tmp_path):
+        # Both level-1 blocks split; leaf d parts from c before b parts from a.
+        path = tmp_path / "bad.csv"
+        path.write_text("a;g;u;*\nc;h;w;*\nd;h;x;*\nb;g;v;*\n", encoding="utf-8")
+        with pytest.raises(InputError, match=r"level 2 splits a level-1 block \('h'\)$"):
+            read_hierarchy(str(path))
+
+    @pytest.mark.parametrize(
+        "codes, labels, message",
+        [
+            ([[0, 1], [0, 0], [0, 0]], [["a", "b"], ["*"]], NUMBERING),
+            ([[0, 1, 0], [0, 0, 0]], [["a", "b"], ["*"]], NUMBERING),
+            ([0, 0], [["a", "b"], ["*"]], NUMBERING),
+            ([[0, 1], [0, -1]], [["a", "b"], ["*"]], NUMBERING),
+            ([[1, 0], [0, 0]], [["b", "a"], ["*"]], NUMBERING),
+            ([[0, 2], [0, 0]], [["a", "b"], ["*"]], NUMBERING),
+            ([[0, 1], [0, 0]], [["a", "b"], ["*", "g"]], NUMBERING),
+            ([[0, 1, 2], [0, 1, 1], [0, 0, 0]], [["a", "b", "c"], ["g", "g"], ["*"]],
+             "level 1 gives two blocks one label"),
+            ([[0, 1], [0, 0]], [["a", "b"], ["a"]], "top level must map everything to '\\*'"),
+            ([[0, 1], [0, 0]], [["a", "c"], ["*"]], "level 0 must be the identity"),
+        ],
+    )
+    def test_malformed_codes_rejected_on_construction(self, codes, labels, message):
+        with pytest.raises(InputError, match=f"^hierarchy for 'x': .*{message}$"):
+            Vgh("x", ["a", "b", "c"][: len(labels[0])], np.array(codes, dtype=np.int32), labels)
+
+    def test_equality_is_attribute_leaves_and_levels(self):
+        levels = [{"a": "a", "b": "b", "c": "c"}, {"a": "g", "b": "h", "c": "g"}]
+        vgh = Vgh.from_levels("x", ["a", "b", "c"], [*levels, dict.fromkeys("abc", "*")])
+        same = Vgh.from_levels("x", ["a", "b", "c"], [*levels, dict.fromkeys("cba", "*")])
+        assert vgh == same and vgh.kmeans_repairs == 0
+        assert vgh != dataclasses.replace(vgh, attribute="y")
+        other = [levels[0], {"a": "g", "b": "g", "c": "h"}, dict.fromkeys("abc", "*")]
+        assert vgh != Vgh.from_levels("x", ["a", "b", "c"], other)
+        assert vgh != dataclasses.replace(vgh, labels=[["a", "b", "c"], ["h", "g"], ["*"]])
+        assert vgh != Vgh.from_levels("x", ["b", "a", "c"], [levels[0], *other[1:]])
+        assert vgh != levels
 
     def test_check_values_rejects_a_repeated_value(self):
         with pytest.raises(InputError, match="^the values of attribute 'x' must be distinct$"):
@@ -243,7 +319,7 @@ class TestHierarchyFiles:
     def test_separator_inside_label_rejected_on_construction(self):
         # So no hierarchy whose file would not read back can be written.
         with pytest.raises(InputError, match="separator"):
-            Vgh("x", ["a;b"], [{"a;b": "a;b"}, {"a;b": "*"}])
+            Vgh.from_levels("x", ["a;b"], [{"a;b": "a;b"}, {"a;b": "*"}])
 
     @pytest.mark.parametrize(
         "text",
@@ -287,7 +363,7 @@ class TestLabelGrammar:
         else:
             values = [f"q{i}" for i in range(n)]
             vgh = build_vgh(values, {v: rng.normal(size=2) for v in values}, source, seed)
-        for level in vgh.levels:
+        for level in oracles.level_dicts(vgh):
             blocks: dict[str, list[str]] = {}
             for leaf in vgh.leaves:
                 blocks.setdefault(level[leaf], []).append(leaf)
