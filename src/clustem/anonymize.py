@@ -13,8 +13,12 @@ checked; when it fails, a greedy upward chain from it is binary-searched for
 its first passing node. Each such step then tags at most two cones, downward
 from the last failing chain node and upward from the first passing one (the
 chain search of OLA and Flash), so most nodes are decided by a tag, and a walk
-ends once the all-top node fails. The order is one sort of the lattice's N
-nodes, made once a walk goes beyond the bottom node: O(N log N) time and O(N)
+ends once the all-top node fails. The bottom node ranks first, and the rest
+of the order is made in slabs of ascending loss, shared by a sweep's walks:
+a slab is sorted only once a walk first reaches it, so a sweep whose walks
+stop early sorts a small part of the lattice, and one that passes at the
+bottom node sorts none. Within a slab, a walk skips the ranks tagged failing
+a window at a time. Making the first slab computes every node's loss, O(N)
 memory.
 
 A run is refused before any work by one gate, ``check_plan``: the QI and
@@ -39,6 +43,7 @@ distinct pair key names its group.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
@@ -51,6 +56,9 @@ from .tabular import SUPPRESSED, Column, QiSpec, Table, code_column, distinct_ro
 from .vgh import Vgh, build_vgh, check_values
 
 MAX_LATTICE_NODES = 10_000_000
+
+# The ranking's first slab size and the walk's scan window.
+_SLAB = 4096
 
 # Search state per lattice node.
 _UNKNOWN, _PASS, _FAIL = 0, 1, 2
@@ -238,18 +246,62 @@ def _classify(
     return lo == 0
 
 
-def _ranking(level_counts: Sequence[int]) -> np.ndarray:
-    """Every node's flat index, in ascending (loss, level sum, levels) order.
-    Losses are summed in ``loss``'s order, so they are bit-equal to it, and
-    the stable sort keeps C order, which is lexicographic, on full ties."""
+def _ranking(level_counts: Sequence[int]) -> Iterator[np.ndarray]:
+    """Every node's flat index, in ascending (loss, level sum, levels) order,
+    in slabs of ascending loss, each made when it is asked for; joined, they
+    are the whole order. Indices are int32, which the node cap allows. Losses
+    are summed in ``loss``'s order, so they are bit-equal to it. The slabs end
+    at the losses of ranks ``_SLAB``, 2 ``_SLAB``, 4 ``_SLAB`` ..., and each
+    holds every node whose loss lies above one end and at most the next, so a
+    run of equal losses is never split. Within a slab, nodes are sorted by
+    loss and level sum; the sort is stable and the slab ascends, so full ties
+    keep C order, which is lexicographic."""
     losses = np.zeros(level_counts)
-    heights = np.zeros(level_counts, dtype=np.int32)
     axes = np.ix_(*[np.arange(c, dtype=np.int32) for c in level_counts])
     for count, levels in zip(level_counts, axes):
         losses += levels / max(count - 1, 1)
-        heights += levels
     losses /= len(level_counts)
-    return np.lexsort((heights.ravel(), losses.ravel()))
+    losses = losses.reshape(-1)
+    sizes = [_SLAB]
+    while sizes[-1] < losses.size:
+        sizes.append(2 * sizes[-1])
+    # Partition at the largest rank first, then only the part below it: about
+    # two passes over the losses, where a partition at every rank at once
+    # makes one pass per rank.
+    part, bounds = losses.copy(), [np.inf]
+    for size in sizes[-2::-1]:
+        part.partition(size - 1)
+        bounds.append(part[size - 1])
+        part = part[: size - 1]
+    del part  # and with it the copy
+    strides = [math.prod(level_counts[j + 1 :]) for j in range(len(level_counts))]
+    lo = -np.inf
+    for hi in sorted(set(bounds)):
+        slab = np.flatnonzero((losses > lo) & (losses <= hi)).astype(np.int32)
+        lo = hi
+        sums = sum(slab // stride % count for stride, count in zip(strides, level_counts))
+        yield slab[np.lexsort((sums, losses[slab]))]
+
+
+def _unfailed(
+    slabs: list[np.ndarray], more: Iterator[np.ndarray], flat: np.ndarray
+) -> Iterator[int]:
+    """The ranks' flat indices in order, skipping those tagged failing when the
+    walk reaches them. ``slabs`` holds the ranking's first slabs; ``more``
+    yields the rest, each appended to ``slabs`` once a walk first reaches it.
+    Tagged ranks are skipped by scanning ``_SLAB`` at a time."""
+    for s in itertools.count():
+        if s == len(slabs):
+            slabs.append(next(more))
+        slab, pos = slabs[s], 0
+        while pos < len(slab):
+            live = np.flatnonzero(flat[slab[pos : pos + _SLAB]] != _FAIL)
+            if live.size == 0:
+                pos += _SLAB
+                continue
+            pos += int(live[0])
+            yield int(slab[pos])
+            pos += 1
 
 
 def check_plan(
@@ -290,17 +342,13 @@ def search(
     lattice = _CodedLattice(table, spec, vghs)
     level_counts = tuple(v.level_count for v in lattice.vghs)
     tops = tuple(c - 1 for c in level_counts)
-    ranking = np.zeros(1, dtype=np.intp)  # the bottom node, which ranks first
+    slabs = [np.zeros(1, dtype=np.int32)]  # the bottom node, which ranks first
+    more = _ranking(level_counts)  # runs only once a walk goes beyond it
     for params in sweep:
         state = np.full(level_counts, _UNKNOWN, dtype=np.int8)
         flat = state.reshape(-1)
         best, satisfied = tops, False
-        for rank in range(flat.size):
-            if rank == len(ranking):
-                ranking = _ranking(level_counts)
-            index = ranking[rank]
-            if flat[index] == _FAIL:
-                continue
+        for index in _unfailed(slabs, more, flat):
             node = tuple(map(int, np.unravel_index(index, level_counts)))
             if flat[index] == _PASS or _classify(lattice, params, node, tops, state):
                 best, satisfied = node, True

@@ -14,6 +14,7 @@ only its merged block.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -230,19 +231,46 @@ def write_hierarchy(vgh: Vgh, path: str) -> None:
 
 
 def read_hierarchy(path: str, attribute: str | None = None) -> Vgh:
-    """Read a hierarchy file; the attribute name defaults to the file stem."""
+    """Read a hierarchy file; the attribute name defaults to the file stem.
+
+    The file is read and coded one line at a time, as it is written. Its
+    faults are reported in one order whatever their place in it: not UTF-8,
+    then an empty line, then unequal widths (listing every width)."""
+    leaves: list[str] = []
+    rows: list[np.ndarray] = []
+    blocks: list[dict[str, int]] = []  # per level, each label's code
+    widths: set[int] = set()
+    empty = False
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            # Only "\n" ends a line (reading turns "\r\n" and "\r" into it): a
+            # label may hold any other line boundary that str.splitlines knows.
+            for line in fh:
+                line = line.removesuffix("\n")
+                empty |= not line
+                widths.add(line.count(FIELD_SEPARATOR) + 1)
+                if empty or len(widths) > 1:
+                    continue
+                # A label kept by many levels is held once.
+                cells = list(map(sys.intern, line.split(FIELD_SEPARATOR)))
+                blocks = blocks or [{} for _ in cells]
+                leaves.append(cells[0])
+                rows.append(np.fromiter(
+                    (codes.setdefault(c, len(codes)) for codes, c in zip(blocks, cells)),
+                    np.int32, count=len(cells),
+                ))
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
+        if isinstance(exc, UnicodeDecodeError):
+            # Name the byte's position in the file, not in the chunk that the
+            # line reader was decoding.
+            try:
+                Path(path).read_bytes().decode("utf-8")
+            except UnicodeDecodeError as whole:
+                exc = whole
         raise InputError(f"cannot read hierarchy file {path}: {exc}") from exc
-    # Only "\n" ends a line (read_text turns "\r\n" and "\r" into it): a label
-    # may hold any other line boundary that str.splitlines knows.
-    lines = text.removesuffix("\n").split("\n")
-    if not all(lines):
+    if empty or not leaves:
         raise InputError(f"{path}: empty line in hierarchy file")
-    rows = [line.split(FIELD_SEPARATOR) for line in lines]
-    widths = {len(r) for r in rows}
     if len(widths) != 1:
         raise InputError(f"{path}: rows have unequal column counts {sorted(widths)}")
     name = attribute if attribute is not None else Path(path).stem
-    return Vgh(name, [row[0] for row in rows], *_coded(zip(*rows)))
+    return Vgh(name, leaves, np.stack(rows, axis=1), [list(codes) for codes in blocks])

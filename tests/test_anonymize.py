@@ -415,6 +415,25 @@ class TestSearch:
         assert result.satisfied
         assert result.node == (0,)
 
+    def test_a_sweep_passing_at_the_bottom_node_builds_no_slab(
+        self, abc_table_spec, ab_vgh, monkeypatch
+    ):
+        def no_slab(level_counts):
+            raise AssertionError("a ranking slab was built")
+            yield
+
+        monkeypatch.setattr(anonymize, "_ranking", no_slab)
+        table, spec = abc_table_spec
+        sweep = [
+            PrivacyParams(k=1),
+            PrivacyParams(k=2, sup_limit=0.34),
+            PrivacyParams(k=2, l=2, sup_limit=0.34),
+        ]
+        assert [r.node for r in search(table, spec, {"q": ab_vgh}, sweep)] == [(0,)] * 3
+        # A walk beyond the bottom node asks for the first slab.
+        with pytest.raises(AssertionError, match="slab"):
+            list(search(table, spec, {"q": ab_vgh}, [PrivacyParams(k=2, sup_limit=0.2)]))
+
     def test_a_qi_attribute_without_a_hierarchy_is_an_input_error(self, abc_table_spec):
         table, spec = abc_table_spec
         results = search(table, spec, {}, [PrivacyParams(k=1)])
@@ -495,7 +514,7 @@ class TestSearch:
                 itertools.product(*map(range, counts)),
                 key=lambda n: (loss(n, vghs), sum(n), n),
             )
-            ranked = np.unravel_index(_ranking(counts), counts)
+            ranked = np.unravel_index(np.concatenate(list(_ranking(counts))), counts)
             assert list(zip(*(axis.tolist() for axis in ranked))) == expected
             ties += len(expected) - len({loss(n, vghs) for n in expected})
         assert ties > 0
@@ -621,7 +640,7 @@ class TestSearch:
         outcomes = []
         for table, spec, vghs, sweep in self.walk_instances(2611):
             lattice = _CodedLattice(table, spec, vghs)
-            ranking = _ranking([v.level_count for v in lattice.vghs])
+            ranking = np.concatenate(list(_ranking([v.level_count for v in lattice.vghs])))
             results = search(table, spec, vghs, sweep)
             for params in sweep:
                 result = next(results)
@@ -634,6 +653,16 @@ class TestSearch:
                 outcomes.append(result.satisfied)
         assert any(outcomes) and not all(outcomes)
 
+    @pytest.mark.parametrize("slab", [1, 2])
+    def test_slabs_and_windows_of_one_or_two_ranks_keep_the_order_and_the_walk(
+        self, monkeypatch, slab
+    ):
+        # The slabs then end at nearly every loss tie run, and the walk's scan
+        # windows at every rank or every other one.
+        monkeypatch.setattr(anonymize, "_SLAB", slab)
+        self.test_ranking_is_the_brute_force_key_order()
+        self.test_checks_the_nodes_of_the_reference_walk(monkeypatch)
+
     def test_one_classify_step_leaves_the_reference_state(self):
         # Every untagged node in rank order, not only those a walk reaches, so
         # the steps start from many tag states.
@@ -644,7 +673,7 @@ class TestSearch:
             tops = tuple(c - 1 for c in counts)
             for params in sweep:
                 state = np.full(counts, _UNKNOWN, dtype=np.int8)
-                for index in _ranking(counts):
+                for index in np.concatenate(list(_ranking(counts))):
                     if state.flat[index] != _UNKNOWN:
                         continue
                     node = tuple(map(int, np.unravel_index(index, counts)))

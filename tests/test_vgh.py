@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -244,6 +245,42 @@ class TestHierarchyFiles:
         path.write_text("a;*\nb;b;*\n", encoding="utf-8")
         with pytest.raises(InputError, match="column counts"):
             read_hierarchy(str(path))
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"", "empty line"),
+            (b"a;*\nb;b;*\n\nc;*\n", "empty line"),
+            (b"a;*\n\nb;*\n\xff\n", "can't decode byte 0xff in position 9"),
+            (b"a;*\nb;b;*\nc;c;c;*\nd;*\n", r"column counts \[2, 3, 4\]$"),
+            (b"a;*\n" * 3000 + b"\xff", "can't decode byte 0xff in position 12000"),
+        ],
+        ids=["no-lines", "empty-after-widths", "utf8-after-empty", "every-width",
+             "utf8-past-a-chunk"],
+    )
+    def test_a_fault_is_reported_by_kind_not_by_place(self, tmp_path, data, message):
+        # Not UTF-8 comes first, then an empty line, then unequal widths; a
+        # position counts from the start of the file.
+        path = tmp_path / "bad.csv"
+        path.write_bytes(data)
+        with pytest.raises(InputError, match=message):
+            read_hierarchy(str(path))
+
+    def test_reading_holds_little_more_than_the_hierarchy(self, tmp_path):
+        values = [f"value{i}" for i in range(150)]
+        rng = np.random.default_rng(150)
+        vgh = build_vgh(values, {v: rng.normal(size=4) for v in values}, WARD, attribute="q")
+        path = tmp_path / "q.csv"
+        write_hierarchy(vgh, str(path))
+        tracemalloc.start()
+        try:
+            assert read_hierarchy(str(path)) == vgh
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The file grows with the cube of the value count, and the hierarchy
+        # with its square.
+        assert peak < 1.5 * path.stat().st_size
 
     def test_coarsening_violation(self, tmp_path):
         # Level 1 groups a/b, level 2 splits them again.
