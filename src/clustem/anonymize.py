@@ -52,7 +52,9 @@ import numpy as np
 
 from . import embed
 from .errors import InputError
-from .tabular import SUPPRESSED, Column, QiSpec, Table, code_column, distinct_rows, fold
+from .tabular import (
+    SUPPRESSED, Column, QiSpec, Table, code_column, distinct_rows, fold, rate_quoting
+)
 from .vgh import Vgh, build_vgh, check_values
 
 MAX_LATTICE_NODES = 10_000_000
@@ -196,7 +198,8 @@ class _CodedLattice:
 
     def generalize(self, table: Table, node: LatticeNode, mask: np.ndarray) -> Table:
         """The table with each QI cell replaced by its label at the node's
-        level, "*" in every QI cell of a masked row, other columns unchanged."""
+        level, "*" in every QI cell of a masked row, other columns unchanged.
+        A generalized column's quoting is rated from its labels."""
         columns = []
         for column in table.columns:
             if column.name not in self.qi:
@@ -204,10 +207,12 @@ class _CodedLattice:
                 continue
             j = self.qi.index(column.name)
             level = node[j]
-            labels = np.array(self.labels[j][level] + [SUPPRESSED], dtype=object)
+            labels = self.labels[j][level] + [SUPPRESSED]
             codes = self.luts[j][level][column.coding[0]]
             codes[mask] = len(labels) - 1
-            columns.append(Column(column.name, labels[codes].tolist()))
+            out = Column(column.name, np.array(labels, dtype=object)[codes].tolist())
+            out.quoting = rate_quoting(labels)
+            columns.append(out)
         return Table(columns)
 
 

@@ -19,11 +19,15 @@ wrapped in double quotes, with every '"' doubled; the empty cell of a
 one-column row is written as '""'. When any cell or column name holds a
 "\r", every cell is quoted. These are the bytes of ``csv.writer`` with
 ``QUOTE_MINIMAL`` (``QUOTE_ALL`` when there is a "\r") and
-``lineterminator="\n"``. ``write_csv`` works a block of rows at a time and
-joins each column's cells of the block once: that string tells whether the
-column needs the per-cell rule, which is then decided once per distinct cell
-of the block, and the block is rendered in one join. The first "\r" makes
-it write the whole file again with every cell quoted.
+``lineterminator="\n"``. ``write_csv`` decides this from each column's
+quoting rating (``Column.quoting``): 0 when no cell needs quotes, 1 when a
+cell holds ",", '"' or "\n", 2 when one holds "\r". The direct split rates
+its columns 0 and the generalizer rates its columns from their label lists;
+any other column is rated once, by scanning its cells. A rating of 2, or a
+"\r" in a column name, quotes every cell from the first row on. Otherwise a
+column rated 0 is written as it is, and one rated 1, the header and a
+table's only column take the per-cell rule, decided once per distinct cell
+of each block of rows.
 
 String columns are grouped through integer codes. ``code_column`` codes a
 column once (``Column.coding`` keeps the result), numbering its distinct
@@ -71,6 +75,12 @@ class Column:
         codes, distinct = code_column(self.values)
         codes.flags.writeable = False
         return codes, distinct
+
+    @cached_property
+    def quoting(self) -> int:
+        """``rate_quoting(values)``, made once unless the maker of the column
+        sets it from what it knows of the cells (the module docstring)."""
+        return rate_quoting(self.values)
 
 
 @dataclass
@@ -160,7 +170,10 @@ def _split_plain(text: str) -> Table | None:
     if set(map(str.count, lines, repeat(","))) != {width - 1}:
         return None
     cells = ",".join(lines).split(",")
-    return Table([Column(name, cells[width + j :: width]) for j, name in enumerate(header)])
+    columns = [Column(name, cells[width + j :: width]) for j, name in enumerate(header)]
+    for column in columns:
+        column.quoting = 0  # no cell holds '"', "\r", "," or "\n"
+    return Table(columns)
 
 
 def _read_csv(path: str, stream: TextIO) -> Table:
@@ -215,6 +228,12 @@ def _needs_quotes(text: str) -> bool:
     return "," in text or '"' in text or "\n" in text
 
 
+def rate_quoting(cells: Sequence[str]) -> int:
+    """2 when a cell holds "\r", else 1 when one needs quotes, else 0."""
+    joined = "".join(cells)
+    return 2 if "\r" in joined else int(_needs_quotes(joined))
+
+
 def _quote(cell: str) -> str:
     return '"' + cell.replace('"', '""') + '"'
 
@@ -223,28 +242,25 @@ def write_csv(table: Table, path: str) -> None:
     """Write ``table`` so that ``load_csv`` reads back an identical Table, by
     the quoting rules in the module docstring."""
     with atomic_write(path) as fh:
-        if not _write_rows(fh, table, quote_all=False):
-            fh.seek(0)
-            fh.truncate()
-            _write_rows(fh, table, quote_all=True)
+        _write_rows(fh, table)
 
 
-def _write_rows(fh: TextIO, table: Table, quote_all: bool) -> bool:
-    """Write the header and the rows, a block at a time. Without ``quote_all``,
-    stop and return False at the first block that holds a "\r"."""
+def _write_rows(fh: TextIO, table: Table) -> None:
+    """Write the header and the rows, a block at a time. The header's cells
+    always take the per-cell rule."""
+    ratings = [col.quoting for col in table.columns]
+    quote_all = 2 in ratings or "\r" in "".join(table.column_names)
     lone = len(table.columns) == 1
+    header = [([name], 1) for name in table.column_names]
     blocks = (
-        [col.values[start : start + _BLOCK_ROWS] for col in table.columns]
+        [(col.values[start : start + _BLOCK_ROWS], r) for col, r in zip(table.columns, ratings)]
         for start in range(0, table.row_count, _BLOCK_ROWS)
     )
-    for block in chain([[[name] for name in table.column_names]], blocks):
+    for block in chain([header], blocks):
         cells = []
-        for col in block:
-            joined = "".join(col)
-            if "\r" in joined and not quote_all:
-                return False
-            # A one-column row of one empty cell would read back as a blank line.
-            if quote_all or _needs_quotes(joined) or (lone and "" in col):
+        for col, rating in block:
+            if quote_all or rating or lone:
+                # A one-column row of one empty cell would read back as a blank line.
                 rendered = {
                     c: _quote(c) if quote_all or _needs_quotes(c) or (lone and not c) else c
                     for c in dict.fromkeys(col)
@@ -252,7 +268,6 @@ def _write_rows(fh: TextIO, table: Table, quote_all: bool) -> bool:
                 col = list(map(rendered.__getitem__, col))
             cells.append(col)
         fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
-    return True
 
 
 def code_column(values: Sequence[str]) -> tuple[np.ndarray, list[str]]:

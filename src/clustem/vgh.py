@@ -81,13 +81,15 @@ class Vgh:
             raise InputError(f"{name} has an empty or {TOP!r} leaf")
         if not self.labels:
             raise InputError(f"{name} has no levels")
-        # Numbered in order of first appearance: no code is more than one above
-        # every code before it, and a level's highest code is its last label.
+        # Numbered in order of first appearance: the first code is 0, no code is
+        # more than one above every code before it (compared in the codes'
+        # dtype, with no int64 copy), and a level's highest code is its last
+        # label.
         highest = np.maximum.accumulate(codes, axis=-1)
         counts = [len(level) for level in self.labels]
         if codes.shape != (len(counts), len(self.leaves)) or codes.min() < 0 or (
-            (np.diff(highest, prepend=-1) > 1).any() or (highest[:, -1] + 1).tolist() != counts
-        ):
+            (codes[:, 0] > 0).any() or (highest[:, 1:] - highest[:, :-1] > 1).any()
+        ) or (highest[:, -1] + 1).tolist() != counts:
             raise InputError(f"{name}: codes must be levels x leaves, numbered by first appearance")
         for i, level in enumerate(self.labels):
             if TOP in level and i < len(self.labels) - 1:

@@ -11,12 +11,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import _datagen as datagen
 import _oracles as oracles
-from clustem import cli, embed
+from clustem import cli, embed, tabular
+from clustem.anonymize import PrivacyParams, generate_vghs, search
 from clustem.efficacy import encode
+from clustem.embed import WordVectorProvider
 from clustem.errors import InputError
 from clustem.tabular import _BLOCK_ROWS, Column, QiSpec, Table, group_ids, load_csv, write_csv
-from clustem.vgh import Vgh, write_hierarchy
+from clustem.vgh import WARD, Vgh, read_hierarchy, write_hierarchy
 from conftest import make_table
 
 
@@ -236,6 +239,85 @@ class TestWriteCsv:
     def test_unwritable_path(self, tmp_path):
         with pytest.raises(OSError):
             write_csv(make_table(c=["v"]), str(tmp_path / "no" / "dir.csv"))
+
+
+def _cells_rating(cells):
+    """The quoting rating of ``cells`` by the module docstring, cell by cell."""
+    if any("\r" in cell for cell in cells):
+        return 2
+    return int(any(mark in cell for cell in cells for mark in ',"\n'))
+
+
+def _no_scan(cells):
+    raise AssertionError("a column's cells were scanned for its quoting")
+
+
+class TestQuotingRating:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(table=_tables(CSV_TEXT, max_rows=6))
+    @example(table=Table([Column("a", ["x", "\r\n"]), Column("b", ["", ","])]))
+    def test_a_column_is_rated_by_its_cells(self, table):
+        assert [col.quoting for col in table.columns] == [
+            _cells_rating(col.values) for col in table.columns
+        ]
+
+    def test_split_and_generalized_tables_are_written_without_a_scan(
+        self, adult_paths, tmp_path, paths_taken, monkeypatch
+    ):
+        table = load_csv(adult_paths["train"])
+        assert paths_taken == Counter({"split": 1})
+        spec = QiSpec(datagen.QI, datagen.SA)
+        vghs = generate_vghs(table, spec.qi, WordVectorProvider(adult_paths["vectors"]), WARD, 42)
+        sweep = [PrivacyParams(k=k, l=2, sup_limit=0.5) for k in [2, 10, 30, 200]]
+        results = list(search(table, spec, vghs, sweep))
+        monkeypatch.setattr(tabular, "rate_quoting", _no_scan)
+        assert [col.quoting for col in table.columns] == [0] * len(table.columns)
+        for written in [table] + [result.table for result in results]:
+            write_csv(written, str(tmp_path / "t.csv"))
+            assert (tmp_path / "t.csv").read_bytes() == _csv_module_bytes(written)
+        generalized = [
+            (result.table.column(a).quoting, result.table.column(a).values)
+            for result in results
+            for a in spec.qi
+        ]
+        # A generalized column is rated from its labels: some hold set labels
+        # ("{a,b}") and some only plain ones.
+        assert all(rating >= _cells_rating(values) for rating, values in generalized)
+        assert {rating for rating, _ in generalized} == {0, 1}
+
+    def test_leaves_with_quotes_and_commas_are_quoted_at_every_k(self, tmp_path):
+        leaves = ['say "hi"', "a,b", "plain", "x"]
+        rows = [["q", "note", "s"]] + [
+            [leaf, f"n,{i}" if i == 5 else f"n{i}", "yn"[i % 2]]
+            for i, leaf in enumerate(leaves[:1] * 3 + leaves[1:2] + leaves[2:] * 2)
+        ]
+        data = tmp_path / "data.csv"
+        with open(data, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        hdir = tmp_path / "given"
+        hdir.mkdir()
+        (hdir / "q.csv").write_text(
+            "".join(f"{leaf};{group};*\n" for leaf, group in zip(leaves, ["g1", "g1", "g2", "g2"])),
+            encoding="utf-8",
+        )
+        ks = [1, 2, 3, 5]
+        out = tmp_path / "out"
+        code = cli.main([
+            "anonymize", "--input", str(data), "--out", str(out), "--qi", "q", "--sa", "s",
+            "--k", ",".join(map(str, ks)), "--sup-limit", "0.2", "--hierarchies-dir", str(hdir),
+        ])
+        assert code == 0
+        spec = QiSpec(["q"], "s")
+        vghs = {"q": read_hierarchy(str(hdir / "q.csv"))}
+        sweep = [PrivacyParams(k=k, sup_limit=0.2) for k in ks]
+        results = list(search(load_csv(str(data)), spec, vghs, sweep))
+        # The identity (with and without a suppressed row), level 1 and the top.
+        assert [result.node for result in results] == [(0,), (0,), (1,), (2,)]
+        assert [result.table.column("q").quoting for result in results] == [1, 1, 0, 0]
+        for k, result in zip(ks, results):
+            assert (out / f"k{k}" / "anonymized.csv").read_bytes() == _csv_module_bytes(
+                result.table
+            )
 
 
 class TestGroupIds:

@@ -282,6 +282,20 @@ class TestHierarchyFiles:
         # with its square.
         assert peak < 1.5 * path.stat().st_size
 
+    def test_checking_the_codes_copies_them_in_their_own_dtype(self):
+        values = [f"value{i}" for i in range(150)]
+        rng = np.random.default_rng(150)
+        vgh = build_vgh(values, {v: rng.normal(size=4) for v in values}, WARD, attribute="q")
+        tracemalloc.start()
+        try:
+            Vgh(vgh.attribute, vgh.leaves, vgh.codes, vgh.labels)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The running maximum and the step between its neighbours are int32
+        # copies of the codes (about 250 kB in all); int64 steps took 590 kB.
+        assert peak < 4 * vgh.codes.nbytes
+
     def test_coarsening_violation(self, tmp_path):
         # Level 1 groups a/b, level 2 splits them again.
         path = tmp_path / "bad.csv"
@@ -326,6 +340,7 @@ class TestHierarchyFiles:
             ([[0, 1], [0, -1]], [["a", "b"], ["*"]], NUMBERING),
             ([[1, 0], [0, 0]], [["b", "a"], ["*"]], NUMBERING),
             ([[0, 2], [0, 0]], [["a", "b"], ["*"]], NUMBERING),
+            ([[0, 2, 1], [0, 0, 0]], [["a", "b", "c"], ["*"]], NUMBERING),
             ([[0, 1], [0, 0]], [["a", "b"], ["*", "g"]], NUMBERING),
             ([[0, 1, 2], [0, 1, 1], [0, 0, 0]], [["a", "b", "c"], ["g", "g"], ["*"]],
              "level 1 gives two blocks one label"),
