@@ -340,12 +340,13 @@ class TestHierarchyFiles:
             ([[0, 1], [0, -1]], [["a", "b"], ["*"]], NUMBERING),
             ([[1, 0], [0, 0]], [["b", "a"], ["*"]], NUMBERING),
             ([[0, 2], [0, 0]], [["a", "b"], ["*"]], NUMBERING),
-            ([[0, 2, 1], [0, 0, 0]], [["a", "b", "c"], ["*"]], NUMBERING),
             ([[0, 1], [0, 0]], [["a", "b"], ["*", "g"]], NUMBERING),
             ([[0, 1, 2], [0, 1, 1], [0, 0, 0]], [["a", "b", "c"], ["g", "g"], ["*"]],
              "level 1 gives two blocks one label"),
             ([[0, 1], [0, 0]], [["a", "b"], ["a"]], "top level must map everything to '\\*'"),
             ([[0, 1], [0, 0]], [["a", "c"], ["*"]], "level 0 must be the identity"),
+            # A later code may not be skipped either: 2 comes before 1.
+            ([[0, 2, 1], [0, 0, 0]], [["a", "b", "c"], ["*"]], NUMBERING),
         ],
     )
     def test_malformed_codes_rejected_on_construction(self, codes, labels, message):
