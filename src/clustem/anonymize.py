@@ -32,13 +32,13 @@ generalized table at the chosen node are all computed from those codes, and
 the reports in ``metrics`` count over the same group ids and sensitive codes.
 Each QI and sensitive column is coded once (``Column.coding``), and the
 lattice groups rows by those codes: a hierarchy level becomes a lookup from
-value code to label code. Every grouping is one ``tabular.fold``, which packs
-code columns into one mixed-radix int64 key per row and numbers the keys,
-through a presence table when their range is small. Rows become combinations
-of QI value codes once per sweep, by ``tabular.distinct_rows``, which also
-gives each combination's first row and row count. A check's groups, and their
-distinct pairs with the sensitive value, need no first rows, and each
-distinct pair key names its group.
+value code to the hierarchy's own block code. Every grouping is one
+``tabular.fold``, which packs code columns into one mixed-radix int64 key per
+row and numbers the keys, through a presence table when their range is small.
+Rows become combinations of QI value codes once per sweep, by
+``tabular.distinct_rows``, which also gives each combination's first row and
+row count. A check's groups, and their distinct pairs with the sensitive
+value, need no first rows, and each distinct pair key names its group.
 """
 
 from __future__ import annotations
@@ -52,9 +52,7 @@ import numpy as np
 
 from . import embed
 from .errors import InputError
-from .tabular import (
-    SUPPRESSED, Column, QiSpec, Table, code_column, distinct_rows, fold, rate_quoting
-)
+from .tabular import SUPPRESSED, Column, QiSpec, Table, distinct_rows, fold, rate_quoting
 from .vgh import Vgh, build_vgh, check_values
 
 MAX_LATTICE_NODES = 10_000_000
@@ -129,9 +127,9 @@ class _CodedLattice:
 
     ``distinct_rows`` collapses rows to distinct combinations of their QI
     value codes (``Column.coding``) with multiplicities. Each (attribute,
-    level) gets a lookup table from value code to label code, over the labels
-    some row holds, so grouping at a node is one ``fold`` of the
-    combinations' label codes (a combination's number does not matter), and
+    level) gets a lookup table from value code to the hierarchy's own block
+    code (``Vgh.codes``), so grouping at a node is one ``fold`` of the
+    combinations' block codes (a combination's number does not matter), and
     the generalized table is one label lookup per cell. An empty table has
     no combinations and no groups, and passes every check.
     """
@@ -146,16 +144,11 @@ class _CodedLattice:
         # combos[j][c]: the code of attribute j's value in combination c
         self.combos = [codes[first] for codes, _ in codings]
 
-        # luts[j][v]: value code -> label code at level v; labels[j][v]: code -> string
-        self.luts: list[list[np.ndarray]] = []
-        self.labels: list[list[list[str]]] = []
+        # luts[j][v]: value code -> block code at level v, as vghs[j].codes numbers it
+        self.luts: list[np.ndarray] = []
         for vgh, (_, distinct) in zip(self.vghs, codings):
             position = {leaf: i for i, leaf in enumerate(vgh.leaves)}
-            levels = vgh.codes[:, [position[v] for v in distinct]].tolist()
-            # Each level's blocks, renumbered in order of first appearance here.
-            luts, seen = zip(*map(code_column, levels))
-            self.luts.append(list(luts))
-            self.labels.append([[names[b] for b in kept] for names, kept in zip(vgh.labels, seen)])
+            self.luts.append(vgh.codes[:, [position[v] for v in distinct]])
 
         # The distinct (combination, sensitive value) pairs.
         self.pair_sa: np.ndarray | None = None
@@ -172,7 +165,7 @@ class _CodedLattice:
         k or l, at the node."""
         inverse, _ = fold(
             [self.luts[j][level][self.combos[j]] for j, level in enumerate(node)],
-            [len(self.labels[j][level]) for j, level in enumerate(node)],
+            [len(self.vghs[j].labels[level]) for j, level in enumerate(node)],
         )
         sizes = np.bincount(inverse, weights=self.combo_counts).astype(np.int64)
         bad = sizes < params.k
@@ -207,7 +200,7 @@ class _CodedLattice:
                 continue
             j = self.qi.index(column.name)
             level = node[j]
-            labels = self.labels[j][level] + [SUPPRESSED]
+            labels = self.vghs[j].labels[level] + [SUPPRESSED]
             codes = self.luts[j][level][column.coding[0]]
             codes[mask] = len(labels) - 1
             out = Column(column.name, np.array(labels, dtype=object)[codes].tolist())

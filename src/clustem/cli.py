@@ -355,7 +355,8 @@ def _cmd_evaluate(args) -> int:
         numeric = _parse_names(args.numeric_features)
     else:
         numeric = [
-            n for n in efficacy.DEFAULT_NUMERIC_FEATURES if train.has_column(n) and n != args.sa
+            n for n in efficacy.DEFAULT_NUMERIC_FEATURES
+            if train.has_column(n) and n not in (args.sa, *spec.qi)
         ]
     for role, path, table in (("training", args.train, train), ("test", args.test, test)):
         try:

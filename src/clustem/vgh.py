@@ -235,32 +235,20 @@ def write_hierarchy(vgh: Vgh, path: str) -> None:
 def read_hierarchy(path: str, attribute: str | None = None) -> Vgh:
     """Read a hierarchy file; the attribute name defaults to the file stem.
 
-    The file is read and coded one line at a time, as it is written. Its
-    faults are reported in one order whatever their place in it: not UTF-8,
-    then an empty line, then unequal widths (listing every width)."""
-    leaves: list[str] = []
-    rows: list[np.ndarray] = []
-    blocks: list[dict[str, int]] = []  # per level, each label's code
-    widths: set[int] = set()
-    empty = False
+    The file is read and its labels interned one line at a time, as it is
+    written, and its levels are coded once at the end, as ``from_levels``
+    codes them. Its faults are reported in one order whatever their place in
+    it: not UTF-8, then an empty line, then unequal widths (listing every
+    width)."""
     try:
         with open(path, encoding="utf-8") as fh:
             # Only "\n" ends a line (reading turns "\r\n" and "\r" into it): a
             # label may hold any other line boundary that str.splitlines knows.
-            for line in fh:
-                line = line.removesuffix("\n")
-                empty |= not line
-                widths.add(line.count(FIELD_SEPARATOR) + 1)
-                if empty or len(widths) > 1:
-                    continue
-                # A label kept by many levels is held once.
-                cells = list(map(sys.intern, line.split(FIELD_SEPARATOR)))
-                blocks = blocks or [{} for _ in cells]
-                leaves.append(cells[0])
-                rows.append(np.fromiter(
-                    (codes.setdefault(c, len(codes)) for codes, c in zip(blocks, cells)),
-                    np.int32, count=len(cells),
-                ))
+            # A label kept by many levels is held once.
+            rows = [
+                list(map(sys.intern, line.removesuffix("\n").split(FIELD_SEPARATOR)))
+                for line in fh
+            ]
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
         if isinstance(exc, UnicodeDecodeError):
             # Name the byte's position in the file, not in the chunk that the
@@ -270,9 +258,10 @@ def read_hierarchy(path: str, attribute: str | None = None) -> Vgh:
             except UnicodeDecodeError as whole:
                 exc = whole
         raise InputError(f"cannot read hierarchy file {path}: {exc}") from exc
-    if empty or not leaves:
+    if not rows or [""] in rows:
         raise InputError(f"{path}: empty line in hierarchy file")
+    widths = {len(row) for row in rows}
     if len(widths) != 1:
         raise InputError(f"{path}: rows have unequal column counts {sorted(widths)}")
     name = attribute if attribute is not None else Path(path).stem
-    return Vgh(name, leaves, np.stack(rows, axis=1), [list(codes) for codes in blocks])
+    return Vgh(name, [row[0] for row in rows], *_coded(zip(*rows)))

@@ -2,8 +2,8 @@
 random hierarchies (with generated or hand-written labels) and their levels as
 leaf -> label dicts, and frozen copies of the former k-means, word-vector
 parser and line pattern, CSV reader, count matrix, fold, group ids, set
-labelling (``get_categories``), lattice lookups and lattice walk for the
-bit-identity tests, and of the former classifier fit and feature encoding.
+labelling (``get_categories``) and lattice walk for the bit-identity tests,
+and of the former classifier fit and feature encoding.
 
 Everything here works on plain dicts and loops, deliberately sharing no code
 with the production search and metrics paths.
@@ -123,18 +123,6 @@ def get_categories(values: Sequence[str], labels: Sequence[int]) -> dict[str, st
         name = group[0] if len(group) == 1 else "{" + ",".join(sorted(group)) + "}"
         out.update(dict.fromkeys(group, name))
     return out
-
-
-def reference_lattice_codes(vgh: Vgh, distinct: Sequence[str]):
-    """The former ``_CodedLattice`` lookups: per level, the label code of each
-    distinct value (labels numbered in order of first appearance among
-    ``distinct``) and the labels."""
-    luts, labels = [], []
-    for level in level_dicts(vgh):
-        index: dict[str, int] = {}
-        luts.append([index.setdefault(level[v], len(index)) for v in distinct])
-        labels.append(list(index))
-    return luts, labels
 
 
 def random_instance(rng: np.random.Generator, make_vgh=random_vgh):

@@ -142,21 +142,52 @@ class TestApplyNode:
 
 
 class TestLatticeLookups:
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(
         make_vgh=st.sampled_from([oracles.random_vgh, oracles.random_handwritten_vgh]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_lookups_are_the_per_level_label_coding(self, make_vgh, seed):
-        # A table holding some of the leaves, first seen in random order.
+    def test_leaves_no_row_holds_change_no_result(self, make_vgh, seed):
+        # The lattice groups rows by the hierarchy's own block codes, which
+        # follow its leaf order and also number blocks that no row holds.
+        # Shuffling the leaves, or cutting each hierarchy down to the leaves
+        # its column holds, must change no result.
         rng = np.random.default_rng(seed)
-        vgh = make_vgh(rng, "q", int(rng.integers(1, 9)), max_levels=6)
-        held = rng.permutation(vgh.leaves)[: int(rng.integers(1, len(vgh.leaves) + 1))]
-        table = make_table(q=[str(v) for v in rng.choice(held, size=int(rng.integers(1, 25)))])
-        lattice = _CodedLattice(table, QiSpec(["q"]), {"q": vgh})
-        luts, labels = oracles.reference_lattice_codes(vgh, table.column("q").coding[1])
-        assert [lut.tolist() for lut in lattice.luts[0]] == luts
-        assert lattice.labels[0] == labels
+        attrs = [f"q{j}" for j in range(int(rng.integers(1, 4)))]
+        drawn = {a: make_vgh(rng, a, int(rng.integers(1, 9)), max_levels=6) for a in attrs}
+        n_rows = int(rng.integers(1, 31))
+        columns = []
+        for a, vgh in drawn.items():
+            held = rng.permutation(vgh.leaves)[: int(rng.integers(1, len(vgh.leaves) + 1))]
+            columns.append(Column(a, [str(v) for v in rng.choice(held, size=n_rows)]))
+        columns.append(Column("sa", [f"s{i}" for i in rng.integers(0, 3, size=n_rows)]))
+        table, spec = Table(columns), QiSpec(attrs, "sa")
+        vghs, cut = {}, {}
+        for a, vgh in drawn.items():
+            levels = oracles.level_dicts(vgh)
+            leaves = [str(leaf) for leaf in rng.permutation(vgh.leaves)]
+            vghs[a] = Vgh.from_levels(a, leaves, levels)
+            held = [leaf for leaf in leaves if leaf in table.column(a).coding[1]]
+            cut[a] = Vgh.from_levels(a, held, [{v: level[v] for v in held} for level in levels])
+        sweep = [
+            PrivacyParams(
+                k=int(rng.integers(1, 6)),
+                l=int(rng.choice([1, 2])),
+                sup_limit=float(rng.choice([0.0, 0.2, 0.5])),
+            )
+            for _ in range(3)
+        ]
+
+        def renumbered(groups):
+            ids: dict[int, int] = {}
+            return [-1 if g < 0 else ids.setdefault(g, len(ids)) for g in groups.tolist()]
+
+        for full, part in zip(search(table, spec, vghs, sweep), search(table, spec, cut, sweep)):
+            assert (full.node, full.loss, full.satisfied) == (part.node, part.loss, part.satisfied)
+            assert [(c.name, c.values) for c in full.table.columns] == [
+                (c.name, c.values) for c in part.table.columns
+            ]
+            assert renumbered(full.groups) == renumbered(part.groups)
 
 
 class TestCheckPrivacy:

@@ -1096,6 +1096,65 @@ class TestEvaluate:
         assert report["meta"]["features"] == []
         assert report["efficacy"]["accuracy"] == 0.6
 
+    @pytest.mark.parametrize("qi", ["job,hours-per-week", "hours-per-week,job"])
+    def test_default_numeric_features_leave_out_the_qi(self, tmp_path, qi):
+        # A generalized numeric QI holds set labels, which no numeric feature
+        # may hold; the QI columns are categorical features already.
+        data = tmp_path / "data.csv"
+        data.write_text(
+            "job,hours-per-week,salary-class\n"
+            + "".join(
+                f"{job},{hours},{label}\n"
+                for job, hours, label in zip(
+                    "aabbaabb", [38, 40, 38, 40, 50, 60, 50, 60], ["<=50K", ">50K"] * 4
+                )
+            ),
+            encoding="utf-8",
+        )
+        vectors = tmp_path / "vecs.txt"
+        vectors.write_text(
+            "6 2\na 0 0\nb 1 0\n38 0 0\n40 0.1 0\n50 5 5\n60 5.1 5\n", encoding="utf-8"
+        )
+        code = main(
+            [
+                "anonymize",
+                "--input", str(data),
+                "--out", str(tmp_path / "anon"),
+                "--qi", qi,
+                "--k", "2",
+                "--vectors", str(vectors),
+            ]
+        )
+        assert code == 0
+        anonymized = tmp_path / "anon" / "anonymized.csv"
+        assert "{" in anonymized.read_text(encoding="utf-8")
+        for train in (anonymized, data):
+            out = tmp_path / "eval.json"
+            code = main(
+                [
+                    "evaluate",
+                    "--train", str(train),
+                    "--test", str(data),
+                    "--qi", qi,
+                    "--sa", "salary-class",
+                    "--out", str(out),
+                ]
+            )
+            assert code == 0
+            assert json.loads(out.read_text())["meta"]["features"] == []
+
+    def test_default_numeric_features_are_those_the_training_set_holds(self, tmp_path, capsys):
+        with_gain = tmp_path / "with-gain.csv"
+        with_gain.write_text("w,y,capital-gain\na,0,1\na,1,2\nb,0,3\nb,1,4\n", "utf-8")
+        without = tmp_path / "without.csv"
+        without.write_text("w,y\na,0\na,1\nb,0\nb,1\n", "utf-8")
+        out = tmp_path / "eval.json"
+        for train, test, code in ((without, with_gain, 0), (with_gain, without, 2)):
+            argv = ["evaluate", "--train", str(train), "--test", str(test), "--qi", "w"]
+            assert main(argv + ["--sa", "y", "--positive-class", "1", "--out", str(out)]) == code
+        assert json.loads(out.read_text())["meta"]["features"] == []
+        assert f"test set {without}: unknown column 'capital-gain'" in capsys.readouterr().err
+
     def test_positive_class_no_label_holds_is_an_input_error(self, small_inputs, capsys):
         # The labels are "<=50K" and ">50K"; the class differs in case only.
         out = small_inputs["dir"] / "eval_positive.json"

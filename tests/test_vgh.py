@@ -254,9 +254,10 @@ class TestHierarchyFiles:
             (b"a;*\n\nb;*\n\xff\n", "can't decode byte 0xff in position 9"),
             (b"a;*\nb;b;*\nc;c;c;*\nd;*\n", r"column counts \[2, 3, 4\]$"),
             (b"a;*\n" * 3000 + b"\xff", "can't decode byte 0xff in position 12000"),
+            (b"\na\n", "empty line"),
         ],
         ids=["no-lines", "empty-after-widths", "utf8-after-empty", "every-width",
-             "utf8-past-a-chunk"],
+             "utf8-past-a-chunk", "empty-first"],
     )
     def test_a_fault_is_reported_by_kind_not_by_place(self, tmp_path, data, message):
         # Not UTF-8 comes first, then an empty line, then unequal widths; a
