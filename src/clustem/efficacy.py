@@ -168,6 +168,9 @@ def encode(
     for kind, features in (("QI", qi), ("numeric", numeric_features)):
         if label_column in features:
             raise InputError(f"label column {label_column!r} cannot also be a {kind} feature")
+    for name in numeric_features:
+        if name in qi:
+            raise InputError(f"QI column {name!r} cannot also be a numeric feature")
     observed = set(train.column(label_column).coding[1] + test.column(label_column).coding[1])
     if len(observed) > 2:
         raise InputError(

@@ -3,8 +3,10 @@
 Two sources are supported: a word-vector text file (a value embeds as the
 mean of its tokens' vectors; each fetch reads the file once, checks every line
 with one pattern compiled for the file's dimension, which counts the
-components too, and converts only the lines of tokens that its values name)
-and a generic HTTP embeddings API over the stdlib's ``urllib.request`` (the
+components too, and converts only the lines of tokens that its values name;
+the pattern first tries the components as plain decimals such as "-0.41242",
+which is cheaper, and the lines it accepts are the same either way) and a
+generic HTTP embeddings API over the stdlib's ``urllib.request`` (the
 whole value string is embedded at once). Results can be cached on disk as a
 JSON object stamped with the provider id and the vector dimension, plus a map
 of value -> array of numbers; the cache is written atomically, reproduces
@@ -74,16 +76,22 @@ class ProviderConfig:
 # token, so no match ever needs a backtrack, and the states a backtracking
 # quantifier saves cost about half of checking a file.
 _FINITE = r"[+-]?+(?:[0-9]{1,100}+(?:\.[0-9]*+)?+|\.[0-9]++)(?:[eE](?:-[0-9]++|\+?+[0-9]{1,2}+))?+"
+# A plain decimal such as "-0.41242", as GloVe and fastText files write every
+# component: a _FINITE string without a "+", a bare point or an exponent.
+_DECIMAL = r"-?+[0-9]{1,100}+(?:\.[0-9]++)?+"
 
 
 def _line_pattern(dim: int) -> re.Pattern[str]:
     """One pattern per file, which counts the components too: a token, then
     exactly ``dim`` components one space apart, so a line it matches needs no
-    further check. A repeat count from 2**32 - 1 up does not compile; then the
-    pattern matches nothing, and ``_components`` rejects every line that is
-    not blank."""
+    further check. The components are first tried as plain decimals, which
+    are cheaper to match, and only then as any _FINITE number; since every
+    _DECIMAL string is a _FINITE string, the pattern accepts the same lines
+    and captures the same token as the _FINITE branch alone. A repeat count
+    from 2**32 - 1 up does not compile; then the pattern matches nothing, and
+    ``_components`` rejects every line that is not blank."""
     try:
-        return re.compile(rf"(\S++)(?: {_FINITE}){{{dim}}}+\n?")
+        return re.compile(rf"(\S++)(?:(?: {_DECIMAL}){{{dim}}}+|(?: {_FINITE}){{{dim}}}+)\n?")
     except OverflowError:
         return re.compile("(?!)")
 

@@ -42,10 +42,11 @@ from __future__ import annotations
 import csv
 import io
 import os
+from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain, count, repeat
 from pathlib import Path
 from typing import Iterator, Sequence, TextIO
 
@@ -273,7 +274,8 @@ def _write_rows(fh: TextIO, table: Table) -> None:
 def code_column(values: Sequence[str]) -> tuple[np.ndarray, list[str]]:
     """The int64 code of each value and the distinct values, numbered in order
     of first appearance: ``distinct[codes[i]] == values[i]``."""
-    index = {value: i for i, value in enumerate(dict.fromkeys(values))}
+    # A value seen for the first time takes the next code: one lookup per value.
+    index = defaultdict(count().__next__)
     codes = np.fromiter(map(index.__getitem__, values), np.int64, count=len(values))
     return codes, list(index)
 

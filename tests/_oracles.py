@@ -404,9 +404,9 @@ class ReferenceWordVectorProvider:
         return out
 
 
-# ``embed._FINITE`` and ``embed._FINITE_LINE`` as they were with backtracking
-# quantifiers, kept verbatim so that the possessive patterns can be checked to
-# read exactly the same lines and capture the same tokens.
+# ``embed._FINITE`` and the line pattern of ``embed._line_pattern`` as they were
+# with backtracking quantifiers, kept verbatim so that the possessive patterns
+# can be checked to read exactly the same lines and capture the same tokens.
 REFERENCE_FINITE = (
     r"[+-]?(?:[0-9]{1,100}(?:\.[0-9]*)?|\.[0-9]+)(?:[eE](?:-[0-9]+|\+?[0-9]{1,2}))?"
 )

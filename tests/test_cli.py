@@ -1076,6 +1076,36 @@ class TestEvaluate:
         assert "label column 'y' cannot also be a numeric feature" in capsys.readouterr().err
         assert tree(tmp_path) == before
 
+    def test_qi_named_as_a_numeric_feature_is_an_input_error(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text(
+            "job,hours-per-week,salary-class\n"
+            + "".join(
+                f"{job},{hours},{label}\n"
+                for job, hours, label in zip(
+                    "aabbaabb", [38, 40, 38, 40, 50, 60, 50, 60], ["<=50K", ">50K"] * 4
+                )
+            ),
+            encoding="utf-8",
+        )
+        out = tmp_path / "eval.json"
+        code = main(
+            [
+                "evaluate",
+                "--train", str(data),
+                "--test", str(data),
+                "--qi", "job,hours-per-week",
+                "--sa", "salary-class",
+                "--numeric-features", "hours-per-week",
+                "--out", str(out),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "QI column 'hours-per-week' cannot also be a numeric feature" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_default_numeric_features_leave_out_the_label(self, tmp_path):
         data = tmp_path / "data.csv"
         data.write_text("w,capital-loss\na,0\na,1\nb,0\nb,1\nb,1\n", encoding="utf-8")
@@ -1294,7 +1324,7 @@ class TestEvaluate:
                 "evaluate",
                 "--train", str(train),
                 "--test", small_inputs["csv"],
-                "--qi", "job,grade",
+                "--qi", "grade",
                 "--sa", "salary-class",
                 "--numeric-features", feature,
                 "--out", str(out),

@@ -69,6 +69,12 @@ class TestEncode:
         with pytest.raises(InputError, match=message):
             encode(train, train, qi, numeric, "y", "1")
 
+    def test_qi_column_cannot_be_a_numeric_feature(self):
+        # Encoded twice, once as leaves and once as a number.
+        train = make_table(w=["a", "b"], h=["38", "40"], y=["1", "0"])
+        with pytest.raises(InputError, match="QI column 'h' cannot also be a numeric feature"):
+            encode(train, train, ["w", "h"], ["h"], "y", "1")
+
     def test_width_identical_for_train_and_test(self):
         train = tiny(["a", "b"], ["pos", "neg"])
         test = tiny(["{a,c}"], ["pos"])

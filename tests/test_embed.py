@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from _loopback import data_reply, indexed_vectors, response, vector_of
 from _oracles import REFERENCE_FINITE, REFERENCE_FINITE_LINE, ReferenceWordVectorProvider
 from clustem.embed import (
+    _DECIMAL,
     _FINITE,
     API_BATCH_SIZE,
     HttpApiProvider,
@@ -110,6 +111,15 @@ class TestWordVectorProvider:
         path.write_text("2 2\na 1 0\nb 0 1\na 3 4\n", encoding="utf-8")
         assert WordVectorProvider(str(path)).fetch(["a"])[0].tolist() == [3.0, 4.0], "line 4"
 
+    def test_largest_compiled_dimension_still_counts_the_components(self, tmp_path):
+        dim = 2**32 - 2  # the largest repeat count that compiles, in both branches
+        assert _line_pattern(dim).pattern != "(?!)"
+        path = tmp_path / "vecs.txt"
+        path.write_text(f"1 {dim}\na 1 2\n", encoding="utf-8")
+        with pytest.raises(ProviderError) as info:
+            WordVectorProvider(str(path)).fetch(["a"])
+        assert str(info.value) == f"{path}: line 2: expected {dim} components, got 2"
+
 
 # Components that the fast path must leave to float(), and numbers at its edges:
 # with an exponent of 99, 209 integer digits stay finite and 210 overflow.
@@ -188,6 +198,26 @@ class TestMatchesReferenceParser:
         assert re.fullmatch(_FINITE, text)
         assert math.isfinite(float(text))
 
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(text=st.from_regex(_DECIMAL, fullmatch=True))
+    @example(text="9" * 100 + ".5")
+    @example(text="-0")
+    @example(text="7")
+    def test_decimal_pattern_is_part_of_the_finite_pattern(self, text):
+        # So the line pattern's plain-decimal branch accepts no line that the
+        # _FINITE branch alone would refuse.
+        assert re.fullmatch(_DECIMAL, text)
+        assert re.fullmatch(_FINITE, text)
+        assert math.isfinite(float(text))
+
+    # 101 integer digits, which neither pattern takes, and the forms that only
+    # the _FINITE branch reads: a sign "+", a bare point, an exponent.
+    @pytest.mark.parametrize(
+        "text", ["9" * 101, "-" + "9" * 101 + ".5", "+1", "1.", ".5", "-.5", "1e5", "1.5E-3"]
+    )
+    def test_decimal_pattern_refuses(self, text):
+        assert not re.fullmatch(_DECIMAL, text)
+
 
 _DIGITS = "0123456789"
 
@@ -235,6 +265,10 @@ def _lines(draw) -> str:
 @example(line="a\n")
 @example(line="a 1 2 3 4\n")
 @example(line="a 1 2 3 4 5 6\n")
+@example(line="a 1.5 2.5e3\n")  # the plain-decimal branch fails on the last component
+@example(line="a 1.5 +2\n")
+@example(line="a 1.5 .5\n")
+@example(line="a 1.5 " + "9" * 101 + "\n")  # neither branch takes it
 def test_possessive_line_pattern_reads_the_backtracking_language(line):
     # Dimensions 1 to 5 around lines of 0 to 4 components (6 in an example):
     # every line is read at its own count and at one fewer and one more.

@@ -384,6 +384,7 @@ class TestInvariants:
     def test_column_codes_number_values_by_first_appearance(self):
         codes, distinct = Column("a", ["b", "a", "b", "c", "a"]).coding
         assert (codes.tolist(), distinct) == ([0, 1, 0, 2, 1], ["b", "a", "c"])
+        assert codes.dtype == np.int64
 
     def test_table_rejects_ragged_columns(self):
         with pytest.raises(InputError):
