@@ -1,5 +1,9 @@
 """From-scratch KMeans and Ward agglomerative clustering with seeded, deterministic behavior.
 
+Both take their points as a finite float 2-D array (points x features), and
+``kmeans`` a cluster count in [1, #points]. Neither checks this: their caller,
+``vgh.build_vgh``, checks the embeddings where they enter and asks ``kmeans``
+for one cluster fewer than it has points.
 Distances are squared Euclidean throughout. KMeans runs Lloyd iterations from
 k-means++ seeding, keeps the best of a fixed number of seeded restarts, and
 repairs empty clusters so the requested cluster count is always met exactly.
@@ -16,8 +20,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import InputError
 
 KMEANS_RESTARTS = 10
 KMEANS_MAX_ITER = 300
@@ -36,20 +38,6 @@ class ClusterAssignment:
     centers: np.ndarray
     inertia: float
     repairs: int = 0
-
-
-def _as_points(points) -> np.ndarray:
-    try:
-        pts = np.asarray(points, dtype=float)
-    except ValueError as exc:
-        raise InputError(f"points do not form a rectangular array: {exc}") from exc
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    if pts.ndim != 2 or pts.shape[0] == 0:
-        raise InputError("points must form a non-empty 2-D array")
-    if not np.all(np.isfinite(pts)):
-        raise InputError("points must be finite")
-    return pts
 
 
 def _sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -143,8 +131,11 @@ def _lloyd(
     return labels, centers, inertia, repairs
 
 
-def kmeans(points, n_clusters: int, seed: int) -> ClusterAssignment:
+def kmeans(points: np.ndarray, n_clusters: int, seed: int) -> ClusterAssignment:
     """Cluster ``points`` into exactly ``n_clusters`` non-empty clusters.
+
+    ``points`` is a finite float 2-D array of n points, and
+    1 <= ``n_clusters`` <= n; neither is checked.
 
     Runs Lloyd iterations from k-means++ seeding and returns the best of
     KMEANS_RESTARTS seeded restarts by inertia (ties favor the earlier
@@ -155,21 +146,18 @@ def kmeans(points, n_clusters: int, seed: int) -> ClusterAssignment:
     centers are data points). The seeding draw is numpy's ``Generator.choice``
     steps inlined, on the same uniforms, so it picks what ``choice`` would.
     """
-    pts = _as_points(points)
-    n = pts.shape[0]
-    if not 1 <= n_clusters <= n:
-        raise InputError(f"n_clusters must be in [1, {n}], got {n_clusters}")
+    n = points.shape[0]
 
     @functools.cache
     def row(i: int) -> np.ndarray:
-        return ((pts - pts[i]) ** 2).sum(axis=1)
+        return ((points - points[i]) ** 2).sum(axis=1)
 
     best: ClusterAssignment | None = None
     for child in np.random.SeedSequence(seed).spawn(KMEANS_RESTARTS):
         rng = np.random.default_rng(child)
         chosen = _plus_plus_init(row, n, n_clusters, rng)
         dists = np.stack([row(i) for i in chosen], axis=1)
-        labels, centers, inertia, repairs = _lloyd(pts, pts[chosen], dists)
+        labels, centers, inertia, repairs = _lloyd(points, points[chosen], dists)
         if best is None or inertia < best.inertia:
             best = ClusterAssignment(labels, centers, inertia, repairs)
     assert best is not None
@@ -187,8 +175,11 @@ def _refresh_costs(cost: np.ndarray, centroids: np.ndarray, sizes: np.ndarray, a
     cost[a, others[~left]] = w[~left]
 
 
-def agglomerate(points) -> list[np.ndarray]:
+def agglomerate(points: np.ndarray) -> list[np.ndarray]:
     """Ward's greedy merge sequence down to one cluster, as partitions.
+
+    ``points`` is a finite float 2-D array (points x features); it is not
+    checked.
 
     Returns one int array per merge (#points - 1 of them): entry i is point
     i's cluster after that merge, named by the cluster's smallest point
@@ -196,10 +187,9 @@ def agglomerate(points) -> list[np.ndarray]:
     |A||B|/(|A|+|B|) * ||mean_A - mean_B||^2; ties go to the smallest
     (left, right) pair, clusters ordered by their smallest point.
     """
-    pts = _as_points(points)
-    n = pts.shape[0]
+    n = points.shape[0]
     members: list[list[int]] = [[i] for i in range(n)]
-    centroids = pts.copy()
+    centroids = points.copy()
     sizes = np.ones(n)  # 0 once a cluster has been merged away
     # cost[a, b] for live a < b, inf elsewhere; argmin takes the first minimum
     # in row-major order, which is the smallest-(left, right) tie-break.
@@ -218,7 +208,7 @@ def agglomerate(points) -> list[np.ndarray]:
         sizes[a] += sizes[b]
         sizes[b] = 0
         cost[b] = cost[:, b] = np.inf
-        centroids[a] = pts[members[a]].mean(axis=0)
+        centroids[a] = points[members[a]].mean(axis=0)
         _refresh_costs(cost, centroids, sizes, a)
         partitions.append(labels.copy())
     return partitions

@@ -51,7 +51,8 @@ DEFAULT_NUMERIC_FEATURES = ["capital-gain", "capital-loss", "hours-per-week"]
 @dataclass
 class FeatureMatrix:
     """One feature row and label per data row; ``counts[i]`` is how many table
-    rows data row i stands for (one per row when omitted)."""
+    rows data row i stands for (one per row when omitted). The counts are not
+    checked: ``encode`` builds them, one of at least 1 per data row."""
 
     feature_names: list[str]
     data: np.ndarray
@@ -61,8 +62,6 @@ class FeatureMatrix:
     def __post_init__(self) -> None:
         if self.counts is None:
             self.counts = np.ones(len(self.labels), dtype=np.int64)
-        elif np.shape(self.counts) != (len(self.labels),) or np.any(np.asarray(self.counts) < 1):
-            raise InputError("counts must hold one count of at least 1 per data row")
 
 
 @dataclass

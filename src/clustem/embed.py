@@ -320,14 +320,14 @@ def _store_cache(cache_path: str, provider_id: str, entries: dict[str, np.ndarra
 def embed_all(
     values: Sequence[str], provider, cache_path: str | None = None
 ) -> dict[str, np.ndarray]:
-    """Embed every value once; all resulting vectors must share one dimension.
+    """Embed each of ``values``, which are distinct (not checked: its caller,
+    ``generate_vghs``, passes a set's members). Vectors of unequal dimensions, or
+    a component that is NaN or beyond +-MAX_COMPONENT, are a ``ProviderError``.
 
     With a cache path, known values are served from disk and only the misses
     go to the provider; the merged cache is rewritten atomically afterwards.
     """
     values = list(values)
-    if len(set(values)) != len(values):
-        raise InputError("values to embed must be distinct")
     if not values:
         return {}
 

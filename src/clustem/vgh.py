@@ -22,6 +22,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import cluster
+from .embed import MAX_COMPONENT
 from .errors import InputError
 from .tabular import SUPPRESSED, atomic_write, code_column
 
@@ -161,13 +162,16 @@ def _step_seed(seed: int, step: int) -> int:
 
 def check_values(values: Sequence[str], attribute: str) -> None:
     """Reject values no generated hierarchy can hold: none at all, a repeated
-    or empty one, "*" (the top label), or one holding ",", "{" or "}" (which
-    set labels use) or ";", "\\n" or "\\r" (which the hierarchy file uses)."""
+    one, one that is not a string, an empty one, "*" (the top label), or one
+    holding ",", "{" or "}" (which set labels use) or ";", "\\n" or "\\r"
+    (which the hierarchy file uses)."""
     if not values:
         raise InputError(f"attribute {attribute!r} has no values to generalize")
     if len(set(values)) != len(values):
         raise InputError(f"the values of attribute {attribute!r} must be distinct")
     for value in values:
+        if not isinstance(value, str):
+            raise InputError(f"value {value!r} of attribute {attribute!r} is not a string")
         if value in ("", TOP):
             raise InputError(
                 f"value {value!r} of attribute {attribute!r} is empty or the suppression mark"
@@ -194,7 +198,10 @@ def build_vgh(
     each step, so each step also merges exactly two clusters. Either way n
     values give n + 1 levels: a final all-"*" level is always appended (and is
     the only non-identity level for a single value). Values must pass
-    ``check_values``, so that every set label names exactly one block.
+    ``check_values``, so that every set label names exactly one block. The
+    embeddings must be vectors of one shared length whose components are
+    within +-``embed.MAX_COMPONENT`` (so finite, and their squared distances
+    too), as ``embed.embed_all`` returns them.
     """
     values = list(values)
     check_values(values, attribute)
@@ -203,22 +210,34 @@ def build_vgh(
     missing = [v for v in values if v not in embeddings]
     if missing:
         raise InputError(f"missing embeddings for values: {missing[:5]!r}")
+    try:
+        points = np.array([embeddings[v] for v in values], dtype=float)
+    except (TypeError, ValueError) as exc:  # ragged, or not real numbers
+        raise InputError(
+            f"embeddings of {attribute!r} are not real vectors of one length: {exc}"
+        ) from exc
+    if points.ndim != 2:
+        raise InputError(f"embeddings of {attribute!r} are not 1-D vectors: shape {points.shape}")
+    bounded = (np.abs(points) <= MAX_COMPONENT).all(axis=1)  # False on NaN too
+    if not bounded.all():
+        raise InputError(
+            f"embedding for value {values[bounded.argmin()]!r} is not finite or has a "
+            f"component beyond {MAX_COMPONENT:g}"
+        )
 
     partitions: list[list[int]] = []
     repairs = 0
-    if len(values) > 1:
-        points = np.stack([np.asarray(embeddings[v], dtype=float) for v in values])
-        if method == WARD:
-            partitions = [labels.tolist() for labels in cluster.agglomerate(points)]
-        else:
-            centers = points.copy()
-            assign = list(range(len(values)))
-            for step in range(len(values) - 1):
-                fit = cluster.kmeans(centers, centers.shape[0] - 1, _step_seed(seed, step))
-                repairs += fit.repairs
-                assign = [int(fit.labels[a]) for a in assign]
-                centers = fit.centers
-                partitions.append(assign)
+    if method == WARD:
+        partitions = [labels.tolist() for labels in cluster.agglomerate(points)]
+    else:
+        centers = points
+        assign = list(range(len(values)))
+        for step in range(len(values) - 1):
+            fit = cluster.kmeans(centers, centers.shape[0] - 1, _step_seed(seed, step))
+            repairs += fit.repairs
+            assign = [int(fit.labels[a]) for a in assign]
+            centers = fit.centers
+            partitions.append(assign)
     return Vgh(attribute, values, *_merged_levels(values, partitions), kmeans_repairs=repairs)
 
 

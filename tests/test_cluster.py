@@ -169,36 +169,21 @@ class TestKmeans:
         res = kmeans(pts, 3, seed=0)
         assert len(set(res.labels.tolist())) == 3
 
-    def test_argument_errors(self):
-        pts = np.array([[0.0], [1.0]])
-        with pytest.raises(InputError):
-            kmeans(pts, 3, seed=0)
-        with pytest.raises(InputError):
-            kmeans(pts, 0, seed=0)
-        with pytest.raises(InputError):
-            kmeans([[0.0], [1.0, 2.0]], 1, seed=0)  # ragged input
-
 
 class TestPoints:
-    """Both clusterings take their points through one shared check."""
+    """Neither clustering checks its points: ``build_vgh``, which hands them the
+    caller's embeddings, refuses those they cannot take, for either method."""
 
-    def test_one_dimensional_points_are_one_feature(self):
-        assert sorted(kmeans([0.0, 1.0, 10.0, 11.0], 2, seed=0).centers.ravel()) == [0.5, 10.5]
-        assert partitions([0.0, 1.0, 10.0]) == partitions([[0.0], [1.0], [10.0]])
-
-    @pytest.mark.parametrize(
-        "cluster_points",
-        [lambda points: kmeans(points, 1, seed=0), agglomerate],
-        ids=["kmeans", "agglomerate"],
-    )
+    @pytest.mark.parametrize("method", ["kmeans", "ward"], ids=["kmeans", "agglomerate"])
     @pytest.mark.parametrize(
         "points, message",
-        [([], "non-empty"), ([[0.0], [np.nan]], "finite"), ([[0.0, np.inf]], "finite")],
+        [([], "no values"), ([[0.0], [np.nan]], "not finite"), ([[0.0, np.inf]], "not finite")],
         ids=["empty", "nan", "inf"],
     )
-    def test_empty_or_non_finite_points_are_input_errors(self, cluster_points, points, message):
+    def test_empty_or_non_finite_points_are_input_errors(self, method, points, message):
+        values = [f"v{i}" for i in range(len(points))]
         with pytest.raises(InputError, match=message):
-            cluster_points(points)
+            build_vgh(values, dict(zip(values, points)), method)
 
 
 class TestKmeansMatchesReference:

@@ -408,13 +408,6 @@ class TestDistinctRows:
             assert _expanded(fm) == _expanded(reference)
         _assert_same_fit(*fits)
 
-    @pytest.mark.parametrize(
-        "counts", [[1], [1, 1, 1], [1, 0], [2, -1]], ids=["short", "long", "zero", "negative"]
-    )
-    def test_feature_matrix_refuses_bad_counts(self, counts):
-        with pytest.raises(InputError, match="counts"):
-            FeatureMatrix(["f"], np.zeros((2, 1)), np.array([0, 1]), np.array(counts))
-
 
 class TestEvaluate:
     def test_zero_margin_predicts_the_positive_class(self):

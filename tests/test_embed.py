@@ -456,10 +456,6 @@ class TestEmbedAll:
         assert set(out) == {"a", "bb"}
         assert np.array_equal(out["bb"], [2.0, 1.0])
 
-    def test_duplicate_values_rejected(self):
-        with pytest.raises(InputError):
-            embed_all(["a", "a"], _CountingProvider())
-
     def test_cache_avoids_refetch(self, tmp_path):
         cache = str(tmp_path / "cache.json")
         provider = _CountingProvider()

@@ -24,6 +24,20 @@ def test_every_exported_name_resolves():
     assert len(set(clustem.__all__)) == len(clustem.__all__)
 
 
+def test_exported_names_are_the_readme_library_surface():
+    [section] = re.findall(r"\n## Library use\n(.*?)\n## ", README.read_text(encoding="utf-8"), re.S)
+    [listed] = re.findall(r"`clustem\.__all__` exports \((.*?)\)", section, re.S)
+    assert sorted(re.findall(r"`(\w+)`", listed)) == sorted(clustem.__all__)
+    [block] = re.findall(r"```python\n(.*?)```", section, re.S)
+    imported = {
+        alias.name
+        for node in ast.walk(ast.parse(block))
+        if isinstance(node, ast.ImportFrom) and node.module == "clustem"
+        for alias in node.names
+    }
+    assert imported and imported <= set(clustem.__all__)
+
+
 def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
     blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
     assert len(blocks) == 1

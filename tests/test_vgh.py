@@ -126,6 +126,28 @@ class TestBuildVgh:
         with pytest.raises(InputError, match=f"^missing embeddings for values: {listed}$"):
             build_vgh([f"v{i}" for i in range(7)], {}, WARD)
 
+    @pytest.mark.parametrize(
+        "embeddings, message",
+        [
+            ({"a": [0.0], "b": [1.0, 2.0]}, "not real vectors of one length"),
+            ({"a": None, "b": [1.0]}, "not real vectors of one length"),
+            ({"a": [1j], "b": [1.0]}, "not real vectors of one length"),
+            ({"a": 0.0, "b": 1.0}, "not 1-D vectors"),
+            ({"a": [[0.0]], "b": [[1.0]]}, "not 1-D vectors"),
+            # Squared distances overflow: Ward merged {a, b}, the farthest pair, first.
+            ({"a": [1e308], "b": [-1e308], "c": [0.0]}, "'a' is not finite or has a component"),
+            ({"a": [0.0], "b": [1e100], "c": [-1.01e100]}, "'c' is not finite or has a component"),
+        ],
+        ids=["ragged", "none", "complex", "scalar", "matrix", "overflow", "beyond-bound"],
+    )
+    def test_malformed_embeddings_are_input_errors(self, embeddings, message):
+        with pytest.raises(InputError, match=message):
+            build_vgh(sorted(embeddings), embeddings, WARD, attribute="x")
+
+    def test_non_string_value_is_an_input_error(self):
+        with pytest.raises(InputError, match="^value 1 of attribute '' is not a string$"):
+            build_vgh([1, 2], {1: [0.0], 2: [1.0]}, WARD)
+
     def test_unknown_method(self):
         with pytest.raises(InputError):
             build_vgh(["a"], {"a": np.zeros(1)}, "dbscan")
