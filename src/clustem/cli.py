@@ -9,6 +9,7 @@ artifacts (report timestamps aside).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -385,19 +386,31 @@ def _cmd_evaluate(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    """Run one command and return its exit code. The cyclic garbage collector
+    is paused for the command, whose passes would re-scan every cell of a
+    loaded table. On every exit the caller's setting is restored; if the
+    collector was on, the command's young objects are collected first, so
+    that pass does not fall on the caller's next allocation."""
+    was_enabled = gc.isenabled()
+    gc.disable()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        return args.func(args)
-    except ProviderError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PROVIDER
-    except (InputError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        parser = _build_parser()
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
+        try:
+            return args.func(args)
+        except ProviderError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_PROVIDER
+        except (InputError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+    finally:
+        if was_enabled:
+            gc.collect(0)
+            gc.enable()
 
 
 def run() -> None:

@@ -347,6 +347,8 @@ def embed_all(
         if len(fetched) != len(misses):
             raise ProviderError("provider returned the wrong number of vectors")
         for value, vec in zip(misses, fetched):
+            if np.iscomplexobj(vec):  # numpy would keep only the real part
+                raise ProviderError(f"embedding for value {value!r} is complex")
             result[value] = np.asarray(vec, dtype=float)
 
     dims = {vec.shape for vec in result.values()}

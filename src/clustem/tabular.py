@@ -4,8 +4,8 @@ written table.
 Cells are kept as strings so that a load/write cycle preserves files exactly.
 The missing-value marker is the literal "?" and is treated as an ordinary
 value when grouping. Tables are never mutated: every operation returns a new
-Table. Every file clustem writes goes through ``atomic_write``, so no output
-is ever left partly written, and ends its lines with "\n" on every OS.
+Table. Every file clustem writes goes through ``atomic_write``, so none is
+ever partly written under its own name, and ends its lines with "\n" on every OS.
 
 ``load_csv`` splits a file directly on "," and "\n" when it needs none of
 the csv module's rules: UTF-8 text with no '"', "\r", NUL or empty line,

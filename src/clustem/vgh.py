@@ -211,8 +211,11 @@ def build_vgh(
     if missing:
         raise InputError(f"missing embeddings for values: {missing[:5]!r}")
     try:
+        for value in values:
+            if np.iscomplexobj(embeddings[value]):  # numpy would keep only the real part
+                raise TypeError(f"the embedding of {value!r} is complex")
         points = np.array([embeddings[v] for v in values], dtype=float)
-    except (TypeError, ValueError) as exc:  # ragged, or not real numbers
+    except (TypeError, ValueError) as exc:  # ragged, complex, or not real numbers
         raise InputError(
             f"embeddings of {attribute!r} are not real vectors of one length: {exc}"
         ) from exc

@@ -569,6 +569,10 @@ class TestEmbedAll:
         with pytest.raises(ProviderError, match="'a'.*beyond 1e\\+100"):
             embed_all(["a"], _CountingProvider(), cache_path=str(cache))
 
+    def test_fetched_complex_vector_is_refused(self):
+        with pytest.raises(ProviderError, match="^embedding for value 'a' is complex$"):
+            embed_all(["a"], _FixedProvider([1 + 0j, 2.0]))
+
     def test_component_at_the_bound_is_accepted(self):
         assert embed_all(["a"], _FixedProvider([1e100, -1e100]))["a"].tolist() == [1e100, -1e100]
 

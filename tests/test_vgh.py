@@ -137,8 +137,13 @@ class TestBuildVgh:
             # Squared distances overflow: Ward merged {a, b}, the farthest pair, first.
             ({"a": [1e308], "b": [-1e308], "c": [0.0]}, "'a' is not finite or has a component"),
             ({"a": [0.0], "b": [1e100], "c": [-1.01e100]}, "'c' is not finite or has a component"),
+            # A numpy cast would keep the real parts, 0 and 1.
+            ({"a": np.array([1j]), "b": np.array([1 + 0j])}, "'a' is complex"),
         ],
-        ids=["ragged", "none", "complex", "scalar", "matrix", "overflow", "beyond-bound"],
+        ids=[
+            "ragged", "none", "complex", "scalar", "matrix", "overflow", "beyond-bound",
+            "complex-array",
+        ],
     )
     def test_malformed_embeddings_are_input_errors(self, embeddings, message):
         with pytest.raises(InputError, match=message):
